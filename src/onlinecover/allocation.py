@@ -140,8 +140,8 @@ class AllocationFunction:
         if kind not in ("linear-alpha", "family-k", "greedy"):
             raise ValidationError(f"unknown allocation kind {kind!r}")
         if kind == "family-k":
-            if k is None or not (k >= 1.0):
-                raise ValidationError("family-k requires k >= 1")
+            if k is None or not (1.0 <= k < math.inf):
+                raise ValidationError("family-k requires a finite k >= 1")
         elif k is not None:
             raise ValidationError(f"kind {kind!r} takes no parameter k")
         self.kind = kind

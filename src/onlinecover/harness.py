@@ -6,7 +6,8 @@ member), ``verify`` (identity/residual suite), ``adversary`` (adaptive
 alternation lower-bound surrogates), ``ski-rental`` (reduction runs).
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
-2 usage error.
+2 usage error (including malformed numbers and unreadable or unwritable
+files).
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ def resolve_allocation(f_spec: str) -> AllocationFunction:
     if f_spec == "optimal":
         return allocation.optimal_k(1e-8).func()
     if f_spec.startswith("family-k:"):
-        return AllocationFunction.family(float(f_spec.split(":", 1)[1]))
+        try:
+            k = float(f_spec.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"bad allocation selector {f_spec!r}: k must be a number") from None
+        return AllocationFunction.family(k)
     raise ValidationError(f"unknown allocation selector {f_spec!r}")
 
 
@@ -480,7 +485,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except OnlineCoverError as exc:
+    except (OnlineCoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -539,8 +544,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "ski-rental":
-        buys = tuple(float(x) for x in args.buy.split(","))
-        rents = tuple(float(x) for x in args.rent.split(","))
+        try:
+            buys = tuple(float(x) for x in args.buy.split(","))
+            rents = tuple(float(x) for x in args.rent.split(","))
+        except ValueError as exc:
+            print(f"error: --buy and --rent take comma-separated numbers: {exc}", file=sys.stderr)
+            return 2
         if len(buys) != len(rents):
             print("--buy and --rent must have equal length", file=sys.stderr)
             return 2

@@ -8,7 +8,14 @@ an integral bipartite one, solved exactly.  Weighted graphs route the
 double cover through a minimum s-t cut instead.  A tiny-instance
 enumeration over {0, 1/2, 1} potentials serves as an independent check.
 
-All operations are pure functions of their inputs.
+The optimum of every prefix of a stream, which worst-prefix ratios divide
+by, comes from one solver kept across the whole stream instead of one
+solve per prefix: for unit weights a maximum matching that grows by one
+augmenting-path search per added node, for weights one max-flow residual
+network whose flow continues after each arrival.  The from-scratch
+solvers above are the independent reference the tests compare it with.
+
+All public functions are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -148,13 +155,6 @@ def _hk_matching(bi: csr_matrix) -> np.ndarray:
     if bi.nnz == 0:
         return np.full(bi.shape[0], -1, dtype=np.int64)
     return maximum_bipartite_matching(bi, perm_type="column").astype(np.int64)
-
-
-def bipartite_matching_value(g: StaticGraph) -> int:
-    """Cardinality of a maximum matching (fast path, no witnesses)."""
-    left, right = _bipartite_sides(g)
-    match = _hk_matching(_biadjacency(g, left, right))
-    return int(np.count_nonzero(match >= 0))
 
 
 def _konig_cover(bi: csr_matrix, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,66 +407,208 @@ def brute_force_half_integral(g: StaticGraph) -> float:
 # ----------------------------------------------------------- prefix oracle
 
 
-def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
-    """Offline optimum after each arrival, one independent solve per prefix.
+class _GrowingMatching:
+    """Maximum matching of a bipartite graph that grows one node at a time.
 
-    The reveal order makes every prefix a slice of the precomputed edge
-    arrays, but each value still comes from a from-scratch solve.  The
-    returned number is simultaneously the minimum fractional cover and the
-    maximum fractional matching: the two coincide for bipartite instances
-    (integrality plus duality) and for general ones (double cover).
+    Nodes are the stream's vertices (``double=False``: side-labeled
+    streams, every edge joins L and R) or the two copies of each vertex in
+    the bipartite double cover (``double=True``: node v is the row copy,
+    n + v the column copy).  Every vertex owns one slice of a single int32
+    adjacency array: its back-edges first, then later arrivals in reveal
+    order, filled in as they arrive, so its arrived neighbours are always
+    the first ``count[v]`` entries of its slice.
+    """
+
+    def __init__(self, stream: InstanceStream, double: bool):
+        n = len(stream)
+        total = np.zeros(n, dtype=np.int32)
+        for ev in stream.events:
+            total[ev.id] += ev.neighbors.size
+            total[ev.neighbors] += 1
+        entries = int(total.sum())
+        if entries >= 2**31:
+            raise TooLarge(f"{entries} adjacency entries overflow the int32 index")
+        self.n = n
+        self.double = double
+        self.start = np.zeros(n, dtype=np.int32)
+        np.cumsum(total[:-1], out=self.start[1:])
+        self.adj = np.empty(entries, dtype=np.int32)
+        self.count = np.zeros(n, dtype=np.int32)
+        span = 2 * n if double else n
+        if double:
+            self.side = np.arange(span) >= n  # column copies on side 1
+        else:
+            self.side = np.array([ev.side is Side.RIGHT for ev in stream.events])
+        self.mate = np.full(span, -1, dtype=np.int32)
+        self.parent = np.zeros(span, dtype=np.int32)
+        self.seen = np.zeros(span, dtype=np.int32)  # number of the last search
+        self.slot = np.zeros(span, dtype=np.int32)  # workspace for deduplication
+        self.searches = 0
+        self.free = [0, 0]  # unmatched nodes that have joined, per side
+        self.size = 0
+
+    def arrive(self, v: int, nbrs: np.ndarray) -> None:
+        """Record v's back-edges in v's slice and v in each neighbour's."""
+        a = self.start[v]
+        self.adj[a : a + nbrs.size] = nbrs
+        self.count[v] = nbrs.size
+        self.adj[self.start[nbrs] + self.count[nbrs]] = v
+        self.count[nbrs] += 1
+
+    def join(self, node: int, nbrs: np.ndarray) -> None:
+        """Add a free node (its vertex has arrived) and keep the matching maximum.
+
+        The matching was maximum before, so every augmenting path now
+        starts at ``node`` and ends at a free node of the other side.
+        ``nbrs`` are the node's neighbours as vertex ids.
+        """
+        side = int(self.side[node])
+        self.free[side] += 1
+        if nbrs.size and self.free[1 - side] and self._augment(node, nbrs):
+            self.free[0] -= 1
+            self.free[1] -= 1
+            self.size += 1
+
+    def _neighbours(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arrived neighbours (vertex ids) of all nodes, concatenated.
+
+        Also returns the end offset of each node's run, so that
+        ``searchsorted(ends, i, "right")`` names the node of entry i.
+        """
+        base = nodes % self.n if self.double else nodes
+        lens = self.count[base]
+        ends = np.cumsum(lens, dtype=np.int32)
+        idx = np.arange(ends[-1], dtype=np.int32)
+        idx += np.repeat(self.start[base] - (ends - lens), lens)
+        return self.adj[idx], ends
+
+    def _augment(self, root: int, nbrs: np.ndarray) -> bool:
+        """Search one augmenting path from ``root`` and flip it if found.
+
+        Breadth-first over whole frontiers: a free neighbour ends the
+        search; otherwise the frontier moves on to the mates of the
+        neighbours not yet seen.
+        """
+        self.searches += 1
+        stamp = self.searches
+        mate, seen, slot = self.mate, self.seen, self.slot
+        off = 0  # node id of vertex 0 on the side opposite the root
+        if self.double and root < self.n:
+            off = self.n
+            # the column copy joins only after this search: a path into it
+            # would skip its own search and leave the matching short
+            seen[root + off] = stamp
+        frontier = np.array([root], dtype=np.int32)
+        cand, ends = nbrs.astype(np.int32) + off, np.array([nbrs.size])
+        while True:
+            pos = np.flatnonzero(seen[cand] != stamp)
+            if not pos.size:
+                return False
+            tgt = cand[pos]
+            free = np.flatnonzero(mate[tgt] < 0)
+            if free.size:
+                i = free[0]
+                self._flip(int(tgt[i]), int(frontier[np.searchsorted(ends, pos[i], "right")]))
+                return True
+            # keep one entry per target; whichever write to slot won, it
+            # names a frontier node adjacent to that target
+            order = np.arange(tgt.size, dtype=np.int32)
+            slot[tgt] = order
+            keep = slot[tgt] == order
+            tgt, pos = tgt[keep], pos[keep]
+            seen[tgt] = stamp
+            self.parent[tgt] = frontier[np.searchsorted(ends, pos, "right")]
+            frontier = mate[tgt]
+            cand, ends = self._neighbours(frontier)
+            cand += off
+
+    def _flip(self, b: int, a: int) -> None:
+        """Match a-b, then rematch along the search tree back to the root."""
+        mate, parent = self.mate, self.parent
+        while True:
+            prev = int(mate[a])
+            mate[a] = b
+            mate[b] = a
+            if prev < 0:
+                return
+            b, a = prev, int(parent[prev])
+
+
+def _unit_prefix_values(stream: InstanceStream) -> np.ndarray:
+    """Maximum (fractional) matching size after each arrival, unit weights.
+
+    Side-labeled streams match L against R directly.  Otherwise each
+    arrival adds its row copy and then its column copy to the double
+    cover, and the value is half the double cover's matching.  Each added
+    node raises the matching by at most one augmenting path (Berge).
+    """
+    labeled = stream.has_side_labels()
+    m = _GrowingMatching(stream, double=not labeled)
+    vals = np.zeros(len(stream))
+    for ev in stream.events:
+        v, nbrs = ev.id, ev.neighbors
+        m.arrive(v, nbrs)
+        m.join(v, nbrs)
+        if not labeled:
+            m.join(m.n + v, nbrs)
+        vals[v] = m.size if labeled else m.size / 2.0
+    return vals
+
+
+def _weighted_prefix_values(stream: InstanceStream) -> np.ndarray:
+    """Minimum weighted fractional cover after each arrival.
+
+    One residual network of the weighted double cover (as in
+    ``_min_cut_cover``) grows with the stream: an arrival adds its source
+    and sink arcs and its mid arcs, and ``max_flow`` continues from the
+    previous flow, since adding arcs never lowers the maximum.  The cover
+    is the minimum cut read from the residual graph, whose weight must
+    equal the flow at every prefix.
     """
     n = len(stream)
-    u, v = stream.edge_arrays()
-    cumdeg = np.zeros(n + 1, dtype=np.int64)
-    for ev in stream.events:
-        cumdeg[ev.id + 1] = cumdeg[ev.id] + ev.neighbors.size
+    w = stream.weights()
+    s, t = 2 * n, 2 * n + 1
+    net = _Dinic(2 * n + 2)
+    flow = 0.0
     vals = np.zeros(n)
-
-    if not stream.is_unit_weight():
-        for j in range(1, n + 1):
-            if cumdeg[j] == 0:
-                continue
-            g = static_from_stream(stream, j)
-            vals[j - 1] = fractional_optima_general(g).min_cover_value
-        return vals
-
-    if stream.has_side_labels():
-        is_left = np.array([ev.side is Side.LEFT for ev in stream.events])
-        lpos = np.cumsum(is_left) - 1
-        rpos = np.cumsum(~is_left) - 1
-        rows = np.where(is_left[u], lpos[u], lpos[v]).astype(np.int32)
-        cols = np.where(is_left[u], rpos[v], rpos[u]).astype(np.int32)
-        for j in range(1, n + 1):
-            c = cumdeg[j]
-            if c == 0:
-                vals[j - 1] = 0.0
-                continue
-            nl = int(lpos[j - 1]) + 1
-            nr = int(rpos[j - 1]) + 1
-            bi = csr_matrix(
-                (np.ones(c, dtype=np.int8), (rows[:c], cols[:c])),
-                shape=(max(nl, 1), max(nr, 1)),
-            )
-            m = _hk_matching(bi)
-            vals[j - 1] = float(np.count_nonzero(m >= 0))
-        return vals
-
-    rows = np.empty(2 * u.size, dtype=np.int64)
-    cols = np.empty(2 * u.size, dtype=np.int64)
-    rows[0::2], rows[1::2] = u, v
-    cols[0::2], cols[1::2] = v, u
-    for j in range(1, n + 1):
-        c = cumdeg[j]
-        if c == 0:
-            continue
-        bi = csr_matrix(
-            (np.ones(2 * c, dtype=np.int8), (rows[: 2 * c], cols[: 2 * c])),
-            shape=(j, j),
-        )
-        m = _hk_matching(bi)
-        vals[j - 1] = float(np.count_nonzero(m >= 0)) / 2.0
+    for ev in stream.events:
+        v = ev.id
+        wv = float(w[v])
+        net.add(s, v, wv)
+        net.add(n + v, t, wv)
+        for u in ev.neighbors.tolist():
+            cap = float(w[u] + w[v] + 1.0)
+            net.add(u, n + v, cap)
+            net.add(v, n + u, cap)
+        flow += net.max_flow(s, t)
+        reach = net.source_side(s)
+        cover_l = ~reach[: v + 1]
+        cover_r = reach[n : n + v + 1]
+        wj = w[: v + 1]
+        cut_value = float(wj[cover_l].sum() + wj[cover_r].sum())
+        if abs(cut_value - flow) > 1e-6 * max(1.0, flow):
+            raise ValidationError(f"prefix {v + 1}: min cut does not match max flow")
+        y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
+        vals[v] = float((y * wj).sum())
     return vals
+
+
+def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
+    """Offline optimum after each arrival, from one solver kept across arrivals.
+
+    The returned number is simultaneously the minimum fractional cover and
+    the maximum fractional matching: the two coincide for bipartite
+    instances (integrality plus duality) and for general ones (double
+    cover).  Unit weights keep one maximum matching and search one
+    augmenting path per added node; weights keep one max-flow residual
+    network and continue the flow.  At every prefix the value equals what
+    a from-scratch ``fractional_optima_general`` solve returns, exactly
+    wherever the flow sums are exact (unit or integer weights) and up to
+    rounding otherwise.
+    """
+    if stream.is_unit_weight():
+        return _unit_prefix_values(stream)
+    return _weighted_prefix_values(stream)
 
 
 # ------------------------------------------------------------ ratio helper

@@ -1,8 +1,14 @@
 """Tests for the experiment harness, adversaries, and CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import onlinecover
 from onlinecover import engine, oracle
 from onlinecover.allocation import ALPHA, AllocationFunction, optimal_k
 from onlinecover.errors import LengthMismatch, ValidationError
@@ -258,6 +264,34 @@ def test_cli_usage_errors():
     assert cli_main(["simulate"]) == 2  # missing source
     assert cli_main(["adversary", "--budget", "xyz"]) == 2
     assert cli_main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--gen", "triangular:3", "--f", "family-k:abc"],
+        ["simulate", "--gen", "triangular:3", "--f", "family-k:inf"],
+        ["ski-rental", "--buy", "0,x", "--rent", "1,0", "--t-end", "3"],
+        ["simulate", "--input", "{missing}"],
+        ["simulate", "--gen", "triangular:3", "--csv", "{missing_dir}/run.csv"],
+    ],
+)
+def test_cli_malformed_input_is_usage_error(argv, tmp_path):
+    """Usage errors exit 2 with one `error:` line, never a traceback."""
+    argv = [
+        a.format(missing=tmp_path / "no-such-file.txt", missing_dir=tmp_path / "no-such-dir")
+        for a in argv
+    ]
+    src = str(Path(onlinecover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "onlinecover.harness", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_greedy_baseline(capsys):

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onlinecover import oracle
 from onlinecover.errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
 from onlinecover.instance import (
+    InstanceStream,
     Side,
+    SkiRentalSpec,
+    VertexEvent,
     gen_random,
     gen_triangular,
     gen_two_phase_matching_hard,
+    reduce_ski_rental,
 )
 from onlinecover.oracle import (
     OracleResult,
@@ -216,14 +221,88 @@ def test_prefix_values_match_full_oracle():
 
 
 def test_prefix_values_weighted_path():
-    from onlinecover.instance import SkiRentalSpec, reduce_ski_rental
-
     spec = SkiRentalSpec(states=((0.0, 2.0), (5.0, 0.0)), epsilon=1.0, t_end=4.0)
     stream = reduce_ski_rental(spec)
     vals = prefix_optimal_values(stream)
-    for j in (len(stream) // 2, len(stream)):
+    for j in range(1, len(stream) + 1):
         full = fractional_optima_general(static_from_stream(stream, j)).min_cover_value
-        assert vals[j - 1] == pytest.approx(full, abs=1e-9)
+        assert vals[j - 1] == full
+
+
+MODES = ("general", "bipartite_one_sided", "bipartite_alternating")
+
+
+def with_weights(stream, w):
+    events = tuple(
+        VertexEvent(ev.id, float(w[ev.id]), ev.side, ev.neighbors) for ev in stream.events
+    )
+    return InstanceStream(events, stream.offline_count)
+
+
+def reweighted(stream, rng):
+    """The same arrivals with small integer weights (some zero) and one
+    sentinel 1e12 times the largest, like the ski-rental reduction."""
+    w = rng.integers(0, 8, len(stream)).astype(float)
+    w[rng.integers(len(stream))] = 0.0
+    w[rng.integers(len(stream))] = 1e12 * max(w.max(), 1.0)
+    return with_weights(stream, w)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 14),
+    p=st.sampled_from((0.15, 0.3, 0.6)),
+    mode=st.sampled_from(MODES),
+    weighted=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_warm_prefix_values_equal_from_scratch(seed, n, p, mode, weighted):
+    """Every prefix value equals a from-scratch solve of that prefix exactly
+    (all arithmetic here is on integers and halves), and for prefixes of at
+    most 8 vertices also the {0, 1/2, 1} enumeration."""
+    stream = gen_random(n, p, seed, mode)
+    if weighted:
+        stream = reweighted(stream, np.random.default_rng(seed))
+    vals = prefix_optimal_values(stream)
+    for j in range(1, n + 1):
+        g = static_from_stream(stream, j)
+        assert vals[j - 1] == fractional_optima_general(g).min_cover_value
+        if j <= 8:
+            assert vals[j - 1] == brute_force_half_integral(g)
+
+
+def test_warm_prefix_values_float_weights():
+    """With arbitrary float weights the flow sums round, so the warm and the
+    from-scratch solves may part in the last bits, never further."""
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        n = int(rng.integers(2, 16))
+        base = gen_random(n, 0.4, int(rng.integers(0, 999)), MODES[trial % 3])
+        stream = with_weights(base, rng.uniform(0.0, 3.0, n))
+        vals = prefix_optimal_values(stream)
+        for j in range(1, n + 1):
+            full = fractional_optima_general(static_from_stream(stream, j)).min_cover_value
+            assert vals[j - 1] == pytest.approx(full, rel=1e-9, abs=1e-12)
+
+
+def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
+    """One warm-started solver per stream: the from-scratch entry points run
+    at most once in total, where a per-prefix loop would call them per arrival."""
+    calls = []
+    for name in ("maximum_bipartite_matching", "fractional_optima_general"):
+        fn = getattr(oracle, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    spec = SkiRentalSpec(states=((0.0, 2.0), (5.0, 1.0), (9.0, 0.0)), epsilon=1.0, t_end=6.0)
+    for stream in (gen_triangular(60), reduce_ski_rental(spec)):
+        calls.clear()
+        vals = oracle.prefix_optimal_values(stream)
+        assert vals[-1] > 0.0
+        assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------- ratios
