@@ -10,8 +10,12 @@ Usage: python scripts/adversary_sweep.py --phases 2 --sizes 40,80,160,320
 
 import argparse
 
-from onlinecover.allocation import AllocationFunction, optimal_k
-from onlinecover.harness import AdversaryBudget, adaptive_adversary_vc, engine_algorithm
+from onlinecover.harness import (
+    AdversaryBudget,
+    adaptive_adversary_vc,
+    engine_algorithm,
+    resolve_allocation,
+)
 
 
 def main():
@@ -25,13 +29,7 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.999)
     args = parser.parse_args()
 
-    if args.f_spec == "optimal":
-        func = optimal_k(1e-8).func()
-    elif args.f_spec == "linear-alpha":
-        func = AllocationFunction.linear_alpha()
-    else:
-        func = AllocationFunction.greedy()
-
+    func = resolve_allocation(args.f_spec)
     print(f"phases={args.phases} algo={args.algo} f={args.f_spec}")
     print("d,ratio,arrivals,phase_sizes,budget_exhausted")
     for d in (int(x) for x in args.sizes.split(",")):

@@ -4,34 +4,29 @@
 Usage:
   python scripts/ratio_experiments.py --n 200 --seeds 10 --out ratios.csv
 
-Columns: instance, algo, f, cover_ratio, matching_ratio, max_inv1, max_inv2.
+Columns: instance, algo, f, cover_ratio, matching_ratio, max_inv1, max_inv2;
+each row is the summary of one final-ratio ``run_experiment``.
 """
 
 import argparse
 import csv
 import sys
 
-from onlinecover import engine, oracle
-from onlinecover.allocation import AllocationFunction, optimal_k
-from onlinecover.instance import gen_random, gen_triangular, gen_two_phase_matching_hard
+from onlinecover.harness import ExperimentConfig, run_experiment
 
 
-def measure(stream, algo, func):
-    trace = engine.run_stream(stream, algo, func)
-    opt = oracle.fractional_optima_general(oracle.static_from_stream(stream)).min_cover_value
-    cover_ratio = trace.cover.total_cost / opt if opt > 0 else 1.0
-    if trace.matching is not None and opt > 0:
-        matching_ratio = trace.matching.total_value / opt
-    else:
-        matching_ratio = ""
+def measure(spec, algo, f_spec="optimal", seed=0):
+    """One CSV row from the summary of one simulate run on ``gen:<spec>``."""
+    config = ExperimentConfig(f"gen:{spec}", algo, f_spec, seed)
+    summary = run_experiment(config).summary
     return {
-        "instance": stream.description or "stdin",
+        "instance": f"{config.instance_source} seed={seed}",
         "algo": algo,
-        "f": trace.func_desc,
-        "cover_ratio": cover_ratio,
-        "matching_ratio": matching_ratio,
-        "max_inv1": max(r.inv1_slack for r in trace.rows),
-        "max_inv2": max(r.inv2_slack for r in trace.rows),
+        "f": summary["f"],
+        "cover_ratio": summary["cover_ratio"],
+        "matching_ratio": summary.get("matching_ratio", ""),
+        "max_inv1": summary["max_inv1_slack"],
+        "max_inv2": summary["max_inv2_slack"],
     }
 
 
@@ -43,17 +38,15 @@ def main():
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    fk = optimal_k(1e-8).func()
-    f1 = AllocationFunction.greedy()
     rows = []
-    for p in (float(x) for x in args.densities.split(",")):
+    for p in args.densities.split(","):
         for seed in range(args.seeds):
-            stream = gen_random(args.n, p, seed=seed)
-            rows.append(measure(stream, "primal-dual", fk))
-            rows.append(measure(stream, "waterfill", f1))
-            rows.append(measure(stream, "greedy", None))
-    rows.append(measure(gen_triangular(args.n), "primal-dual", fk))
-    rows.append(measure(gen_two_phase_matching_hard(args.n), "primal-dual", fk))
+            spec = f"random:{args.n},{p}"
+            rows.append(measure(spec, "primal-dual", seed=seed))
+            rows.append(measure(spec, "waterfill", "greedy", seed))
+            rows.append(measure(spec, "greedy", seed=seed))
+    rows.append(measure(f"triangular:{args.n}", "primal-dual"))
+    rows.append(measure(f"two-phase:{args.n}", "primal-dual"))
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=list(rows[0]))

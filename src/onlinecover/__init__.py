@@ -12,7 +12,6 @@ from .allocation import (
     BetaReport,
     QuadratureTable,
     beta_of,
-    f_eval,
     F_eval,
     ode_residual,
     optimal_k,
@@ -20,8 +19,10 @@ from .allocation import (
     smooth_to_constant,
 )
 from .engine import (
+    Algorithm,
     CoverState,
     MatchingState,
+    PrimalDualState,
     RunTrace,
     WaterLevelOutcome,
     check_invariants,
@@ -30,7 +31,6 @@ from .engine import (
     primal_dual_step,
     round_bipartite,
     run_stream,
-    water_level,
 )
 from .instance import (
     InstanceStream,

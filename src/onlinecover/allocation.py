@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
+    NumericError,
     PreconditionError,
     QuadratureError,
     ValidationError,
@@ -255,11 +256,6 @@ def _build_table(func: AllocationFunction, segments: int = _TABLE_SEGMENTS) -> Q
     return QuadratureTable(grid=grid, F_values=F_values, deriv=np.asarray(func._integrand(grid)), tol=seg_tol * segments)
 
 
-def f_eval(func: AllocationFunction, z: float) -> float:
-    """Evaluate f at z; DomainError outside [0, 1]."""
-    return float(func(z))
-
-
 def F_eval(func: AllocationFunction, x, tol: float = DEFAULT_QUAD_TOL):
     """F(x) = int_0^x (1-t)/f(t) dt to absolute error tol.
 
@@ -295,7 +291,11 @@ def beta_of(func: AllocationFunction, grid_size: int = 10_000) -> BetaReport:
     g = 1.0 + func(1.0 - z) + F1 - func.table().eval(z)
     i = int(np.argmax(g))
     report = BetaReport(beta=float(g[i]), argmax_z=float(z[i]), spread=float(g.max() - g.min()))
-    assert report.beta >= 1.0 + float(np.min(func(1.0 - z))) - 1e-12
+    floor = 1.0 + float(np.min(func(1.0 - z)))
+    # g(1) = 1 + f(0) already meets the floor, so only a NaN from a
+    # corrupt f or F table can miss it
+    if not report.beta >= floor - 1e-12:
+        raise NumericError(f"beta = {report.beta!r} is below its floor 1 + min f = {floor!r}")
     return report
 
 

@@ -3,9 +3,17 @@
 A step processes one arrival: solve for the water level y, raise lagging
 neighbors to y, give the newcomer potential 1-y.  The primal-dual variant
 additionally writes edge values that keep the cover cost exactly beta
-times the matching value.  Per-step monitors track dual feasibility and
-the two primal-dual invariants; violations beyond tolerance raise (they
-indicate a bug, not an expected runtime condition).
+times the matching value; the greedy baseline matches each arrival to its
+lowest-id unmatched neighbor.
+
+``Algorithm`` is the one stepper: it validates its arguments, builds only
+the state its algorithm needs, dispatches each arrival to the step
+function, runs the per-step monitors (dual feasibility of the revealed
+edges and the two primal-dual invariants) and records one row per arrival.
+``run_stream`` drives it over a whole stream; the adaptive adversary in
+``harness`` drives it one arrival at a time and reads its rows and
+potentials back.  Monitor violations beyond tolerance raise (they indicate
+a bug, not an expected runtime condition).
 
 States are owned by a single run and mutated in place; allocation
 functions are shared read-only.
@@ -14,6 +22,7 @@ functions are shared read-only.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +39,7 @@ from .instance import InstanceStream, Side, VertexEvent
 DEFAULT_EPS = 1e-10
 FEAS_EPS = 1e-9
 INV_EPS = 1e-8
+ALGOS = ("waterfill", "primal-dual", "greedy")
 
 
 @dataclass
@@ -89,32 +99,6 @@ def _solve_level(pots, ws, v_weight, func, eps):
     return lo, True
 
 
-def water_level(
-    neighbor_potentials,
-    v_weight: float,
-    func: AllocationFunction,
-    eps: float = DEFAULT_EPS,
-) -> WaterLevelOutcome:
-    """Solve one arrival's level given (potential, weight) pairs.
-
-    The returned raised list holds (input index, old, new) for every
-    neighbor strictly below the level.  Exactly one of level = 1 or
-    saturation holds, certified within eps.
-    """
-    pairs = list(neighbor_potentials)
-    pots = np.array([p for p, _ in pairs], dtype=float)
-    ws = np.array([w for _, w in pairs], dtype=float)
-    if pots.size and (pots.min() < 0.0 or pots.max() > 1.0):
-        raise ValidationError("neighbor potentials must lie in [0, 1]")
-    if v_weight < 0.0 or eps <= 0.0:
-        raise ValidationError("v_weight must be >= 0 and eps > 0")
-    level, saturated = _solve_level(pots, ws, v_weight, func, eps)
-    raised = [
-        (i, float(pots[i]), level) for i in range(pots.size) if pots[i] < level
-    ]
-    return WaterLevelOutcome(level=level, raised=raised, saturated=saturated)
-
-
 # ------------------------------------------------------------------- states
 
 
@@ -148,11 +132,6 @@ class MatchingState:
     x_agg: np.ndarray
     x_by_step: dict[int, tuple[np.ndarray, np.ndarray]]
     total_value: float = 0.0
-    matched_to: np.ndarray | None = None  # greedy baseline partners
-    # primal-dual monitor: f(1-z_u) - F(z_u) frozen at arrival, and the
-    # current slack of each vertex's budget inequality
-    inv1_base: np.ndarray | None = None
-    inv1_slack: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, n: int) -> "MatchingState":
@@ -165,6 +144,28 @@ class MatchingState:
         if idx.size == 0:
             raise KeyError(f"no edge ({u}, {v})")
         return float(vals[idx[0]])
+
+
+@dataclass(kw_only=True)
+class PrimalDualState(MatchingState):
+    """Matching plus the primal-dual budget monitor.
+
+    ``inv1_base[u]`` is f(1-z_u) - F(z_u), frozen when u arrives;
+    ``inv1_slack[u]`` is the current slack of u's budget inequality, -inf
+    until u arrives.
+    """
+
+    inv1_base: np.ndarray
+    inv1_slack: np.ndarray
+
+    @classmethod
+    def fresh(cls, n: int) -> "PrimalDualState":
+        return cls(
+            x_agg=np.zeros(n),
+            x_by_step={},
+            inv1_base=np.zeros(n),
+            inv1_slack=np.full(n, -np.inf),
+        )
 
 
 def _arrive(cover: CoverState, event: VertexEvent):
@@ -205,21 +206,18 @@ def greedy_allocation_step(
 
 def primal_dual_step(
     cover: CoverState,
-    matching: MatchingState,
+    matching: PrimalDualState,
     event: VertexEvent,
     func: AllocationFunction,
     beta: float,
     eps: float = DEFAULT_EPS,
-) -> tuple[CoverState, MatchingState, WaterLevelOutcome]:
+) -> tuple[CoverState, PrimalDualState, WaterLevelOutcome]:
     """Cover update as in water-filling, plus edge values for raised neighbors.
 
     Raised edge (u, v) gets w_u (y - y_u) / beta * (1 + (1-y)/f(y)); other
     new edges get 0.  Both maintained invariants are re-checked for every
     touched vertex; failure beyond tolerance raises InvariantViolation.
     """
-    if matching.inv1_base is None:
-        matching.inv1_base = np.zeros(len(cover.y))
-        matching.inv1_slack = np.full(len(cover.y), -np.inf)
     nbrs = event.neighbors
     old_pots = cover.y[nbrs].copy()
     cover, outcome = greedy_allocation_step(cover, event, func, eps)
@@ -279,21 +277,15 @@ def greedy_baseline_step(
     if event.weight != 1.0 or np.any(cover.weights != 1.0):
         raise ValidationError("greedy baseline requires unit weights")
     _arrive(cover, event)
-    if matching.matched_to is None:
-        matching.matched_to = np.full(len(cover.y), -1, dtype=np.int64)
     v = event.id
-    partner = -1
-    for u in sorted(int(u) for u in event.neighbors):
-        if matching.matched_to[u] < 0:
-            partner = u
-            break
+    nbrs = event.neighbors
+    # an arrived vertex is matched iff its aggregate is nonzero: greedy
+    # gives every edge it picks exactly 1.0 and every other edge 0.0
+    free = nbrs[matching.x_agg[nbrs] == 0.0]
     raised = []
-    if partner >= 0:
-        matching.matched_to[partner] = v
-        matching.matched_to[v] = partner
-        nbrs = event.neighbors
-        xvals = np.where(nbrs == partner, 1.0, 0.0)
-        matching.x_by_step[v] = (nbrs, xvals)
+    if free.size:
+        partner = int(free.min())
+        matching.x_by_step[v] = (nbrs, np.where(nbrs == partner, 1.0, 0.0))
         matching.x_agg[partner] += 1.0
         matching.x_agg[v] += 1.0
         matching.total_value += 1.0
@@ -303,7 +295,7 @@ def greedy_baseline_step(
                 cover.total_cost += 1.0 - cover.y[u]
                 cover.y[u] = 1.0
     else:
-        matching.x_by_step[v] = (event.neighbors, np.zeros(event.neighbors.size))
+        matching.x_by_step[v] = (nbrs, np.zeros(nbrs.size))
     cover.is_arrived[v] = True
     cover.arrived.append(v)
     level = 1.0 - cover.y[v]
@@ -358,6 +350,86 @@ class StepRow:
     inv2_slack: float
 
 
+class Algorithm:
+    """One online run: owns its state, steps arrivals, monitors every step.
+
+    Builds only the state its algorithm needs (a ``MatchingState`` for the
+    greedy baseline, a ``PrimalDualState`` for primal-dual, none for
+    water-filling) and computes beta for primal-dual.  ``step`` dispatches
+    to the step function, checks dual feasibility of the newly revealed
+    edges (earlier edges stay feasible because potentials never decrease),
+    reads the primal-dual monitors, and appends one ``StepRow``.
+    """
+
+    def __init__(
+        self,
+        algo: str,
+        func: AllocationFunction | None,
+        n: int,
+        weights=None,
+        eps: float = DEFAULT_EPS,
+    ):
+        if algo not in ALGOS:
+            raise ValidationError(f"unknown algorithm {algo!r}")
+        if algo != "greedy" and func is None:
+            raise ValidationError(f"{algo} requires an allocation function")
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
+        self.algo = algo
+        self.func = None if algo == "greedy" else func  # greedy reads no f
+        self.eps = eps
+        self.cover = CoverState.fresh(n, weights)
+        self.matching: MatchingState | None = None
+        self.beta = 0.0
+        if algo == "primal-dual":
+            self.matching = PrimalDualState.fresh(n)
+            self.beta = beta_of(func).beta
+        elif algo == "greedy":
+            self.matching = MatchingState.fresh(n)
+        self.rows: list[StepRow] = []
+        self.feas_slack = 0.0
+
+    def step(self, event: VertexEvent) -> StepRow:
+        cover, matching = self.cover, self.matching
+        inv1 = inv2 = total_match = 0.0
+        if self.algo == "waterfill":
+            _, outcome = greedy_allocation_step(cover, event, self.func, self.eps)
+        elif self.algo == "primal-dual":
+            _, _, outcome = primal_dual_step(
+                cover, matching, event, self.func, self.beta, self.eps
+            )
+            # entries of vertices not yet arrived are -inf
+            inv1 = float(np.max(matching.inv1_slack))
+            inv2 = abs(cover.total_cost - self.beta * matching.total_value) / max(
+                1.0, cover.total_cost
+            )
+            total_match = matching.total_value
+        else:
+            _, _, outcome = greedy_baseline_step(cover, matching, event)
+            total_match = matching.total_value
+        if event.neighbors.size:
+            edge_gap = float(np.min(cover.y[event.neighbors] + cover.y[event.id] - 1.0))
+            self.feas_slack = min(self.feas_slack, edge_gap)
+            if edge_gap < -FEAS_EPS:
+                raise InvariantViolation(
+                    f"dual feasibility failed at vertex {event.id} "
+                    f"(gap {edge_gap:.3e})",
+                    vertex=event.id,
+                    slack=edge_gap,
+                )
+        row = StepRow(
+            step=len(self.rows),
+            vertex=event.id,
+            level=outcome.level,
+            cover_cost=cover.total_cost,
+            matching_value=total_match,
+            inv1_slack=inv1,
+            inv2_slack=inv2,
+        )
+        self.rows.append(row)
+        return row
+
+
 @dataclass
 class RunTrace:
     """Per-arrival totals plus final states and run-wide monitors."""
@@ -370,12 +442,6 @@ class RunTrace:
     feas_slack: float  # most negative y_u + y_v - 1 seen on a revealed edge
     zero_weight_arrivals: list[int] = field(default_factory=list)
 
-    def cover_costs(self) -> list[float]:
-        return [r.cover_cost for r in self.rows]
-
-    def matching_values(self) -> list[float]:
-        return [r.matching_value for r in self.rows]
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("step,vertex,level,cover_cost,matching_value,inv1_slack,inv2_slack\n")
@@ -387,85 +453,29 @@ class RunTrace:
         return out.getvalue()
 
 
-ALGOS = ("waterfill", "primal-dual", "greedy")
-
-
 def run_stream(
     stream: InstanceStream,
     algo: str,
     func: AllocationFunction | None = None,
     eps: float = DEFAULT_EPS,
-    trace_prefixes: bool = True,
 ) -> RunTrace:
-    """Process all arrivals in order and record per-arrival totals.
+    """Step every arrival in order through one ``Algorithm`` and keep its rows.
 
-    Fully deterministic: identical inputs give identical traces.  Dual
-    feasibility of each newly revealed edge is checked as it appears
-    (earlier edges stay feasible because potentials never decrease).
+    Fully deterministic: identical inputs give identical traces.
     """
-    if algo not in ALGOS:
-        raise ValidationError(f"unknown algorithm {algo!r}")
-    if algo != "greedy" and func is None:
-        raise ValidationError(f"{algo} requires an allocation function")
-    n = len(stream)
-    cover = CoverState.fresh(n, stream.weights())
-    matching = MatchingState.fresh(n) if algo != "waterfill" else None
-    beta = beta_of(func).beta if algo == "primal-dual" else 0.0
-    rows: list[StepRow] = []
-    feas_slack = 0.0
-    zero_weight: list[int] = []
-
+    alg = Algorithm(algo, func, len(stream), stream.weights(), eps)
     for event in stream.events:
-        if event.weight == 0.0 and event.id >= stream.offline_count:
-            zero_weight.append(event.id)
-        if algo == "waterfill":
-            cover, outcome = greedy_allocation_step(cover, event, func, eps)
-            inv1 = inv2 = 0.0
-            total_match = 0.0
-        elif algo == "primal-dual":
-            cover, matching, outcome = primal_dual_step(
-                cover, matching, event, func, beta, eps
-            )
-            inv1 = float(np.max(matching.inv1_slack[cover.arrived]))
-            inv2 = abs(cover.total_cost - beta * matching.total_value) / max(
-                1.0, cover.total_cost
-            )
-            total_match = matching.total_value
-        else:
-            cover, matching, outcome = greedy_baseline_step(cover, matching, event)
-            inv1 = inv2 = 0.0
-            total_match = matching.total_value
-        if event.neighbors.size:
-            edge_gap = float(
-                np.min(cover.y[event.neighbors] + cover.y[event.id] - 1.0)
-            )
-            feas_slack = min(feas_slack, edge_gap)
-            if edge_gap < -FEAS_EPS:
-                raise InvariantViolation(
-                    f"dual feasibility failed at vertex {event.id} "
-                    f"(gap {edge_gap:.3e})",
-                    vertex=event.id,
-                    slack=edge_gap,
-                )
-        rows.append(
-            StepRow(
-                step=len(rows),
-                vertex=event.id,
-                level=outcome.level,
-                cover_cost=cover.total_cost,
-                matching_value=total_match,
-                inv1_slack=inv1,
-                inv2_slack=inv2,
-            )
-        )
+        alg.step(event)
     return RunTrace(
         algo=algo,
-        func_desc=func.describe() if func is not None else "none",
-        rows=rows,
-        cover=cover,
-        matching=matching,
-        feas_slack=feas_slack,
-        zero_weight_arrivals=zero_weight,
+        func_desc=alg.func.describe() if alg.func is not None else "none",
+        rows=alg.rows,
+        cover=alg.cover,
+        matching=alg.matching,
+        feas_slack=alg.feas_slack,
+        zero_weight_arrivals=[
+            e.id for e in stream.events[stream.offline_count :] if e.weight == 0.0
+        ],
     )
 
 

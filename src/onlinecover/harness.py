@@ -113,8 +113,6 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValidationError("eps must be > 0")
         if self.instance_source.startswith("gen:"):
             validate_generator_spec(self.instance_source[4:])
 
@@ -126,11 +124,6 @@ class ExperimentConfig:
 
 
 # -------------------------------------------------------------- experiments
-
-
-def worst_prefix_ratio(trace: engine.RunTrace, opt_per_prefix, objective: str = "cover") -> float:
-    """Worst ratio over all prefixes: max for cover, min for matching."""
-    return oracle.competitive_ratio(trace, opt_per_prefix, objective, "worst_prefix")
 
 
 @dataclass
@@ -149,7 +142,7 @@ def _summary_row(summary: dict) -> str:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one instance through the engine and measure it against oracles."""
     stream = config.load()
-    func = None if config.algo == "greedy" else resolve_allocation(config.f_spec)
+    func = resolve_allocation(config.f_spec)
     trace = engine.run_stream(stream, config.algo, func, eps=config.eps)
 
     summary: dict = {
@@ -161,20 +154,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if len(stream):
         if config.prefix_mode:
             opts = oracle.prefix_optimal_values(stream)
-            summary["cover_ratio"] = worst_prefix_ratio(trace, opts, "cover")
-            if config.algo != "waterfill":
-                summary["matching_ratio"] = worst_prefix_ratio(trace, opts, "matching")
+            summary["cover_ratio"] = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
+            if trace.matching is not None:
+                summary["matching_ratio"] = oracle.competitive_ratio(
+                    trace, opts, "matching", "worst_prefix"
+                )
         else:
             g = oracle.static_from_stream(stream)
-            res = oracle.fractional_optima_general(g)
-            opt = res.min_cover_value
+            opt = oracle.fractional_optima_general(g).min_cover_value
+            last = trace.rows[-1]
             summary["opt_fractional"] = opt
-            summary["cover_ratio"] = oracle.competitive_ratio(
-                trace, _final_opts(trace, opt), "cover", "final"
-            )
-            if config.algo != "waterfill":
+            summary["cover_ratio"] = oracle.competitive_ratio([last.cover_cost], [opt], "cover")
+            if trace.matching is not None:
                 summary["matching_ratio"] = oracle.competitive_ratio(
-                    trace, _final_opts(trace, opt), "matching", "final"
+                    [last.matching_value], [opt], "matching"
                 )
         summary["max_inv1_slack"] = max(r.inv1_slack for r in trace.rows)
         summary["max_inv2_slack"] = max(r.inv2_slack for r in trace.rows)
@@ -186,12 +179,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
     return ExperimentResult(config=config, trace=trace, summary=summary, csv_text=csv_text)
-
-
-def _final_opts(trace: engine.RunTrace, final_opt: float) -> list[float]:
-    # competitive_ratio consumes one oracle value per prefix; final mode
-    # only reads the last entry, so pad with the final optimum
-    return [final_opt] * len(trace.rows)
 
 
 # ---------------------------------------------------------------- adversary
@@ -215,41 +202,22 @@ class AdversaryBudget:
             raise ValidationError("convergence_threshold must lie in (0, 1)")
 
 
-class EngineAlgorithm:
-    """White-box wrapper: feed events one by one, read potentials back."""
+class EngineAlgorithm(engine.Algorithm):
+    """The engine's stepper as the adversary's algorithm under test.
 
-    def __init__(self, algo: str, func: AllocationFunction | None, capacity: int, eps: float = engine.DEFAULT_EPS):
-        self.algo = algo
-        self.func = func
-        self.eps = eps
-        self.cover = engine.CoverState.fresh(capacity)
-        self.matching = engine.MatchingState.fresh(capacity) if algo != "waterfill" else None
-        self.beta = allocation.beta_of(func).beta if algo == "primal-dual" else 0.0
+    ``process`` only calls ``step``; its own name lets the adversary's
+    steps be told apart from ``run_stream``'s when timing them.
+    """
 
     def process(self, event: VertexEvent) -> None:
-        if self.algo == "waterfill":
-            engine.greedy_allocation_step(self.cover, event, self.func, self.eps)
-        elif self.algo == "primal-dual":
-            engine.primal_dual_step(
-                self.cover, self.matching, event, self.func, self.beta, self.eps
-            )
-        else:
-            engine.greedy_baseline_step(self.cover, self.matching, event)
-
-    @property
-    def potentials(self) -> np.ndarray:
-        return self.cover.y
-
-    @property
-    def cover_cost(self) -> float:
-        return self.cover.total_cost
+        self.step(event)
 
 
 def engine_algorithm(algo: str, func: AllocationFunction | None, eps: float = engine.DEFAULT_EPS):
     """Factory usable as the adversary's algorithm-under-test argument."""
 
     def make(capacity: int) -> EngineAlgorithm:
-        return EngineAlgorithm(algo, func, capacity, eps)
+        return EngineAlgorithm(algo, func, capacity, eps=eps)
 
     return make
 
@@ -275,13 +243,20 @@ def adaptive_adversary_vc(
     on, a phase ends once the opposite side's potentials are driven past
     the convergence threshold (the executable stand-in for appending
     vertices forever) or the per-phase cap is hit, which is recorded as an
-    exhausted budget.  Phase sizes for two and three phases follow the
-    proof-style sizing sqrt(2) d and beta * alpha * d with
-    alpha = 1/sqrt(2 beta^2 - 1) on a trial ratio-minus-one beta.
+    exhausted budget.  With two phases the first has the proof-style size
+    sqrt(2) d; with three or more, the first two follow beta * alpha * d
+    with alpha = 1/sqrt(2 beta^2 - 1) on a trial ratio-minus-one beta
+    (default 0.753; it must be finite and exceed 1/sqrt(2)).
 
-    The reported ratio is the worst prefix cover ratio over the emitted
-    transcript, which replays deterministically.
+    ``algorithm_factory(capacity)`` returns an ``EngineAlgorithm``; the
+    prefix costs are read from its rows and the driven side's potentials
+    from its cover.  The reported ratio is the worst prefix cover ratio
+    over the emitted transcript, which replays deterministically.
     """
+    if trial_beta is not None and not (
+        math.isfinite(trial_beta) and 2.0 * trial_beta * trial_beta > 1.0
+    ):
+        raise ValidationError(f"trial_beta must be finite and > 1/sqrt(2), got {trial_beta!r}")
     d = budget.offline_d
     k = budget.phases
     capacity = d + k * budget.per_phase_cap
@@ -290,26 +265,23 @@ def adaptive_adversary_vc(
     events: list[VertexEvent] = []
     lefts: list[int] = []
     rights: list[int] = []
-    costs: list[float] = []
     for i in range(d):
         ev = VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int64))
         events.append(ev)
         alg.process(ev)
         lefts.append(i)
-        costs.append(alg.cover_cost)
 
     # proof-style sizing for the first phase(s)
-    if trial_beta is None:
-        trial_beta = {2: 1.0 / math.sqrt(2.0), 3: 0.753}.get(k, 1.0 / math.sqrt(2.0))
     fixed_sizes: dict[int, int] = {}
-    if k >= 2:
-        if k == 2:
-            fixed_sizes[1] = math.ceil(math.sqrt(2.0) * d)
-        else:
-            alpha_t = 1.0 / math.sqrt(2.0 * trial_beta**2 - 1.0)
-            r1 = math.ceil(trial_beta * alpha_t * d)
-            fixed_sizes[1] = r1
-            fixed_sizes[2] = max(1, math.ceil(r1 / trial_beta) - d)
+    if k == 2:
+        fixed_sizes[1] = math.ceil(math.sqrt(2.0) * d)
+    elif k >= 3:
+        if trial_beta is None:
+            trial_beta = 0.753
+        alpha_t = 1.0 / math.sqrt(2.0 * trial_beta * trial_beta - 1.0)
+        r1 = math.ceil(trial_beta * alpha_t * d)
+        fixed_sizes[1] = r1
+        fixed_sizes[2] = max(1, math.ceil(r1 / trial_beta) - d)
 
     budget_exhausted = False
     phase_sizes: list[int] = []
@@ -330,10 +302,9 @@ def adaptive_adversary_vc(
             events.append(ev)
             alg.process(ev)
             (rights if presenting_right else lefts).append(vid)
-            costs.append(alg.cover_cost)
             count += 1
             if by_convergence and driven:
-                if float(np.min(alg.potentials[driven])) >= budget.convergence_threshold:
+                if float(np.min(alg.cover.y[driven])) >= budget.convergence_threshold:
                     break
         else:
             if by_convergence:
@@ -347,7 +318,7 @@ def adaptive_adversary_vc(
     )
     transcript = InstanceStream(tuple(events), d, description=description)
     opts = oracle.prefix_optimal_values(transcript)
-    costs_arr = np.asarray(costs)
+    costs_arr = np.array([row.cover_cost for row in alg.rows])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(opts > 0.0, costs_arr / np.where(opts > 0, opts, 1.0), 1.0)
     return AdversaryOutcome(
@@ -389,7 +360,7 @@ def run_ski_rental(
     stream = reduce_ski_rental(spec)
     trace = engine.run_stream(stream, algo, func, eps=eps)
     opts = oracle.prefix_optimal_values(stream)
-    ratio = worst_prefix_ratio(trace, opts, "cover")
+    ratio = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
     reduced_opt = float(opts[-1])
     return SkiRentalReport(
         spec=spec,
@@ -530,7 +501,7 @@ def _dispatch(args) -> int:
             per_phase_cap=parts[2] if len(parts) > 2 else 0,
             convergence_threshold=args.threshold,
         )
-        func = None if args.algo == "greedy" else resolve_allocation(args.f_spec)
+        func = resolve_allocation(args.f_spec)
         outcome = adaptive_adversary_vc(
             budget, engine_algorithm(args.algo, func, args.eps), args.trial_beta
         )
@@ -554,7 +525,7 @@ def _dispatch(args) -> int:
             print("--buy and --rent must have equal length", file=sys.stderr)
             return 2
         spec = SkiRentalSpec(states=tuple(zip(buys, rents)), epsilon=args.step, t_end=args.t_end)
-        func = None if args.algo == "greedy" else resolve_allocation(args.f_spec)
+        func = resolve_allocation(args.f_spec)
         report = run_ski_rental(spec, args.algo, func, args.eps)
         print(
             f"#summary,worst_prefix_cover_ratio={report.worst_prefix_cover_ratio},"

@@ -308,10 +308,10 @@ class SkiRentalSpec:
             raise ValidationError("rent rates must be nonincreasing")
         if rs[-1] < 0.0 or any(r < 0.0 for r in rs) or any(b < 0.0 for b in bs):
             raise ValidationError("costs must be >= 0")
-        if self.epsilon <= 0.0:
-            raise ValidationError("epsilon must be > 0")
-        if self.t_end <= 0.0:
-            raise ValidationError("t_end must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValidationError("epsilon must be finite and > 0")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValidationError("t_end must be finite and > 0")
 
     @property
     def n_states(self) -> int:

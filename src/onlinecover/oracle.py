@@ -323,17 +323,13 @@ class _Dinic:
                 total += f
         return total
 
-    def source_side(self, s: int) -> np.ndarray:
-        seen = np.zeros(self.n, dtype=bool)
-        seen[s] = True
-        q = [s]
-        for u in q:
-            for ei in self.head[u]:
-                v = self.to[ei]
-                if self.cap[ei] > 0.0 and not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        return seen
+    def source_side(self) -> np.ndarray:
+        """Nodes reachable from the source in the residual graph.
+
+        ``max_flow`` ends with a search that fails to reach the sink; the
+        levels it set mark exactly the source side of a minimum cut.
+        """
+        return np.asarray(self.level) >= 0
 
 
 def _min_cut_cover(g: StaticGraph):
@@ -357,7 +353,7 @@ def _min_cut_cover(g: StaticGraph):
         mid_edges[(u, v)] = dinic.add(u, n + v, cap)
         mid_edges[(v, u)] = dinic.add(v, n + u, cap)
     flow = dinic.max_flow(s, t)
-    reach = dinic.source_side(s)
+    reach = dinic.source_side()
     cover_l = ~reach[:n]
     cover_r = reach[n : 2 * n]
     # net flow sits on the reverse edge, accumulated exactly from zero
@@ -581,7 +577,7 @@ def _weighted_prefix_values(stream: InstanceStream) -> np.ndarray:
             net.add(u, n + v, cap)
             net.add(v, n + u, cap)
         flow += net.max_flow(s, t)
-        reach = net.source_side(s)
+        reach = net.source_side()
         cover_l = ~reach[: v + 1]
         cover_r = reach[n : n + v + 1]
         wj = w[: v + 1]
@@ -622,8 +618,6 @@ def competitive_ratio(run, opt_per_prefix, objective: str = "cover", mode: str =
     positive cover against OPT = 0 reports +inf (cannot happen for
     feasible algorithms, since OPT = 0 means no edges).
     """
-    objective = objective.lower()
-    mode = mode.lower().replace("-", "_").replace("worstprefix", "worst_prefix")
     if objective not in ("cover", "matching"):
         raise ValidationError(f"unknown objective {objective!r}")
     if mode not in ("final", "worst_prefix"):

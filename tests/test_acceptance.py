@@ -12,7 +12,7 @@ import pytest
 
 from onlinecover import allocation, engine, oracle
 from onlinecover.allocation import AllocationFunction
-from onlinecover.harness import cli_main, run_ski_rental, worst_prefix_ratio
+from onlinecover.harness import cli_main, run_ski_rental
 from onlinecover.instance import (
     SkiRentalSpec,
     gen_complete_bipartite,
@@ -116,7 +116,7 @@ def test_criterion_4_bipartite_optimality():
     ):
         trace = engine.run_stream(stream, "waterfill", LIN)
         opts = oracle.prefix_optimal_values(stream)
-        ratios[name] = worst_prefix_ratio(trace, opts, "cover")
+        ratios[name] = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
     elapsed = time.monotonic() - t0
     ok = (
         all(r <= 1.5820 for r in ratios.values())

@@ -4,6 +4,7 @@ Reference values were frozen from 40-digit mpmath evaluations of the
 closed forms: the coth fixed point, f_k(0), and analytic antiderivatives.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from onlinecover.allocation import (
     AllocationFunction,
     F_eval,
     beta_of,
-    f_eval,
     ode_residual,
     optimal_k,
     product_identity_residual,
@@ -27,6 +27,7 @@ from onlinecover.allocation import (
 from onlinecover.errors import (
     ConvergenceError,
     DomainError,
+    NumericError,
     PreconditionError,
     QuadratureError,
     ValidationError,
@@ -37,25 +38,25 @@ BETA_STAR = 1.9007616968738465  # 1 + f_{k*}(0)
 F0_AT_1_1997 = 0.9007616973416453  # f_k(0) at the rounded k = 1.1997
 
 
-# ---------------------------------------------------------------- f_eval
+# ------------------------------------------------------------- evaluating f
 
 
 def test_family_k1_is_one_minus_z():
     f = AllocationFunction.family(1.0)
-    assert f_eval(f, 0.3) == pytest.approx(0.7, abs=1e-15)
+    assert f(0.3) == pytest.approx(0.7, abs=1e-15)
     # 0^0 := 1 keeps the k = 1 member continuous at z = 0
-    assert f_eval(f, 0.0) == 1.0
+    assert f(0.0) == 1.0
 
 
 def test_linear_alpha_at_zero():
     f = AllocationFunction.linear_alpha()
-    assert f_eval(f, 0.0) == pytest.approx(1.0 / (math.e - 1.0), abs=1e-15)
+    assert f(0.0) == pytest.approx(1.0 / (math.e - 1.0), abs=1e-15)
     assert ALPHA == pytest.approx(0.5819767068693265, abs=1e-16)
 
 
 def test_family_at_optimum_equals_beta_minus_one():
     f = AllocationFunction.family(1.1997)
-    v = f_eval(f, 0.0)
+    v = f(0.0)
     assert v == pytest.approx(F0_AT_1_1997, abs=1e-12)
     # agrees with the 1.901 ratio to three decimals
     assert round(v, 3) == round(BETA_STAR - 1.0, 3) == 0.901
@@ -64,9 +65,9 @@ def test_family_at_optimum_equals_beta_minus_one():
 def test_f_eval_domain_errors():
     f = AllocationFunction.linear_alpha()
     with pytest.raises(DomainError):
-        f_eval(f, -0.2)
+        f(-0.2)
     with pytest.raises(DomainError):
-        f_eval(f, 1.2)
+        f(1.2)
 
 
 def test_construction_rejects_bad_k():
@@ -173,13 +174,22 @@ def test_beta_grid_size_validation():
         beta_of(AllocationFunction.greedy(), 50)
 
 
+def test_beta_rejects_corrupted_table():
+    # NaN node derivatives pass the table's own monotonicity check but
+    # poison every interpolated F; the floor check must raise, also under -O
+    f = AllocationFunction.family(K_STAR)
+    f._table = dataclasses.replace(f.table(), deriv=np.full_like(f.table().deriv, np.nan))
+    with pytest.raises(NumericError):
+        beta_of(f, 10_000)
+
+
 @pytest.mark.parametrize("k", [1.05, 1.1997, 1.5])
 def test_every_family_member_has_flat_objective(k):
     # flatness holds across the family; optimality picks the member with
     # the smallest constant, so spread alone does not identify it
     rep = beta_of(AllocationFunction.family(k), 10_000)
     assert rep.spread < 1e-6
-    assert rep.beta == pytest.approx(1.0 + f_eval(AllocationFunction.family(k), 0.0), abs=1e-8)
+    assert rep.beta == pytest.approx(1.0 + AllocationFunction.family(k)(0.0), abs=1e-8)
 
 
 # ---------------------------------------------------------------- optimal_k
@@ -202,7 +212,7 @@ def test_optimal_k_coth_cross_check():
 
 def test_greedy_endpoint_of_family():
     # 1 + f_1(0) = 2: the flat objective of the k = 1 member
-    assert 1.0 + f_eval(AllocationFunction.family(1.0), 0.0) == 2.0
+    assert 1.0 + AllocationFunction.family(1.0)(0.0) == 2.0
 
 
 def test_optimal_k_rejects_bad_tol():

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from onlinecover.allocation import ALPHA, AllocationFunction, beta_of, optimal_k
 from onlinecover.engine import (
+    Algorithm,
     CoverState,
     MatchingState,
+    PrimalDualState,
     check_invariants,
     check_rounding_covers,
     greedy_allocation_step,
@@ -16,11 +18,11 @@ from onlinecover.engine import (
     primal_dual_step,
     round_bipartite,
     run_stream,
-    water_level,
 )
 from onlinecover.errors import SideError, ValidationError
 from onlinecover.instance import (
     Side,
+    VertexEvent,
     gen_complete_bipartite,
     gen_random,
     gen_triangular,
@@ -45,15 +47,32 @@ BETA_STAR = beta_of(FK).beta
 # -------------------------------------------------------------- water level
 
 
+def star_level(neighbors, v_weight, func):
+    """One arrival's level, from greedy_allocation_step on a star.
+
+    The leaves have already arrived with the given (potential, weight)
+    pairs; the center arrives adjacent to all of them, so the raised
+    vertex ids are the input indices.
+    """
+    m = len(neighbors)
+    cover = CoverState.fresh(m + 1, [w for _, w in neighbors] + [v_weight])
+    cover.y[:m] = [p for p, _ in neighbors]
+    cover.is_arrived[:m] = True
+    cover.arrived = list(range(m))
+    center = VertexEvent(m, v_weight, Side.UNLABELED, np.arange(m, dtype=np.int64))
+    _, out = greedy_allocation_step(cover, center, func)
+    return out
+
+
 def test_level_no_neighbors():
-    out = water_level([], 1.0, LIN)
+    out = star_level([], 1.0, LIN)
     assert out.level == 1.0
     assert out.raised == []
     assert not out.saturated
 
 
 def test_level_two_fresh_neighbors():
-    out = water_level([(0.0, 1.0), (0.0, 1.0)], 1.0, LIN)
+    out = star_level([(0.0, 1.0), (0.0, 1.0)], 1.0, LIN)
     assert out.level == pytest.approx(ALPHA, abs=1e-12)
     assert out.saturated
     assert [i for i, _, _ in out.raised] == [0, 1]
@@ -62,20 +81,13 @@ def test_level_two_fresh_neighbors():
 @pytest.mark.parametrize("d", [2, 3, 7])
 def test_level_d_fresh_neighbors(d):
     # d*y = y + alpha has root alpha/(d-1)
-    out = water_level([(0.0, 1.0)] * d, 1.0, LIN)
+    out = star_level([(0.0, 1.0)] * d, 1.0, LIN)
     assert out.level == pytest.approx(ALPHA / (d - 1), abs=1e-12)
-
-
-def test_level_input_validation():
-    with pytest.raises(ValidationError):
-        water_level([(1.5, 1.0)], 1.0, LIN)
-    with pytest.raises(ValidationError):
-        water_level([(0.5, 1.0)], 1.0, LIN, eps=0.0)
 
 
 def test_level_zero_weight_arrival():
     # constraint collapses to "raise nothing with positive weight"
-    out = water_level([(0.3, 1.0), (0.1, 0.0)], 0.0, FK)
+    out = star_level([(0.3, 1.0), (0.1, 0.0)], 0.0, FK)
     assert out.level == pytest.approx(0.3, abs=1e-12)
     assert out.saturated
     assert [i for i, _, _ in out.raised] == [1]
@@ -92,7 +104,7 @@ def test_level_dichotomy_property(pots, k, seed):
     ws = rng.uniform(0.1, 3.0, len(pots))
     func = AllocationFunction.family(k)
     v_weight = float(rng.uniform(0.2, 2.0))
-    out = water_level(list(zip(pots, ws)), v_weight, func)
+    out = star_level(list(zip(pots, ws)), v_weight, func)
     assert (out.level == 1.0) != out.saturated  # exactly one side holds
     lhs = sum(w * max(out.level - p, 0.0) for p, w in zip(pots, ws))
     budget = v_weight * float(func(out.level))
@@ -153,7 +165,7 @@ def test_primal_dual_invariants_random_run():
 def test_check_invariants_stepwise():
     stream = gen_random(40, 0.25, seed=8)
     cover = CoverState.fresh(len(stream), stream.weights())
-    matching = MatchingState.fresh(len(stream))
+    matching = PrimalDualState.fresh(len(stream))
     for ev in stream.events:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
         rep = check_invariants(cover, matching, FK, BETA_STAR, stream, upto=ev.id + 1)
@@ -204,7 +216,7 @@ def test_corrupted_state_triggers_violation():
 
     stream = single_edge_stream()
     cover = CoverState.fresh(2)
-    matching = MatchingState.fresh(2)
+    matching = PrimalDualState.fresh(2)
     cover, matching, _ = primal_dual_step(cover, matching, stream.events[0], FK, BETA_STAR)
     matching.x_agg[0] += 1.0  # simulate an out-of-band edge-value bug
     with pytest.raises(InvariantViolation):
@@ -216,7 +228,7 @@ def test_understated_beta_shows_up_as_capacity_excess():
     # understated beta must surface in the capacity check instead
     stream = gen_complete_bipartite(2, 12)
     cover = CoverState.fresh(len(stream), stream.weights())
-    matching = MatchingState.fresh(len(stream))
+    matching = PrimalDualState.fresh(len(stream))
     for ev in stream.events:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, beta=1.0)
     rep = check_invariants(cover, matching, FK, 1.0, stream)
@@ -269,6 +281,17 @@ def test_baseline_triangle_any_order():
     trace = run_stream(stream, "greedy")
     assert trace.matching.total_value == 1.0
     assert trace.cover.total_cost == 2.0  # integral optimum is also 2
+
+
+def test_baseline_matches_lowest_unmatched_neighbor():
+    # 2 takes the lowest free neighbor 0; 3 finds 0 matched and takes 1
+    stream = parse_instance(
+        "offline 0\n0 1.0 - 0\n1 1.0 - 0\n2 1.0 - 2 1 0\n3 1.0 - 2 1 0\n"
+    )
+    trace = run_stream(stream, "greedy")
+    assert trace.matching.x_of(0, 2) == 1.0 and trace.matching.x_of(1, 2) == 0.0
+    assert trace.matching.x_of(1, 3) == 1.0 and trace.matching.x_of(0, 3) == 0.0
+    assert trace.matching.total_value == 2.0
 
 
 def test_baseline_requires_unit_weights():
@@ -341,6 +364,33 @@ def test_run_rejects_bad_args():
         run_stream(stream, "quantum")
     with pytest.raises(ValidationError):
         run_stream(stream, "waterfill", func=None)
+    # a NaN eps would switch off the level certificate (residual > nan is False)
+    for eps in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            run_stream(stream, "waterfill", LIN, eps=eps)
+
+
+@pytest.mark.parametrize("algo", ["waterfill", "primal-dual", "greedy"])
+def test_stepping_by_hand_equals_run_stream(algo):
+    stream = gen_random(60, 0.2, seed=4)
+    func = None if algo == "greedy" else FK
+    alg = Algorithm(algo, func, len(stream), stream.weights())
+    rows = [alg.step(ev) for ev in stream.events]
+    trace = run_stream(stream, algo, func)
+    assert rows == alg.rows == trace.rows
+    assert alg.feas_slack == trace.feas_slack
+    assert np.array_equal(alg.cover.y, trace.cover.y)
+    if algo == "primal-dual":
+        # the row monitors agree with the from-scratch checker at every prefix
+        alg = Algorithm(algo, func, len(stream), stream.weights())
+        for ev in stream.events:
+            row = alg.step(ev)
+            rep = check_invariants(alg.cover, alg.matching, FK, alg.beta, stream, upto=ev.id + 1)
+            assert row.inv1_slack == pytest.approx(rep.max_inv1_slack, abs=1e-12)
+            assert row.inv2_slack == pytest.approx(rep.inv2_rel_slack, abs=1e-12)
+    # each algorithm builds only its own state
+    expected = {"waterfill": type(None), "primal-dual": PrimalDualState, "greedy": MatchingState}
+    assert type(alg.matching) is expected[algo]
 
 
 def test_csv_schema_and_reparse():

@@ -23,7 +23,6 @@ from onlinecover.harness import (
     run_experiment,
     run_ski_rental,
     validate_generator_spec,
-    worst_prefix_ratio,
 )
 from onlinecover.instance import (
     SkiRentalSpec,
@@ -63,7 +62,7 @@ def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(instance_source="gen:warp:9")
     with pytest.raises(ValidationError):
-        ExperimentConfig(instance_source="gen:triangular:5", eps=-1.0)
+        run_experiment(ExperimentConfig(instance_source="gen:triangular:5", eps=-1.0))
 
 
 # -------------------------------------------------------------- experiments
@@ -119,7 +118,7 @@ def test_worst_prefix_ratio_semantics():
     stream = resolve_generator("complete:10,1000")
     trace = engine.run_stream(stream, "waterfill", LIN)
     opts = oracle.prefix_optimal_values(stream)
-    worst = worst_prefix_ratio(trace, opts, "cover")
+    worst = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
     final = oracle.competitive_ratio(trace, opts, "cover", "final")
     assert worst > final  # long tails of free arrivals dilute the final ratio
     assert worst <= 1.0 + ALPHA + 1e-6
@@ -128,12 +127,12 @@ def test_worst_prefix_ratio_semantics():
 def test_worst_prefix_ratio_constant_and_empty():
     stream = resolve_generator("complete:2,3")
     trace = engine.run_stream(stream, "waterfill", LIN)
-    assert worst_prefix_ratio(trace, [1.0] * 5, "cover") == max(
+    assert oracle.competitive_ratio(trace, [1.0] * 5, "cover", "worst_prefix") == max(
         r.cover_cost for r in trace.rows
     )
     empty = engine.run_stream(parse_instance("offline 0\n"), "waterfill", LIN)
     with pytest.raises(LengthMismatch):
-        worst_prefix_ratio(empty, [], "cover")
+        oracle.competitive_ratio(empty, [], "cover", "worst_prefix")
 
 
 # ---------------------------------------------------------------- adversary
@@ -174,14 +173,31 @@ def test_adversary_three_phase_runs():
     assert len(out.phase_sizes) == 3
 
 
-def test_adversary_transcript_replays():
+@pytest.mark.parametrize("algo", ["waterfill", "primal-dual"])
+def test_adversary_transcript_replays(algo):
     budget = AdversaryBudget(phases=2, offline_d=25, per_phase_cap=250)
-    out = adaptive_adversary_vc(budget, engine_algorithm("waterfill", FK))
+    made = []
+
+    def factory(capacity):
+        made.append(engine_algorithm(algo, FK)(capacity))
+        return made[-1]
+
+    out = adaptive_adversary_vc(budget, factory)
     text = serialize_instance(out.transcript)
     replayed = parse_instance(text)
-    trace = engine.run_stream(replayed, "waterfill", FK)
+    trace = engine.run_stream(replayed, algo, FK)
     opts = oracle.prefix_optimal_values(replayed)
-    assert worst_prefix_ratio(trace, opts, "cover") == pytest.approx(out.ratio, abs=1e-12)
+    ratio = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
+    assert ratio == pytest.approx(out.ratio, abs=1e-12)
+    # the adversary's steps carry the same monitored rows as a replay
+    assert made[0].rows == trace.rows
+
+
+def test_adversary_four_phases_default_sizing():
+    budget = AdversaryBudget(phases=4, offline_d=10, per_phase_cap=100)
+    out = adaptive_adversary_vc(budget, engine_algorithm("primal-dual", FK))
+    assert len(out.phase_sizes) == 4
+    assert 1.0 <= out.ratio <= 1.9011
 
 
 def test_adversary_budget_exhaustion_is_reported():
@@ -274,6 +290,18 @@ def test_cli_usage_errors():
         ["ski-rental", "--buy", "0,x", "--rent", "1,0", "--t-end", "3"],
         ["simulate", "--input", "{missing}"],
         ["simulate", "--gen", "triangular:3", "--csv", "{missing_dir}/run.csv"],
+        ["adversary", "--budget", "3,5", "--trial-beta", "0.5"],
+        ["adversary", "--budget", "3,5", "--trial-beta", "0.7071067811865475"],
+        ["adversary", "--budget", "3,5", "--trial-beta", "nan"],
+        ["adversary", "--budget", "3,5", "--trial-beta", "inf"],
+        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "inf"],
+        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "nan"],
+        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3", "--step", "nan"],
+        ["simulate", "--gen", "triangular:3", "--eps", "nan"],
+        ["adversary", "--budget", "2,5", "--eps", "nan"],
+        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3", "--eps", "nan"],
+        ["adversary", "--budget", "2,5", "--eps", "0"],
+        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3", "--eps", "-0.5"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path):
