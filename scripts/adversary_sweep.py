@@ -13,7 +13,6 @@ import argparse
 from onlinecover.harness import (
     AdversaryBudget,
     adaptive_adversary_vc,
-    engine_algorithm,
     resolve_allocation,
 )
 
@@ -39,7 +38,7 @@ def main():
             per_phase_cap=args.cap_factor * d,
             convergence_threshold=args.threshold,
         )
-        out = adaptive_adversary_vc(budget, engine_algorithm(args.algo, func))
+        out = adaptive_adversary_vc(budget, args.algo, func)
         print(
             f"{d},{out.ratio:.6f},{len(out.transcript)},"
             f"{'|'.join(map(str, out.phase_sizes))},{out.budget_exhausted}"

@@ -23,7 +23,6 @@ from .engine import (
     CoverState,
     MatchingState,
     PrimalDualState,
-    RunTrace,
     WaterLevelOutcome,
     check_invariants,
     greedy_allocation_step,
@@ -49,10 +48,10 @@ from .oracle import (
     OracleResult,
     StaticGraph,
     brute_force_half_integral,
-    competitive_ratio,
     fractional_optima_general,
     max_matching_bipartite,
     prefix_optimal_values,
+    prefix_ratios,
     static_from_stream,
 )
 

@@ -74,13 +74,12 @@ class QuadratureTable:
     """Cumulative values of F on a uniform grid, with exact node derivatives.
 
     Evaluation between nodes uses cubic Hermite interpolation, whose error
-    is O(h^4) and far below ``tol`` for the smooth integrands handled here.
+    is O(h^4) and far below the per-segment quadrature budget for the
+    smooth integrands handled here.
     """
 
-    grid: np.ndarray
     F_values: np.ndarray
     deriv: np.ndarray
-    tol: float
 
     def __post_init__(self):
         if self.F_values[0] != 0.0:
@@ -91,7 +90,7 @@ class QuadratureTable:
     def eval(self, x):
         """Hermite-interpolated F at x (scalar or ndarray in [0, 1])."""
         x = np.asarray(x, dtype=float)
-        m = len(self.grid) - 1
+        m = len(self.F_values) - 1
         h = 1.0 / m
         i = np.clip((x * m).astype(int), 0, m - 1)
         t = x * m - i
@@ -226,9 +225,6 @@ class AllocationFunction:
             self._table = tbl
         return tbl
 
-    def F(self, x, tol: float = DEFAULT_QUAD_TOL):
-        return F_eval(self, x, tol)
-
 
 def _build_table(func: AllocationFunction, segments: int = _TABLE_SEGMENTS) -> QuadratureTable:
     """Cumulative integrals of (1-t)/f(t) per segment, Richardson-verified.
@@ -253,7 +249,7 @@ def _build_table(func: AllocationFunction, segments: int = _TABLE_SEGMENTS) -> Q
         vals[i] = _adaptive_simpson(func._integrand, x0[i], x0[i] + h, seg_tol)
     F_values = np.concatenate(([0.0], np.cumsum(vals)))
     grid = np.linspace(0.0, 1.0, segments + 1)
-    return QuadratureTable(grid=grid, F_values=F_values, deriv=np.asarray(func._integrand(grid)), tol=seg_tol * segments)
+    return QuadratureTable(F_values=F_values, deriv=np.asarray(func._integrand(grid)))
 
 
 def F_eval(func: AllocationFunction, x, tol: float = DEFAULT_QUAD_TOL):

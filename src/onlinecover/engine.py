@@ -6,14 +6,15 @@ additionally writes edge values that keep the cover cost exactly beta
 times the matching value; the greedy baseline matches each arrival to its
 lowest-id unmatched neighbor.
 
-``Algorithm`` is the one stepper: it validates its arguments, builds only
-the state its algorithm needs, dispatches each arrival to the step
-function, runs the per-step monitors (dual feasibility of the revealed
-edges and the two primal-dual invariants) and records one row per arrival.
-``run_stream`` drives it over a whole stream; the adaptive adversary in
-``harness`` drives it one arrival at a time and reads its rows and
-potentials back.  Monitor violations beyond tolerance raise (they indicate
-a bug, not an expected runtime condition).
+``Algorithm`` is the one stepper and the only record of a run: it
+validates its arguments, builds only the state its algorithm needs,
+dispatches each arrival to the step function, runs the per-step monitors
+(dual feasibility of the revealed edges and the two primal-dual
+invariants) and records one row per arrival.  ``run_stream`` drives it
+over a whole stream and returns it; the adaptive adversary in ``harness``
+drives it one arrival at a time and reads its rows and potentials back.
+Monitor violations beyond tolerance raise (they indicate a bug, not an
+expected runtime condition).
 
 States are owned by a single run and mutated in place; allocation
 functions are shared read-only.
@@ -22,8 +23,7 @@ functions are shared read-only.
 from __future__ import annotations
 
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .instance import InstanceStream, Side, VertexEvent
 
-DEFAULT_EPS = 1e-10
+LEVEL_EPS = 1e-10  # level certificate, relative to the weight it sums
 FEAS_EPS = 1e-9
 INV_EPS = 1e-8
 ALGOS = ("waterfill", "primal-dual", "greedy")
@@ -44,33 +44,34 @@ ALGOS = ("waterfill", "primal-dual", "greedy")
 
 @dataclass
 class WaterLevelOutcome:
-    """Solved level, the raised neighbors, and which side of the dichotomy."""
+    """Solved level, the ids of the raised neighbors, and which side of the dichotomy."""
 
     level: float
-    raised: list[tuple[int, float, float]]
+    raised: np.ndarray  # int64 ids
     saturated: bool
 
 
-def _solve_level(pots, ws, v_weight, func, eps):
+def _solve_level(pots, ws, v_weight, func):
     """Maximal y <= 1 with sum_u w_u max(y - y_u, 0) <= v_weight * f(y).
 
     Breakpoints are the sorted neighbor potentials; between them the
     constraint gap H is smooth, so bisection from the rightmost breakpoint
     with H <= 0 certifies the maximal crossing.  Returns (level, saturated)
-    with the dichotomy certified to eps.
+    with the dichotomy certified to LEVEL_EPS times the largest weight the
+    gap at the level sums: the arrival's, or that of the neighbors below
+    the level (a heavy neighbor above it does not loosen the certificate).
     """
     order = np.argsort(pots, kind="stable")
     sp = pots[order]
     sw = ws[order]
     csw = np.concatenate(([0.0], np.cumsum(sw)))
     cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
-    scale = max(1.0, float(csw[-1]), v_weight)
 
     def gap(t: float) -> float:
         i = int(np.searchsorted(sp, t, side="left"))
         return csw[i] * t - cswp[i] - v_weight * float(func(t))
 
-    if gap(1.0) <= eps:
+    if gap(1.0) <= LEVEL_EPS:
         return 1.0, False
 
     lo = 0.0
@@ -91,10 +92,11 @@ def _solve_level(pots, ws, v_weight, func, eps):
         else:
             hi = mid
     residual = abs(gap(lo))
-    if residual > eps * scale:
+    scale = max(1.0, float(csw[np.searchsorted(sp, lo, side="left")]), v_weight)
+    if residual > LEVEL_EPS * scale:
         raise NumericError(
             f"water level not certified: |gap({lo})| = {residual:.3e} "
-            f"exceeds {eps * scale:.3e}"
+            f"exceeds {LEVEL_EPS * scale:.3e}"
         )
     return lo, True
 
@@ -109,7 +111,6 @@ class CoverState:
     weights: np.ndarray
     y: np.ndarray
     z_arrival: np.ndarray
-    arrived: list[int]
     is_arrived: np.ndarray
     total_cost: float = 0.0
 
@@ -120,7 +121,6 @@ class CoverState:
             weights=w,
             y=np.zeros(n),
             z_arrival=np.zeros(n),
-            arrived=[],
             is_arrived=np.zeros(n, dtype=bool),
         )
 
@@ -179,18 +179,14 @@ def greedy_allocation_step(
     cover: CoverState,
     event: VertexEvent,
     func: AllocationFunction,
-    eps: float = DEFAULT_EPS,
 ) -> tuple[CoverState, WaterLevelOutcome]:
     """Water-filling cover update for one arrival (state is mutated)."""
     _arrive(cover, event)
     nbrs = event.neighbors
     pots = cover.y[nbrs]
-    level, saturated = _solve_level(
-        pots, cover.weights[nbrs], float(event.weight), func, eps
-    )
+    level, saturated = _solve_level(pots, cover.weights[nbrs], float(event.weight), func)
     raised_mask = pots < level
     ridx = nbrs[raised_mask]
-    raised = [(int(u), float(p), level) for u, p in zip(ridx, pots[raised_mask])]
     cover.total_cost += float(
         np.sum(cover.weights[ridx] * (level - pots[raised_mask]))
     )
@@ -200,8 +196,7 @@ def greedy_allocation_step(
     cover.z_arrival[v] = 1.0 - level
     cover.total_cost += event.weight * (1.0 - level)
     cover.is_arrived[v] = True
-    cover.arrived.append(v)
-    return cover, WaterLevelOutcome(level=level, raised=raised, saturated=saturated)
+    return cover, WaterLevelOutcome(level=level, raised=ridx, saturated=saturated)
 
 
 def primal_dual_step(
@@ -210,7 +205,6 @@ def primal_dual_step(
     event: VertexEvent,
     func: AllocationFunction,
     beta: float,
-    eps: float = DEFAULT_EPS,
 ) -> tuple[CoverState, PrimalDualState, WaterLevelOutcome]:
     """Cover update as in water-filling, plus edge values for raised neighbors.
 
@@ -220,7 +214,7 @@ def primal_dual_step(
     """
     nbrs = event.neighbors
     old_pots = cover.y[nbrs].copy()
-    cover, outcome = greedy_allocation_step(cover, event, func, eps)
+    cover, outcome = greedy_allocation_step(cover, event, func)
     level = outcome.level
     v = event.id
 
@@ -282,7 +276,7 @@ def greedy_baseline_step(
     # an arrived vertex is matched iff its aggregate is nonzero: greedy
     # gives every edge it picks exactly 1.0 and every other edge 0.0
     free = nbrs[matching.x_agg[nbrs] == 0.0]
-    raised = []
+    raised: list[int] = []
     if free.size:
         partner = int(free.min())
         matching.x_by_step[v] = (nbrs, np.where(nbrs == partner, 1.0, 0.0))
@@ -291,15 +285,16 @@ def greedy_baseline_step(
         matching.total_value += 1.0
         for u in (partner, v):
             if cover.y[u] < 1.0:
-                raised.append((u, float(cover.y[u]), 1.0))
+                raised.append(u)
                 cover.total_cost += 1.0 - cover.y[u]
                 cover.y[u] = 1.0
     else:
         matching.x_by_step[v] = (nbrs, np.zeros(nbrs.size))
     cover.is_arrived[v] = True
-    cover.arrived.append(v)
     level = 1.0 - cover.y[v]
-    return cover, matching, WaterLevelOutcome(level=float(level), raised=raised, saturated=False)
+    return cover, matching, WaterLevelOutcome(
+        level=float(level), raised=np.array(raised, dtype=np.int64), saturated=False
+    )
 
 
 # ----------------------------------------------------------------- rounding
@@ -358,26 +353,17 @@ class Algorithm:
     water-filling) and computes beta for primal-dual.  ``step`` dispatches
     to the step function, checks dual feasibility of the newly revealed
     edges (earlier edges stay feasible because potentials never decrease),
-    reads the primal-dual monitors, and appends one ``StepRow``.
+    reads the primal-dual monitors, and appends one ``StepRow``;
+    ``feas_slack`` is the most negative y_u + y_v - 1 seen on a revealed edge.
     """
 
-    def __init__(
-        self,
-        algo: str,
-        func: AllocationFunction | None,
-        n: int,
-        weights=None,
-        eps: float = DEFAULT_EPS,
-    ):
+    def __init__(self, algo: str, func: AllocationFunction | None, n: int, weights=None):
         if algo not in ALGOS:
             raise ValidationError(f"unknown algorithm {algo!r}")
         if algo != "greedy" and func is None:
             raise ValidationError(f"{algo} requires an allocation function")
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
         self.algo = algo
         self.func = None if algo == "greedy" else func  # greedy reads no f
-        self.eps = eps
         self.cover = CoverState.fresh(n, weights)
         self.matching: MatchingState | None = None
         self.beta = 0.0
@@ -393,11 +379,9 @@ class Algorithm:
         cover, matching = self.cover, self.matching
         inv1 = inv2 = total_match = 0.0
         if self.algo == "waterfill":
-            _, outcome = greedy_allocation_step(cover, event, self.func, self.eps)
+            _, outcome = greedy_allocation_step(cover, event, self.func)
         elif self.algo == "primal-dual":
-            _, _, outcome = primal_dual_step(
-                cover, matching, event, self.func, self.beta, self.eps
-            )
+            _, _, outcome = primal_dual_step(cover, matching, event, self.func, self.beta)
             # entries of vertices not yet arrived are -inf
             inv1 = float(np.max(matching.inv1_slack))
             inv2 = abs(cover.total_cost - self.beta * matching.total_value) / max(
@@ -429,19 +413,6 @@ class Algorithm:
         self.rows.append(row)
         return row
 
-
-@dataclass
-class RunTrace:
-    """Per-arrival totals plus final states and run-wide monitors."""
-
-    algo: str
-    func_desc: str
-    rows: list[StepRow]
-    cover: CoverState
-    matching: MatchingState | None
-    feas_slack: float  # most negative y_u + y_v - 1 seen on a revealed edge
-    zero_weight_arrivals: list[int] = field(default_factory=list)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("step,vertex,level,cover_cost,matching_value,inv1_slack,inv2_slack\n")
@@ -454,29 +425,16 @@ class RunTrace:
 
 
 def run_stream(
-    stream: InstanceStream,
-    algo: str,
-    func: AllocationFunction | None = None,
-    eps: float = DEFAULT_EPS,
-) -> RunTrace:
-    """Step every arrival in order through one ``Algorithm`` and keep its rows.
+    stream: InstanceStream, algo: str, func: AllocationFunction | None = None
+) -> Algorithm:
+    """Step every arrival in order through one ``Algorithm`` and return it.
 
-    Fully deterministic: identical inputs give identical traces.
+    Fully deterministic: identical inputs give identical rows.
     """
-    alg = Algorithm(algo, func, len(stream), stream.weights(), eps)
+    alg = Algorithm(algo, func, len(stream), stream.weights())
     for event in stream.events:
         alg.step(event)
-    return RunTrace(
-        algo=algo,
-        func_desc=alg.func.describe() if alg.func is not None else "none",
-        rows=alg.rows,
-        cover=alg.cover,
-        matching=alg.matching,
-        feas_slack=alg.feas_slack,
-        zero_weight_arrivals=[
-            e.id for e in stream.events[stream.offline_count :] if e.weight == 0.0
-        ],
-    )
+    return alg
 
 
 # -------------------------------------------------------------- full checks
@@ -506,10 +464,10 @@ def check_invariants(
     raises.
     """
     n = len(stream) if upto is None else upto
-    arrived = [i for i in cover.arrived if i < n]
+    arrived = np.flatnonzero(cover.is_arrived[:n])
     x_agg = np.zeros(len(cover.y))
     total_x = 0.0
-    for v in arrived:
+    for v in arrived.tolist():
         if v in matching.x_by_step:
             nbrs, vals = matching.x_by_step[v]
             x_agg[nbrs] += vals
@@ -517,7 +475,7 @@ def check_invariants(
             total_x += float(vals.sum())
     tbl = func.table()
     max_inv1 = -np.inf
-    for u in arrived:
+    for u in arrived.tolist():
         zu = cover.z_arrival[u]
         rhs = (
             cover.weights[u]
@@ -533,9 +491,9 @@ def check_invariants(
         min_gap = float(np.min(cover.y[u[keep]] + cover.y[v[keep]] - 1.0))
     else:
         min_gap = 0.0
-    cap_excess = float(np.max(x_agg[arrived] - cover.weights[arrived])) if arrived else 0.0
+    cap_excess = float(np.max(x_agg[arrived] - cover.weights[arrived])) if arrived.size else 0.0
     return InvariantReport(
-        max_inv1_slack=max_inv1 if arrived else 0.0,
+        max_inv1_slack=max_inv1 if arrived.size else 0.0,
         inv2_rel_slack=inv2,
         min_edge_gap=min_gap,
         max_capacity_excess=cap_excess,

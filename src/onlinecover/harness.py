@@ -23,6 +23,7 @@ from . import allocation, engine, oracle
 from .allocation import AllocationFunction
 from .errors import InvariantViolation, OnlineCoverError, ValidationError
 from .instance import (
+    RANDOM_MODES,
     InstanceStream,
     Side,
     SkiRentalSpec,
@@ -61,43 +62,47 @@ def resolve_allocation(f_spec: str) -> AllocationFunction:
     raise ValidationError(f"unknown allocation selector {f_spec!r}")
 
 
-_GENERATORS = ("triangular", "complete", "two-phase", "random")
+def _random_mode(text: str) -> str:
+    if text not in RANDOM_MODES:
+        raise ValueError(f"mode must be one of {', '.join(RANDOM_MODES)}, got {text!r}")
+    return text
 
 
-def validate_generator_spec(spec: str) -> None:
-    """Reject malformed --gen specs without building the instance."""
+# name -> (builder taking the seed first, parameter types, required count)
+_GENERATORS = {
+    "triangular": (lambda seed, n: gen_triangular(n), (int,), 1),
+    "complete": (lambda seed, d, m: gen_complete_bipartite(d, m), (int, int), 2),
+    "two-phase": (lambda seed, n: gen_two_phase_matching_hard(n), (int,), 1),
+    "random": (
+        lambda seed, n, p, mode="general": gen_random(n, p, seed, mode),
+        (int, float, _random_mode),
+        2,
+    ),
+}
+
+
+def parse_generator_spec(spec: str):
+    """Parse a `name:params` --gen spec into a builder from seed to stream.
+
+    Malformed specs raise ValidationError before anything is built.
+    """
     name, _, params = spec.partition(":")
     if name not in _GENERATORS:
         raise ValidationError(f"unknown generator {name!r}")
-    args = [p for p in params.split(",") if p] if params else []
-    counts = {"triangular": (1, 1), "complete": (2, 2), "two-phase": (1, 1), "random": (2, 3)}
-    lo, hi = counts[name]
-    if not (lo <= len(args) <= hi):
-        raise ValidationError(f"generator {name!r} takes {lo}..{hi} parameters")
+    build, types, required = _GENERATORS[name]
+    args = [p for p in params.split(",") if p]
+    if not (required <= len(args) <= len(types)):
+        raise ValidationError(f"generator {name!r} takes {required}..{len(types)} parameters")
     try:
-        [float(a) for a in args if a not in ("general", "bipartite_one_sided", "bipartite_alternating")]
+        values = [convert(a) for convert, a in zip(types, args)]
     except ValueError as exc:
         raise ValidationError(f"bad generator spec {spec!r}: {exc}") from None
+    return lambda seed: build(seed, *values)
 
 
 def resolve_generator(spec: str, seed: int = 0) -> InstanceStream:
-    """Parse `name:params` generator specs used by --gen."""
-    validate_generator_spec(spec)
-    name, _, params = spec.partition(":")
-    args = [p for p in params.split(",") if p] if params else []
-    try:
-        if name == "triangular":
-            return gen_triangular(int(args[0]))
-        if name == "complete":
-            return gen_complete_bipartite(int(args[0]), int(args[1]))
-        if name == "two-phase":
-            return gen_two_phase_matching_hard(int(args[0]))
-        if name == "random":
-            mode = args[2] if len(args) > 2 else "general"
-            return gen_random(int(args[0]), float(args[1]), seed, mode)
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"bad generator spec {spec!r}: {exc}") from None
-    raise ValidationError(f"unknown generator {name!r}")
+    """Build the stream a --gen spec names."""
+    return parse_generator_spec(spec)(seed)
 
 
 @dataclass
@@ -108,13 +113,12 @@ class ExperimentConfig:
     algo: str = "primal-dual"
     f_spec: str = "optimal"
     seed: int = 0
-    eps: float = engine.DEFAULT_EPS
     prefix_mode: bool = False
     output: str | None = None
 
     def __post_init__(self):
         if self.instance_source.startswith("gen:"):
-            validate_generator_spec(self.instance_source[4:])
+            parse_generator_spec(self.instance_source[4:])
 
     def load(self) -> InstanceStream:
         if self.instance_source.startswith("gen:"):
@@ -128,8 +132,7 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    trace: engine.RunTrace
+    algorithm: engine.Algorithm
     summary: dict
     csv_text: str
 
@@ -139,46 +142,46 @@ def _summary_row(summary: dict) -> str:
     return "#summary," + ",".join(parts)
 
 
+def _zero_weight_arrivals(stream: InstanceStream) -> int:
+    return sum(ev.weight == 0.0 for ev in stream.events[stream.offline_count :])
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one instance through the engine and measure it against oracles."""
     stream = config.load()
     func = resolve_allocation(config.f_spec)
-    trace = engine.run_stream(stream, config.algo, func, eps=config.eps)
+    alg = engine.run_stream(stream, config.algo, func)
 
     summary: dict = {
         "algo": config.algo,
-        "f": trace.func_desc,
+        "f": alg.func.describe() if alg.func is not None else "none",
         "n": len(stream),
         "edges": stream.edge_count(),
     }
     if len(stream):
+        rows = alg.rows
         if config.prefix_mode:
             opts = oracle.prefix_optimal_values(stream)
-            summary["cover_ratio"] = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
-            if trace.matching is not None:
-                summary["matching_ratio"] = oracle.competitive_ratio(
-                    trace, opts, "matching", "worst_prefix"
-                )
         else:
             g = oracle.static_from_stream(stream)
             opt = oracle.fractional_optima_general(g).min_cover_value
-            last = trace.rows[-1]
             summary["opt_fractional"] = opt
-            summary["cover_ratio"] = oracle.competitive_ratio([last.cover_cost], [opt], "cover")
-            if trace.matching is not None:
-                summary["matching_ratio"] = oracle.competitive_ratio(
-                    [last.matching_value], [opt], "matching"
-                )
-        summary["max_inv1_slack"] = max(r.inv1_slack for r in trace.rows)
-        summary["max_inv2_slack"] = max(r.inv2_slack for r in trace.rows)
-        summary["feas_slack"] = trace.feas_slack
-        summary["zero_weight_arrivals"] = len(trace.zero_weight_arrivals)
+            rows, opts = rows[-1:], [opt]  # the final prefix only
+        cover = oracle.prefix_ratios([r.cover_cost for r in rows], opts)
+        summary["cover_ratio"] = float(cover.max())
+        if alg.matching is not None:
+            matching = oracle.prefix_ratios([r.matching_value for r in rows], opts)
+            summary["matching_ratio"] = float(matching.min())
+        summary["max_inv1_slack"] = max(r.inv1_slack for r in alg.rows)
+        summary["max_inv2_slack"] = max(r.inv2_slack for r in alg.rows)
+        summary["feas_slack"] = alg.feas_slack
+        summary["zero_weight_arrivals"] = _zero_weight_arrivals(stream)
 
-    csv_text = trace.to_csv() + _summary_row(summary) + "\n"
+    csv_text = alg.to_csv() + _summary_row(summary) + "\n"
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-    return ExperimentResult(config=config, trace=trace, summary=summary, csv_text=csv_text)
+    return ExperimentResult(algorithm=alg, summary=summary, csv_text=csv_text)
 
 
 # ---------------------------------------------------------------- adversary
@@ -213,15 +216,6 @@ class EngineAlgorithm(engine.Algorithm):
         self.step(event)
 
 
-def engine_algorithm(algo: str, func: AllocationFunction | None, eps: float = engine.DEFAULT_EPS):
-    """Factory usable as the adversary's algorithm-under-test argument."""
-
-    def make(capacity: int) -> EngineAlgorithm:
-        return EngineAlgorithm(algo, func, capacity, eps=eps)
-
-    return make
-
-
 @dataclass
 class AdversaryOutcome:
     ratio: float
@@ -229,11 +223,13 @@ class AdversaryOutcome:
     budget_exhausted: bool
     phase_sizes: list[int]
     prefix_ratios: np.ndarray
+    algorithm: EngineAlgorithm
 
 
 def adaptive_adversary_vc(
     budget: AdversaryBudget,
-    algorithm_factory,
+    algo: str,
+    func: AllocationFunction | None,
     trial_beta: float | None = None,
 ) -> AdversaryOutcome:
     """Alternating complete-bipartite phases against a deterministic algorithm.
@@ -248,10 +244,11 @@ def adaptive_adversary_vc(
     with alpha = 1/sqrt(2 beta^2 - 1) on a trial ratio-minus-one beta
     (default 0.753; it must be finite and exceed 1/sqrt(2)).
 
-    ``algorithm_factory(capacity)`` returns an ``EngineAlgorithm``; the
+    The algorithm under test is an ``EngineAlgorithm(algo, func)``; the
     prefix costs are read from its rows and the driven side's potentials
-    from its cover.  The reported ratio is the worst prefix cover ratio
-    over the emitted transcript, which replays deterministically.
+    from its cover, and it is returned with the outcome.  The reported
+    ratio is the worst prefix cover ratio over the emitted transcript,
+    which replays deterministically.
     """
     if trial_beta is not None and not (
         math.isfinite(trial_beta) and 2.0 * trial_beta * trial_beta > 1.0
@@ -260,7 +257,7 @@ def adaptive_adversary_vc(
     d = budget.offline_d
     k = budget.phases
     capacity = d + k * budget.per_phase_cap
-    alg = algorithm_factory(capacity)
+    alg = EngineAlgorithm(algo, func, capacity)
 
     events: list[VertexEvent] = []
     lefts: list[int] = []
@@ -318,15 +315,14 @@ def adaptive_adversary_vc(
     )
     transcript = InstanceStream(tuple(events), d, description=description)
     opts = oracle.prefix_optimal_values(transcript)
-    costs_arr = np.array([row.cover_cost for row in alg.rows])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(opts > 0.0, costs_arr / np.where(opts > 0, opts, 1.0), 1.0)
+    ratios = oracle.prefix_ratios([row.cover_cost for row in alg.rows], opts)
     return AdversaryOutcome(
-        ratio=float(np.max(ratios)),
+        ratio=float(ratios.max()),
         transcript=transcript,
         budget_exhausted=budget_exhausted,
         phase_sizes=phase_sizes,
         prefix_ratios=ratios,
+        algorithm=alg,
     )
 
 
@@ -336,7 +332,7 @@ def adaptive_adversary_vc(
 @dataclass
 class SkiRentalReport:
     spec: SkiRentalSpec
-    trace: engine.RunTrace
+    algorithm: engine.Algorithm
     worst_prefix_cover_ratio: float
     reduced_optimum: float
     strategy_optimum: float
@@ -348,7 +344,6 @@ def run_ski_rental(
     spec: SkiRentalSpec,
     algo: str = "waterfill",
     func: AllocationFunction | None = None,
-    eps: float = engine.DEFAULT_EPS,
 ) -> SkiRentalReport:
     """Reduce, run, and measure worst-prefix cover ratio plus sanity flags.
 
@@ -358,18 +353,17 @@ def run_ski_rental(
     if func is None:
         func = AllocationFunction.linear_alpha()
     stream = reduce_ski_rental(spec)
-    trace = engine.run_stream(stream, algo, func, eps=eps)
+    alg = engine.run_stream(stream, algo, func)
     opts = oracle.prefix_optimal_values(stream)
-    ratio = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
-    reduced_opt = float(opts[-1])
+    ratios = oracle.prefix_ratios([row.cover_cost for row in alg.rows], opts)
     return SkiRentalReport(
         spec=spec,
-        trace=trace,
-        worst_prefix_cover_ratio=ratio,
-        reduced_optimum=reduced_opt,
+        algorithm=alg,
+        worst_prefix_cover_ratio=float(ratios.max()),
+        reduced_optimum=float(opts[-1]),
         strategy_optimum=ski_rental_strategy_optimum(spec),
-        sentinel_potential=float(trace.cover.y[spec.n_states - 1]),
-        zero_weight_arrivals=len(trace.zero_weight_arrivals),
+        sentinel_potential=float(alg.cover.y[spec.n_states - 1]),
+        zero_weight_arrivals=_zero_weight_arrivals(stream),
     )
 
 
@@ -408,7 +402,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--f", dest="f_spec", default="optimal",
                    help="linear-alpha | family-k:<k> | greedy | optimal")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=engine.DEFAULT_EPS)
     p.add_argument("--csv", default=None)
 
 
@@ -479,7 +472,6 @@ def _dispatch(args) -> int:
             algo=args.algo,
             f_spec=args.f_spec,
             seed=args.seed,
-            eps=args.eps,
             prefix_mode=args.prefix,
             output=args.csv,
         )
@@ -502,9 +494,7 @@ def _dispatch(args) -> int:
             convergence_threshold=args.threshold,
         )
         func = resolve_allocation(args.f_spec)
-        outcome = adaptive_adversary_vc(
-            budget, engine_algorithm(args.algo, func, args.eps), args.trial_beta
-        )
+        outcome = adaptive_adversary_vc(budget, args.algo, func, args.trial_beta)
         print(
             f"#summary,ratio={outcome.ratio},phases={outcome.phase_sizes},"
             f"arrivals={len(outcome.transcript)},budget_exhausted={outcome.budget_exhausted}"
@@ -526,7 +516,7 @@ def _dispatch(args) -> int:
             return 2
         spec = SkiRentalSpec(states=tuple(zip(buys, rents)), epsilon=args.step, t_end=args.t_end)
         func = resolve_allocation(args.f_spec)
-        report = run_ski_rental(spec, args.algo, func, args.eps)
+        report = run_ski_rental(spec, args.algo, func)
         print(
             f"#summary,worst_prefix_cover_ratio={report.worst_prefix_cover_ratio},"
             f"reduced_optimum={report.reduced_optimum},"
@@ -536,7 +526,7 @@ def _dispatch(args) -> int:
         )
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(report.trace.to_csv())
+                fh.write(report.algorithm.to_csv())
         return 0
 
     return 2

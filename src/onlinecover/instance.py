@@ -82,10 +82,6 @@ class InstanceStream:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def n(self) -> int:
-        return len(self.events)
-
     def weights(self) -> np.ndarray:
         return np.array([ev.weight for ev in self.events], dtype=float)
 
@@ -242,6 +238,9 @@ def gen_complete_bipartite(d: int, m: int) -> InstanceStream:
     return InstanceStream(tuple(events), d, description=f"complete-bipartite {d}x{m}")
 
 
+RANDOM_MODES = ("general", "bipartite_one_sided", "bipartite_alternating")
+
+
 def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceStream:
     """Seeded random arrival stream; each eligible back-edge appears w.p. p.
 
@@ -253,8 +252,8 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
         raise ValidationError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValidationError("p must lie in [0, 1]")
-    if mode not in ("general", "bipartite_one_sided", "bipartite_alternating"):
-        raise ValidationError(f"unknown mode {mode!r}")
+    if mode not in RANDOM_MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {', '.join(RANDOM_MODES)}")
     rng = np.random.default_rng(seed)
     events: list[VertexEvent] = []
     offline_count = 0

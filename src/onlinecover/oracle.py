@@ -610,37 +610,19 @@ def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
 # ------------------------------------------------------------ ratio helper
 
 
-def competitive_ratio(run, opt_per_prefix, objective: str = "cover", mode: str = "final") -> float:
-    """ALG/OPT over prefixes: max for cover, min for matching.
+def prefix_ratios(alg, opt) -> np.ndarray:
+    """ALG/OPT after each arrival, from per-prefix ALG and OPT values.
 
-    ``run`` may be a RunTrace or a plain sequence of per-prefix objective
-    values.  Prefixes with OPT = 0 contribute ratio 1 when ALG = 0; a
-    positive cover against OPT = 0 reports +inf (cannot happen for
-    feasible algorithms, since OPT = 0 means no edges).
+    The worst prefix of a cover is ``.max()``, of a matching ``.min()``;
+    the final ratio is ``[-1]``.  A prefix with OPT = 0 (no edges yet)
+    has ratio 1 when ALG is 0 and +inf otherwise (impossible for a
+    feasible algorithm).
     """
-    if objective not in ("cover", "matching"):
-        raise ValidationError(f"unknown objective {objective!r}")
-    if mode not in ("final", "worst_prefix"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if hasattr(run, "rows"):
-        if objective == "cover":
-            alg = [row.cover_cost for row in run.rows]
-        else:
-            alg = [row.matching_value for row in run.rows]
-    else:
-        alg = list(run)
-    opt = list(opt_per_prefix)
-    if len(alg) != len(opt):
-        raise LengthMismatch(f"{len(alg)} trace snapshots vs {len(opt)} oracle values")
-    if not alg:
-        raise LengthMismatch("empty trace")
-
-    def ratio(a: float, o: float) -> float:
-        if o <= 0.0:
-            return 1.0 if abs(a) <= 1e-12 else float("inf")
-        return a / o
-
-    ratios = [ratio(a, o) for a, o in zip(alg, opt)]
-    if mode == "final":
-        return ratios[-1]
-    return max(ratios) if objective == "cover" else min(ratios)
+    a = np.asarray(alg, dtype=float)
+    o = np.asarray(opt, dtype=float)
+    if a.ndim != 1 or a.shape != o.shape:
+        raise LengthMismatch(f"{a.size} ALG values vs {o.size} OPT values")
+    if not a.size:
+        raise LengthMismatch("no prefixes")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(o > 0.0, a / o, np.where(np.abs(a) <= 1e-12, 1.0, np.inf))

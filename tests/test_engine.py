@@ -19,7 +19,7 @@ from onlinecover.engine import (
     round_bipartite,
     run_stream,
 )
-from onlinecover.errors import SideError, ValidationError
+from onlinecover.errors import NumericError, SideError, ValidationError
 from onlinecover.instance import (
     Side,
     VertexEvent,
@@ -29,9 +29,9 @@ from onlinecover.instance import (
     parse_instance,
 )
 from onlinecover.oracle import (
-    competitive_ratio,
     fractional_optima_general,
     prefix_optimal_values,
+    prefix_ratios,
     static_from_stream,
 )
 
@@ -58,7 +58,6 @@ def star_level(neighbors, v_weight, func):
     cover = CoverState.fresh(m + 1, [w for _, w in neighbors] + [v_weight])
     cover.y[:m] = [p for p, _ in neighbors]
     cover.is_arrived[:m] = True
-    cover.arrived = list(range(m))
     center = VertexEvent(m, v_weight, Side.UNLABELED, np.arange(m, dtype=np.int64))
     _, out = greedy_allocation_step(cover, center, func)
     return out
@@ -67,7 +66,7 @@ def star_level(neighbors, v_weight, func):
 def test_level_no_neighbors():
     out = star_level([], 1.0, LIN)
     assert out.level == 1.0
-    assert out.raised == []
+    assert out.raised.tolist() == []
     assert not out.saturated
 
 
@@ -75,7 +74,7 @@ def test_level_two_fresh_neighbors():
     out = star_level([(0.0, 1.0), (0.0, 1.0)], 1.0, LIN)
     assert out.level == pytest.approx(ALPHA, abs=1e-12)
     assert out.saturated
-    assert [i for i, _, _ in out.raised] == [0, 1]
+    assert out.raised.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])
@@ -90,7 +89,7 @@ def test_level_zero_weight_arrival():
     out = star_level([(0.3, 1.0), (0.1, 0.0)], 0.0, FK)
     assert out.level == pytest.approx(0.3, abs=1e-12)
     assert out.saturated
-    assert [i for i, _, _ in out.raised] == [1]
+    assert out.raised.tolist() == [1]
 
 
 @given(
@@ -111,8 +110,19 @@ def test_level_dichotomy_property(pots, k, seed):
     assert lhs <= budget + 1e-9 * max(1.0, sum(ws))
     if out.saturated:
         assert lhs == pytest.approx(budget, abs=1e-8 * max(1.0, sum(ws), v_weight))
-    raised_ids = {i for i, _, _ in out.raised}
+    raised_ids = set(out.raised.tolist())
     assert raised_ids == {i for i, p in enumerate(pots) if p < out.level}
+
+
+def test_level_certificate_ignores_heavy_neighbor_above_level():
+    # f jumps from 2 to 0.01 at 0.3, so the gap t - f(t) never crosses 0 and
+    # the bisection ends at |gap| = 1.7; the 1e12 neighbor sits at potential
+    # 1.0, above every candidate level, and must not scale the tolerance up
+    def jump(t):
+        return np.where(np.asarray(t) < 0.3, 2.0, 0.01)
+
+    with pytest.raises(NumericError):
+        star_level([(1.0, 1e12), (0.0, 1.0)], 1.0, jump)
 
 
 # -------------------------------------------------------------------- steps
@@ -364,10 +374,6 @@ def test_run_rejects_bad_args():
         run_stream(stream, "quantum")
     with pytest.raises(ValidationError):
         run_stream(stream, "waterfill", func=None)
-    # a NaN eps would switch off the level certificate (residual > nan is False)
-    for eps in (0.0, -1e-10, float("nan"), float("inf")):
-        with pytest.raises(ValidationError):
-            run_stream(stream, "waterfill", LIN, eps=eps)
 
 
 @pytest.mark.parametrize("algo", ["waterfill", "primal-dual", "greedy"])
@@ -410,14 +416,15 @@ def test_waterfill_prefix_ratio_bound():
     stream = gen_complete_bipartite(10, 80)
     trace = run_stream(stream, "waterfill", LIN)
     opts = prefix_optimal_values(stream)
-    ratio = competitive_ratio(trace, opts, "cover", "worst_prefix")
+    ratio = prefix_ratios([r.cover_cost for r in trace.rows], opts).max()
     assert ratio <= 1.0 + ALPHA + 1e-6
 
 
 def test_triangular_prefix_ratio_bound():
     stream = gen_triangular(60)
     trace = run_stream(stream, "waterfill", LIN)
-    ratio = competitive_ratio(trace, prefix_optimal_values(stream), "cover", "worst_prefix")
+    opts = prefix_optimal_values(stream)
+    ratio = prefix_ratios([r.cover_cost for r in trace.rows], opts).max()
     assert ratio <= 1.0 + ALPHA + 1e-6
 
 
@@ -437,7 +444,11 @@ def test_zero_weight_arrivals_flagged():
     spec = SkiRentalSpec(states=((0.0, 1.0), (10.0, 0.0)), epsilon=1.0, t_end=5.0)
     stream = reduce_ski_rental(spec)
     trace = run_stream(stream, "waterfill", LIN)
-    assert trace.zero_weight_arrivals  # the zero rent-difference vertices
+    # the zero rent-difference vertices arrive without raising any cost
+    zero = [ev.id for ev in stream.events[stream.offline_count :] if ev.weight == 0.0]
+    assert zero
+    for v in zero:
+        assert trace.rows[v].cover_cost == trace.rows[v - 1].cover_cost
     # the sentinel left vertex is never charged
     assert trace.cover.y[1] == 0.0
 

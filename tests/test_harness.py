@@ -17,12 +17,11 @@ from onlinecover.harness import (
     ExperimentConfig,
     adaptive_adversary_vc,
     cli_main,
-    engine_algorithm,
+    parse_generator_spec,
     resolve_allocation,
     resolve_generator,
     run_experiment,
     run_ski_rental,
-    validate_generator_spec,
 )
 from onlinecover.instance import (
     SkiRentalSpec,
@@ -55,14 +54,20 @@ def test_resolve_generator_specs():
     assert len(resolve_generator("random:9,0.5", seed=1)) == 9
     for bad in ("nonsense:5", "triangular", "complete:3", "random:5,2x"):
         with pytest.raises(ValidationError):
-            validate_generator_spec(bad)
+            parse_generator_spec(bad)
+
+
+def test_random_mode_error_names_the_modes(capsys):
+    modes = "general, bipartite_one_sided, bipartite_alternating"
+    with pytest.raises(ValidationError, match=modes):
+        ExperimentConfig(instance_source="gen:random:10,0.3,weird")
+    assert cli_main(["simulate", "--gen", "random:10,0.3,weird"]) == 2
+    assert "bipartite_alternating" in capsys.readouterr().err
 
 
 def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(instance_source="gen:warp:9")
-    with pytest.raises(ValidationError):
-        run_experiment(ExperimentConfig(instance_source="gen:triangular:5", eps=-1.0))
 
 
 # -------------------------------------------------------------- experiments
@@ -111,15 +116,15 @@ def test_run_experiment_csv_reparses(tmp_path):
     data = [ln.split(",") for ln in lines[1:-1]]
     assert len(data) == 25
     costs = [float(r[3]) for r in data]
-    assert costs == [row.cover_cost for row in res.trace.rows]
+    assert costs == [row.cover_cost for row in res.algorithm.rows]
 
 
 def test_worst_prefix_ratio_semantics():
     stream = resolve_generator("complete:10,1000")
     trace = engine.run_stream(stream, "waterfill", LIN)
     opts = oracle.prefix_optimal_values(stream)
-    worst = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
-    final = oracle.competitive_ratio(trace, opts, "cover", "final")
+    ratios = oracle.prefix_ratios([r.cover_cost for r in trace.rows], opts)
+    worst, final = ratios.max(), ratios[-1]
     assert worst > final  # long tails of free arrivals dilute the final ratio
     assert worst <= 1.0 + ALPHA + 1e-6
 
@@ -127,12 +132,11 @@ def test_worst_prefix_ratio_semantics():
 def test_worst_prefix_ratio_constant_and_empty():
     stream = resolve_generator("complete:2,3")
     trace = engine.run_stream(stream, "waterfill", LIN)
-    assert oracle.competitive_ratio(trace, [1.0] * 5, "cover", "worst_prefix") == max(
-        r.cover_cost for r in trace.rows
-    )
+    costs = [r.cover_cost for r in trace.rows]
+    assert oracle.prefix_ratios(costs, [1.0] * 5).max() == max(costs)
     empty = engine.run_stream(parse_instance("offline 0\n"), "waterfill", LIN)
     with pytest.raises(LengthMismatch):
-        oracle.competitive_ratio(empty, [], "cover", "worst_prefix")
+        oracle.prefix_ratios([r.cover_cost for r in empty.rows], [])
 
 
 # ---------------------------------------------------------------- adversary
@@ -148,7 +152,7 @@ def test_adversary_budget_validation():
 
 def test_adversary_one_phase_hits_tight_ratio():
     budget = AdversaryBudget(phases=1, offline_d=100, per_phase_cap=400)
-    out = adaptive_adversary_vc(budget, engine_algorithm("waterfill", LIN))
+    out = adaptive_adversary_vc(budget, "waterfill", LIN)
     assert 1.50 <= out.ratio <= 1.0 + ALPHA + 1e-6
 
 
@@ -156,7 +160,7 @@ def test_adversary_two_phase_trend_and_floor():
     ratios = []
     for d in (30, 60, 120):
         budget = AdversaryBudget(phases=2, offline_d=d, per_phase_cap=20 * d)
-        out = adaptive_adversary_vc(budget, engine_algorithm("waterfill", FK))
+        out = adaptive_adversary_vc(budget, "waterfill", FK)
         assert not out.budget_exhausted
         ratios.append(out.ratio)
     # approaches the algorithm's worst case from below as the budget grows
@@ -168,7 +172,7 @@ def test_adversary_two_phase_trend_and_floor():
 
 def test_adversary_three_phase_runs():
     budget = AdversaryBudget(phases=3, offline_d=40, per_phase_cap=800)
-    out = adaptive_adversary_vc(budget, engine_algorithm("waterfill", FK))
+    out = adaptive_adversary_vc(budget, "waterfill", FK)
     assert out.ratio >= 1.60
     assert len(out.phase_sizes) == 3
 
@@ -176,26 +180,20 @@ def test_adversary_three_phase_runs():
 @pytest.mark.parametrize("algo", ["waterfill", "primal-dual"])
 def test_adversary_transcript_replays(algo):
     budget = AdversaryBudget(phases=2, offline_d=25, per_phase_cap=250)
-    made = []
-
-    def factory(capacity):
-        made.append(engine_algorithm(algo, FK)(capacity))
-        return made[-1]
-
-    out = adaptive_adversary_vc(budget, factory)
+    out = adaptive_adversary_vc(budget, algo, FK)
     text = serialize_instance(out.transcript)
     replayed = parse_instance(text)
     trace = engine.run_stream(replayed, algo, FK)
     opts = oracle.prefix_optimal_values(replayed)
-    ratio = oracle.competitive_ratio(trace, opts, "cover", "worst_prefix")
+    ratio = oracle.prefix_ratios([r.cover_cost for r in trace.rows], opts).max()
     assert ratio == pytest.approx(out.ratio, abs=1e-12)
     # the adversary's steps carry the same monitored rows as a replay
-    assert made[0].rows == trace.rows
+    assert out.algorithm.rows == trace.rows
 
 
 def test_adversary_four_phases_default_sizing():
     budget = AdversaryBudget(phases=4, offline_d=10, per_phase_cap=100)
-    out = adaptive_adversary_vc(budget, engine_algorithm("primal-dual", FK))
+    out = adaptive_adversary_vc(budget, "primal-dual", FK)
     assert len(out.phase_sizes) == 4
     assert 1.0 <= out.ratio <= 1.9011
 
@@ -204,7 +202,7 @@ def test_adversary_budget_exhaustion_is_reported():
     budget = AdversaryBudget(
         phases=2, offline_d=20, per_phase_cap=25, convergence_threshold=0.999
     )
-    out = adaptive_adversary_vc(budget, engine_algorithm("waterfill", FK))
+    out = adaptive_adversary_vc(budget, "waterfill", FK)
     assert out.budget_exhausted
     assert "budget-exhausted" in out.transcript.description
 
@@ -297,29 +295,43 @@ def test_cli_usage_errors():
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "inf"],
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "nan"],
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3", "--step", "nan"],
-        ["simulate", "--gen", "triangular:3", "--eps", "nan"],
-        ["adversary", "--budget", "2,5", "--eps", "nan"],
-        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3", "--eps", "nan"],
-        ["adversary", "--budget", "2,5", "--eps", "0"],
-        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3", "--eps", "-0.5"],
     ],
 )
-def test_cli_malformed_input_is_usage_error(argv, tmp_path):
-    """Usage errors exit 2 with one `error:` line, never a traceback."""
+def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
+    """Usage errors exit 2 with one `error:` line and raise nothing."""
     argv = [
         a.format(missing=tmp_path / "no-such-file.txt", missing_dir=tmp_path / "no-such-dir")
         for a in argv
     ]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_module_usage_error_has_no_traceback(tmp_path):
     src = str(Path(onlinecover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "onlinecover.harness", *argv],
+        [sys.executable, "-m", "onlinecover.harness", "simulate", "--input",
+         str(tmp_path / "no-such-file.txt")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_cli_has_no_eps_option(capsys):
+    # the level tolerance is the engine constant LEVEL_EPS
+    for argv in (
+        ["simulate", "--gen", "triangular:3"],
+        ["adversary", "--budget", "2,5"],
+        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3"],
+    ):
+        assert cli_main([*argv, "--eps", "1e-10"]) == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
 
 def test_cli_greedy_baseline(capsys):

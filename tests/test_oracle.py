@@ -21,10 +21,10 @@ from onlinecover.oracle import (
     OracleResult,
     StaticGraph,
     brute_force_half_integral,
-    competitive_ratio,
     fractional_optima_general,
     max_matching_bipartite,
     prefix_optimal_values,
+    prefix_ratios,
     static_from_stream,
 )
 
@@ -309,18 +309,16 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
 
 
 def test_competitive_ratio_basics():
-    assert competitive_ratio([2.0, 4.0], [2.0, 4.0], "cover", "worst_prefix") == 1.0
-    assert competitive_ratio([2.0], [1.0], "cover", "final") == 2.0
-    assert competitive_ratio([0.5, 1.0], [1.0, 2.0], "matching", "worst_prefix") == 0.5
+    assert prefix_ratios([2.0, 4.0], [2.0, 4.0]).max() == 1.0
+    assert prefix_ratios([2.0], [1.0])[-1] == 2.0
+    assert prefix_ratios([0.5, 1.0], [1.0, 2.0]).min() == 0.5
     # OPT = 0 with ALG = 0 counts as ratio 1
-    assert competitive_ratio([0.0, 2.0], [0.0, 1.0], "cover", "worst_prefix") == 2.0
-    assert competitive_ratio([1.0], [0.0], "cover", "final") == float("inf")
+    assert prefix_ratios([0.0, 2.0], [0.0, 1.0]).tolist() == [1.0, 2.0]
+    assert prefix_ratios([1.0], [0.0])[-1] == float("inf")
 
 
 def test_competitive_ratio_errors():
     with pytest.raises(LengthMismatch):
-        competitive_ratio([1.0], [1.0, 2.0], "cover", "final")
+        prefix_ratios([1.0], [1.0, 2.0])
     with pytest.raises(LengthMismatch):
-        competitive_ratio([], [], "cover", "final")
-    with pytest.raises(ValidationError):
-        competitive_ratio([1.0], [1.0], "spam", "final")
+        prefix_ratios([], [])
