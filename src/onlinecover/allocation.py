@@ -88,10 +88,28 @@ class QuadratureTable:
             raise ValidationError("QuadratureTable: F_values must be nondecreasing")
 
     def eval(self, x):
-        """Hermite-interpolated F at x (scalar or ndarray in [0, 1])."""
-        x = np.asarray(x, dtype=float)
+        """Hermite-interpolated F at x (scalar or ndarray in [0, 1]).
+
+        A Python float (or numpy float64) takes a scalar branch that runs
+        the same IEEE operations on floats without building arrays, so its
+        value is bit-identical to the array path's.
+        """
         m = len(self.F_values) - 1
         h = 1.0 / m
+        if isinstance(x, float):
+            xm = float(x) * m
+            i = min(max(int(xm), 0), m - 1)
+            t = xm - i
+            t2 = t * t
+            t3 = t2 * t
+            Fv, d = self.F_values, self.deriv
+            return (
+                (2.0 * t3 - 3.0 * t2 + 1.0) * Fv.item(i)
+                + (t3 - 2.0 * t2 + t) * h * d.item(i)
+                + (-2.0 * t3 + 3.0 * t2) * Fv.item(i + 1)
+                + (t3 - t2) * h * d.item(i + 1)
+            )
+        x = np.asarray(x, dtype=float)
         i = np.clip((x * m).astype(int), 0, m - 1)
         t = x * m - i
         t2 = t * t
@@ -146,6 +164,12 @@ class AllocationFunction:
             raise ValidationError(f"kind {kind!r} takes no parameter k")
         self.kind = kind
         self.k = k
+        if kind == "family-k":
+            # f(z) = (a0 - z)^e1 (z + b0)^e2
+            self._a0 = 0.5 * (1.0 + k)
+            self._b0 = 0.5 * (k - 1.0)
+            self._e1 = (1.0 + k) / (2.0 * k)
+            self._e2 = (k - 1.0) / (2.0 * k)
         self._table: QuadratureTable | None = None
         self._validate_shape()
 
@@ -166,9 +190,27 @@ class AllocationFunction:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z):
-        """f(z) for scalar or ndarray z in [0, 1]."""
+        """f(z) for scalar or ndarray z in [0, 1] (DomainError otherwise, NaN included).
+
+        A Python float (or numpy float64) takes a scalar branch: the same
+        domain check and clamp by comparison and the same IEEE operations
+        on floats, so its value is bit-identical to the array path's.
+        ``family-k`` keeps ``np.power`` there because ``math.pow`` can
+        differ from it in the last bit.
+        """
+        if isinstance(z, float):
+            if not (-1e-12 <= z <= 1.0 + 1e-12):
+                raise DomainError(f"allocation argument outside [0, 1]: {z!r}")
+            x = 0.0 if z < 0.0 else 1.0 if z > 1.0 else float(z)
+            if self.kind == "linear-alpha":
+                return x + ALPHA
+            if self.kind == "greedy":
+                return 1.0 - x
+            # both bases are >= 0 on [0, 1]: the array path's maximum is a no-op
+            a = float(np.power(self._a0 - x, self._e1))
+            return a * float(np.power(x + self._b0, self._e2))
         arr = np.asarray(z, dtype=float)
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
             raise DomainError(f"allocation argument outside [0, 1]: {z!r}")
         arr = np.clip(arr, 0.0, 1.0)
         if self.kind == "linear-alpha":
@@ -176,16 +218,11 @@ class AllocationFunction:
         elif self.kind == "greedy":
             out = 1.0 - arr
         else:
-            k = self.k
-            a = 0.5 * (1.0 + k) - arr
-            b = arr + 0.5 * (k - 1.0)
-            e1 = (1.0 + k) / (2.0 * k)
-            e2 = (k - 1.0) / (2.0 * k)
             # at k == 1 the second exponent is 0; 0^0 := 1 keeps the
             # family continuous at its greedy endpoint
             with np.errstate(invalid="ignore"):
-                out = np.power(np.maximum(a, 0.0), e1) * np.power(
-                    np.maximum(b, 0.0), e2
+                out = np.power(np.maximum(self._a0 - arr, 0.0), self._e1) * np.power(
+                    np.maximum(arr + self._b0, 0.0), self._e2
                 )
         return float(out) if out.ndim == 0 else out
 
@@ -255,6 +292,8 @@ def _build_table(func: AllocationFunction, segments: int = _TABLE_SEGMENTS) -> Q
 def F_eval(func: AllocationFunction, x, tol: float = DEFAULT_QUAD_TOL):
     """F(x) = int_0^x (1-t)/f(t) dt to absolute error tol.
 
+    x must lie in [0, 1] (DomainError otherwise, NaN included).
+
     Served from the cached Hermite table whenever its accuracy covers tol;
     tighter requests run adaptive Simpson directly (QuadratureError if the
     depth cap is hit first).
@@ -262,7 +301,7 @@ def F_eval(func: AllocationFunction, x, tol: float = DEFAULT_QUAD_TOL):
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
         raise DomainError(f"F argument outside [0, 1]: {x!r}")
     arr = np.clip(arr, 0.0, 1.0)
     if tol >= 1e-11:

@@ -23,6 +23,7 @@ functions are shared read-only.
 from __future__ import annotations
 
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +61,22 @@ def _solve_level(pots, ws, v_weight, func):
     with the dichotomy certified to LEVEL_EPS times the largest weight the
     gap at the level sums: the arrival's, or that of the neighbors below
     the level (a heavy neighbor above it does not loosen the certificate).
+
+    The sorted potentials and prefix sums become lists once per arrival,
+    so each bisection step is float arithmetic, a ``bisect_left`` and one
+    scalar f call; the values equal those of ``np.searchsorted`` on the
+    arrays bit for bit.
     """
     order = np.argsort(pots, kind="stable")
     sp = pots[order]
     sw = ws[order]
     csw = np.concatenate(([0.0], np.cumsum(sw)))
     cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
+    sp_l, csw_l, cswp_l = sp.tolist(), csw.tolist(), cswp.tolist()
 
     def gap(t: float) -> float:
-        i = int(np.searchsorted(sp, t, side="left"))
-        return csw[i] * t - cswp[i] - v_weight * float(func(t))
+        i = bisect_left(sp_l, t)
+        return csw_l[i] * t - cswp_l[i] - v_weight * float(func(t))
 
     if gap(1.0) <= LEVEL_EPS:
         return 1.0, False
@@ -92,7 +99,7 @@ def _solve_level(pots, ws, v_weight, func):
         else:
             hi = mid
     residual = abs(gap(lo))
-    scale = max(1.0, float(csw[np.searchsorted(sp, lo, side="left")]), v_weight)
+    scale = max(1.0, csw_l[bisect_left(sp_l, lo)], v_weight)
     if residual > LEVEL_EPS * scale:
         raise NumericError(
             f"water level not certified: |gap({lo})| = {residual:.3e} "

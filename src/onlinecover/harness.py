@@ -484,9 +484,8 @@ def _dispatch(args) -> int:
             parts = [int(x) for x in args.budget.split(",")]
         except ValueError:
             parts = []
-        if len(parts) < 2:
-            print("--budget needs k,d[,cap]", file=sys.stderr)
-            return 2
+        if not 2 <= len(parts) <= 3:
+            raise ValidationError(f"--budget needs k,d[,cap], got {args.budget!r}")
         budget = AdversaryBudget(
             phases=parts[0],
             offline_d=parts[1],
@@ -509,11 +508,9 @@ def _dispatch(args) -> int:
             buys = tuple(float(x) for x in args.buy.split(","))
             rents = tuple(float(x) for x in args.rent.split(","))
         except ValueError as exc:
-            print(f"error: --buy and --rent take comma-separated numbers: {exc}", file=sys.stderr)
-            return 2
+            raise ValidationError(f"--buy and --rent take comma-separated numbers: {exc}") from None
         if len(buys) != len(rents):
-            print("--buy and --rent must have equal length", file=sys.stderr)
-            return 2
+            raise ValidationError("--buy and --rent must have equal length")
         spec = SkiRentalSpec(states=tuple(zip(buys, rents)), epsilon=args.step, t_end=args.t_end)
         func = resolve_allocation(args.f_spec)
         report = run_ski_rental(spec, args.algo, func)

@@ -70,6 +70,55 @@ def test_f_eval_domain_errors():
         f(1.2)
 
 
+BRANCH_FUNCS = {
+    "linear-alpha": AllocationFunction.linear_alpha(),
+    "greedy": AllocationFunction.greedy(),
+    "family-k:1": AllocationFunction.family(1.0),
+    "family-k:optimal": AllocationFunction.family(K_STAR),
+    "family-k:2.5": AllocationFunction.family(2.5),
+}
+BRANCH_POINTS = np.linspace(0.0, 1.0, 10_001).tolist() + [0.0, 1.0, -1e-12, 1.0 + 1e-12]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_FUNCS))
+def test_scalar_branch_is_bitwise_array_branch(kind):
+    f = BRANCH_FUNCS[kind]
+    tbl = f.table()
+    scalar_f = [f(x) for x in BRANCH_POINTS]
+    assert all(type(v) is float for v in scalar_f)
+    assert np.array_equal(bits(scalar_f), bits([f(np.array([x]))[0] for x in BRANCH_POINTS]))
+    scalar_F = [tbl.eval(x) for x in BRANCH_POINTS]
+    assert all(type(v) is float for v in scalar_F)
+    assert np.array_equal(
+        bits(scalar_F), bits([tbl.eval(np.array([x]))[0] for x in BRANCH_POINTS])
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_FUNCS))
+def test_out_of_range_raises_on_both_branches(kind):
+    f = BRANCH_FUNCS[kind]
+    for x in (-2e-12, 1.0 + 2e-12, -0.5, 1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            f(x)
+        with pytest.raises(DomainError):
+            f(np.array([x]))
+
+
+def test_nan_is_a_domain_error():
+    f = AllocationFunction.family(K_STAR)
+    for arg in (math.nan, np.float64("nan"), np.array(math.nan), np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            f(arg)
+        with pytest.raises(DomainError):
+            F_eval(f, arg)
+        with pytest.raises(DomainError):
+            F_eval(f, arg, tol=1e-13)
+
+
 def test_construction_rejects_bad_k():
     with pytest.raises(ValidationError):
         AllocationFunction.family(0.8)

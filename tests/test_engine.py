@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from onlinecover.allocation import ALPHA, AllocationFunction, beta_of, optimal_k
 from onlinecover.engine import (
+    LEVEL_EPS,
     Algorithm,
     CoverState,
     MatchingState,
     PrimalDualState,
+    _solve_level,
     check_invariants,
     check_rounding_covers,
     greedy_allocation_step,
@@ -123,6 +125,82 @@ def test_level_certificate_ignores_heavy_neighbor_above_level():
 
     with pytest.raises(NumericError):
         star_level([(1.0, 1e12), (0.0, 1.0)], 1.0, jump)
+
+
+def numpy_per_call_level(pots, ws, v_weight, func):
+    """The level solve as it stood before its scalar hot path: one
+    ``np.searchsorted`` and one f call on a 0-d array per bisection step."""
+    order = np.argsort(pots, kind="stable")
+    sp = pots[order]
+    sw = ws[order]
+    csw = np.concatenate(([0.0], np.cumsum(sw)))
+    cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
+
+    def gap(t):
+        i = int(np.searchsorted(sp, t, side="left"))
+        return csw[i] * t - cswp[i] - v_weight * float(func(np.asarray(t)))
+
+    if gap(1.0) <= LEVEL_EPS:
+        return 1.0, False
+    lo = 0.0
+    if sp.size:
+        vals = csw[: sp.size] * sp - cswp[: sp.size] - v_weight * np.asarray(func(sp))
+        feas = np.flatnonzero(vals <= 0.0)
+        if feas.size:
+            lo = float(sp[feas[-1]])
+    if gap(lo) > 0.0:
+        lo = 0.0
+    hi = 1.0
+    for _ in range(200):
+        if hi - lo <= 1e-15:
+            break
+        mid = 0.5 * (lo + hi)
+        if gap(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    residual = abs(gap(lo))
+    scale = max(1.0, float(csw[np.searchsorted(sp, lo, side="left")]), v_weight)
+    if residual > LEVEL_EPS * scale:
+        raise NumericError("water level not certified")
+    return lo, True
+
+
+def level_or_error(solve, pots, ws, v_weight, func):
+    try:
+        return solve(pots, ws, v_weight, func)
+    except NumericError:
+        return "uncertified"
+
+
+LEVEL_FUNCS = {
+    "linear-alpha": LIN,
+    "greedy": AllocationFunction.greedy(),
+    "family-k:1": AllocationFunction.family(1.0),
+    "family-k:optimal": FK,
+    "family-k:2.5": AllocationFunction.family(2.5),
+}
+
+
+@given(
+    star=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            st.one_of(st.sampled_from([0.0, 1.0, 1e12]), st.floats(0.01, 5.0)),
+        ),
+        max_size=12,
+    ),
+    v_weight=st.one_of(st.sampled_from([0.0, 1.0, 1e12]), st.floats(0.01, 5.0)),
+    kind=st.sampled_from(sorted(LEVEL_FUNCS)),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_level_solve_equals_numpy_per_call(star, v_weight, kind):
+    pots = np.array([p for p, _ in star])
+    ws = np.array([w for _, w in star])
+    func = LEVEL_FUNCS[kind]
+    fast = level_or_error(_solve_level, pots, ws, v_weight, func)
+    slow = level_or_error(numpy_per_call_level, pots, ws, v_weight, func)
+    assert fast == slow
 
 
 # -------------------------------------------------------------------- steps

@@ -295,6 +295,9 @@ def test_cli_usage_errors():
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "inf"],
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "nan"],
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3", "--step", "nan"],
+        ["adversary", "--budget", "xyz"],
+        ["ski-rental", "--buy", "0,4,5", "--rent", "1,0", "--t-end", "3"],
+        ["adversary", "--budget", "2,5,7,99", "--algo", "waterfill", "--f", "linear-alpha"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
