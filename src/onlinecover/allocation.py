@@ -90,6 +90,8 @@ class QuadratureTable:
     def eval(self, x):
         """Hermite-interpolated F at x (scalar or ndarray in [0, 1]).
 
+        Arguments outside [0, 1] by more than 1e-12, NaN included, raise
+        DomainError, the same bounds f uses; inside them nothing is clamped.
         A Python float (or numpy float64) takes a scalar branch that runs
         the same IEEE operations on floats without building arrays, so its
         value is bit-identical to the array path's.
@@ -97,6 +99,8 @@ class QuadratureTable:
         m = len(self.F_values) - 1
         h = 1.0 / m
         if isinstance(x, float):
+            if not (-1e-12 <= x <= 1.0 + 1e-12):
+                raise DomainError(f"F argument outside [0, 1]: {x!r}")
             xm = float(x) * m
             i = min(max(int(xm), 0), m - 1)
             t = xm - i
@@ -110,6 +114,8 @@ class QuadratureTable:
                 + (t3 - t2) * h * d.item(i + 1)
             )
         x = np.asarray(x, dtype=float)
+        if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
+            raise DomainError(f"F argument outside [0, 1]: {x!r}")
         i = np.clip((x * m).astype(int), 0, m - 1)
         t = x * m - i
         t2 = t * t

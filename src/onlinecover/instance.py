@@ -19,6 +19,16 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 
+def has_repeats(values: np.ndarray) -> bool:
+    """Whether an integer array holds some value twice.
+
+    Sorts and compares neighbours: ``np.unique`` answers the same but, on
+    int64 under numpy 2.4, takes a hashing path many times slower.
+    """
+    s = np.sort(values)
+    return bool(np.any(s[1:] == s[:-1]))
+
+
 class Side(enum.Enum):
     LEFT = "L"
     RIGHT = "R"
@@ -46,7 +56,7 @@ class VertexEvent:
                 raise ValidationError(
                     f"event {self.id}: neighbors must reference earlier arrivals"
                 )
-            if np.unique(nbrs).size != nbrs.size:
+            if has_repeats(nbrs):
                 raise ValidationError(f"event {self.id}: duplicate neighbor")
 
     def degree(self) -> int:
@@ -167,7 +177,7 @@ def parse_instance(text: str) -> InstanceStream:
             raise ParseError(line_no, f"declared degree {deg} but {len(nbr_tokens)} neighbors")
         try:
             nbrs = np.array([int(t) for t in nbr_tokens], dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # not an integer, or beyond int64
             raise ParseError(line_no, str(exc)) from None
         try:
             events.append(VertexEvent(vid, weight, side, nbrs))

@@ -15,6 +15,11 @@ augmenting-path search per added node, for weights one max-flow residual
 network whose flow continues after each arrival.  The from-scratch
 solvers above are the independent reference the tests compare it with.
 
+scipy is loaded only by the from-scratch unit-weight solvers, on their
+first call (``sparse_backend``), never when this module is imported.  The
+prefix oracle, the min-cut path and the brute force are numpy and Python
+only, so a run that uses nothing else never imports scipy.
+
 All public functions are pure functions of their inputs.
 """
 
@@ -23,11 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
-from .instance import InstanceStream, Side
+from .instance import InstanceStream, Side, has_repeats
 
 _FEAS_EPS = 1e-9
 
@@ -54,7 +57,7 @@ class StaticGraph:
                 raise ValidationError("self loops are not allowed")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            if np.unique(lo * self.n + hi).size != edges.shape[0]:
+            if has_repeats(lo * self.n + hi):
                 raise ValidationError("duplicate edges are not allowed")
 
     def is_unit_weight(self) -> bool:
@@ -118,6 +121,27 @@ def _verify_witnesses(g: StaticGraph, res: OracleResult):
 # ------------------------------------------------------- bipartite integral
 
 
+def sparse_backend():
+    """scipy's ``csr_matrix`` and Hopcroft-Karp, imported on the first call.
+
+    The from-scratch unit-weight solvers are scipy's only users.  A caller
+    that is about to run one may call this first to take the import out of
+    whatever it times next.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching as hopcroft_karp
+
+    return csr_matrix, hopcroft_karp
+
+
+def maximum_bipartite_matching(graph) -> np.ndarray:
+    """Matched column per row of a csr biadjacency (-1 if unmatched).
+
+    scipy's Hopcroft-Karp, imported on the first call.
+    """
+    return sparse_backend()[1](graph, perm_type="column")
+
+
 def _bipartite_sides(g: StaticGraph) -> tuple[np.ndarray, np.ndarray]:
     if g.sides is None:
         raise NotBipartite("side labels required")
@@ -132,7 +156,9 @@ def _bipartite_sides(g: StaticGraph) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(left), np.flatnonzero(right)
 
 
-def _biadjacency(g: StaticGraph, left: np.ndarray, right: np.ndarray) -> csr_matrix:
+def _biadjacency(g: StaticGraph, left: np.ndarray, right: np.ndarray):
+    """Left x right biadjacency of a side-labeled graph as a scipy csr_matrix."""
+    csr_matrix = sparse_backend()[0]
     lpos = np.full(g.n, -1, dtype=np.int64)
     rpos = np.full(g.n, -1, dtype=np.int64)
     lpos[left] = np.arange(left.size)
@@ -150,14 +176,18 @@ def _biadjacency(g: StaticGraph, left: np.ndarray, right: np.ndarray) -> csr_mat
     )
 
 
-def _hk_matching(bi: csr_matrix) -> np.ndarray:
-    """Matched column per row (-1 if unmatched)."""
+def _hk_matching(bi) -> np.ndarray:
+    """Matched column per row (-1 if unmatched).
+
+    Goes through the module global ``maximum_bipartite_matching``, so a
+    wrapper put there sees every from-scratch solve.
+    """
     if bi.nnz == 0:
         return np.full(bi.shape[0], -1, dtype=np.int64)
-    return maximum_bipartite_matching(bi, perm_type="column").astype(np.int64)
+    return maximum_bipartite_matching(bi).astype(np.int64)
 
 
-def _konig_cover(bi: csr_matrix, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _konig_cover(bi, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum vertex cover masks (left, right) from a maximum matching.
 
     Alternating reachability from unmatched left vertices, vectorized over
@@ -214,8 +244,9 @@ def max_matching_bipartite(g: StaticGraph) -> OracleResult:
 # ------------------------------------------------------ fractional general
 
 
-def _double_cover_csr(g: StaticGraph) -> csr_matrix:
-    """n x n biadjacency of the double cover: rows u-left, cols v-right."""
+def _double_cover_csr(g: StaticGraph):
+    """n x n csr_matrix of the double cover: rows u-left, cols v-right."""
+    csr_matrix = sparse_backend()[0]
     if g.edges.size:
         e0, e1 = g.edges[:, 0], g.edges[:, 1]
         rows = np.concatenate((e0, e1))

@@ -101,11 +101,16 @@ def test_scalar_branch_is_bitwise_array_branch(kind):
 @pytest.mark.parametrize("kind", sorted(BRANCH_FUNCS))
 def test_out_of_range_raises_on_both_branches(kind):
     f = BRANCH_FUNCS[kind]
-    for x in (-2e-12, 1.0 + 2e-12, -0.5, 1.5, math.inf, -math.inf, math.nan):
+    tbl = f.table()
+    for x in (-2e-12, 1.0 + 2e-12, -0.5, 1.5, 2.0, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             f(x)
         with pytest.raises(DomainError):
             f(np.array([x]))
+        with pytest.raises(DomainError):
+            tbl.eval(x)
+        with pytest.raises(DomainError):
+            tbl.eval(np.array([0.5, x]))
 
 
 def test_nan_is_a_domain_error():
@@ -113,6 +118,8 @@ def test_nan_is_a_domain_error():
     for arg in (math.nan, np.float64("nan"), np.array(math.nan), np.array([0.5, math.nan])):
         with pytest.raises(DomainError):
             f(arg)
+        with pytest.raises(DomainError):
+            f.table().eval(arg)
         with pytest.raises(DomainError):
             F_eval(f, arg)
         with pytest.raises(DomainError):

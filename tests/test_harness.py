@@ -298,12 +298,16 @@ def test_cli_usage_errors():
         ["adversary", "--budget", "xyz"],
         ["ski-rental", "--buy", "0,4,5", "--rent", "1,0", "--t-end", "3"],
         ["adversary", "--budget", "2,5,7,99", "--algo", "waterfill", "--f", "linear-alpha"],
+        ["simulate", "--input", "{overflow}"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     """Usage errors exit 2 with one `error:` line and raise nothing."""
+    overflow = tmp_path / "overflow.txt"  # a neighbour id beyond int64
+    overflow.write_text("offline 0\n0 1 - 0\n1 1 - 1 99999999999999999999\n")
     argv = [
-        a.format(missing=tmp_path / "no-such-file.txt", missing_dir=tmp_path / "no-such-dir")
+        a.format(missing=tmp_path / "no-such-file.txt", missing_dir=tmp_path / "no-such-dir",
+                 overflow=overflow)
         for a in argv
     ]
     assert cli_main(argv) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinecover.errors import ParseError, ValidationError
+from onlinecover.errors import OnlineCoverError, ParseError, ValidationError
 from onlinecover.instance import (
     InstanceStream,
     Side,
@@ -15,6 +15,7 @@ from onlinecover.instance import (
     gen_random,
     gen_triangular,
     gen_two_phase_matching_hard,
+    has_repeats,
     parse_instance,
     reduce_ski_rental,
     serialize_instance,
@@ -72,6 +73,75 @@ def test_parse_error_reports_line_number():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+def test_parse_overflowing_neighbour_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_instance("offline 0\n0 1 - 0\n1 1 - 1 99999999999999999999\n")
+    assert exc.value.line_no == 3
+
+
+# tokens that are valid in some field, invalid in others, or in none; the
+# long integers are int64's bounds, one past them, and far beyond them
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "-1", "-0", "0.5", "1e-17", "1e999", "nan", "inf", "L", "R", "-", "X", "#",
+     "offline", "1_0", "0x1", "9223372036854775807", "-9223372036854775808",
+     "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+     "-99999999999999999999"]
+)
+_EVENT = st.tuples(
+    st.sampled_from(["1", "2.5", "0", "1e-17"]),  # weight
+    st.sampled_from(["L", "R", "-"]),
+    st.lists(st.integers(0, 4), max_size=3, unique=True),  # back-edges, kept if earlier
+)
+# (line, field, token): the token replaces that field of that line (line 0
+# is the header) or the whole line when the field is 6; past the line's end
+# it is appended, on an event line as one more neighbour
+_SWAP = st.none() | st.tuples(st.integers(0, 6), st.integers(0, 6), _TOKENS)
+
+
+def _instance_text(offline, events, swap):
+    lines = [["offline", str(offline)]]
+    for vid, (weight, side, nbrs) in enumerate(events):
+        back = [str(u) for u in nbrs if u < vid]
+        lines.append([str(vid), weight, side, str(len(back)), *back])
+    if swap is not None:
+        line, field, token = swap
+        line %= len(lines)
+        fields = lines[line]
+        if field == 6:
+            fields[:] = [token]
+        elif field < len(fields):
+            fields[field] = token
+        else:
+            fields.append(token)
+            if line:
+                fields[3] = str(len(fields) - 4)
+    return "\n".join(" ".join(fields) for fields in lines) + "\n"
+
+
+@given(offline=st.integers(0, 2), events=st.lists(_EVENT, max_size=6), swap=_SWAP)
+@settings(max_examples=500, deadline=None)
+def test_parse_fuzz_round_trips_or_raises_own_error(offline, events, swap):
+    """Any text either parses to a stream that survives serialize -> parse or
+    raises an OnlineCoverError, never another exception."""
+    try:
+        s = parse_instance(_instance_text(offline, events, swap))
+    except OnlineCoverError:
+        return
+    text = serialize_instance(s)
+    s2 = parse_instance(text)
+    assert serialize_instance(s2) == text
+    assert s2.offline_count == s.offline_count
+    assert [e.side for e in s2.events] == [e.side for e in s.events]
+    assert np.array_equal(s2.weights().view(np.uint64), s.weights().view(np.uint64))
+    assert edges_of(s2) == edges_of(s)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=12))
+def test_has_repeats_agrees_with_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    assert has_repeats(arr) == (np.unique(arr).size != arr.size)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -180,6 +180,15 @@ def test_static_graph_validation():
         StaticGraph(2, np.ones(2), [(0, 5)])
 
 
+def test_static_graph_finds_a_reversed_duplicate_anywhere():
+    path = [(i, i + 1) for i in range(9)]
+    StaticGraph(10, np.ones(10), path)
+    for dup in ((1, 0), (5, 4), (9, 8)):
+        for edges in (path + [dup], [dup] + path):
+            with pytest.raises(ValidationError, match="duplicate edges"):
+                StaticGraph(10, np.ones(10), edges)
+
+
 def test_static_from_stream_prefix():
     s = gen_triangular(4)
     g = static_from_stream(s, 5)  # 4 offline + first online
