@@ -92,9 +92,9 @@ class QuadratureTable:
 
         Arguments outside [0, 1] by more than 1e-12, NaN included, raise
         DomainError, the same bounds f uses; inside them nothing is clamped.
-        A Python float (or numpy float64) takes a scalar branch that runs
-        the same IEEE operations on floats without building arrays, so its
-        value is bit-identical to the array path's.
+        A Python float (or numpy float64, or a 0-d array) takes a scalar
+        branch that runs the same IEEE operations on floats without
+        building arrays, so its value is bit-identical to the array path's.
         """
         m = len(self.F_values) - 1
         h = 1.0 / m
@@ -114,23 +114,40 @@ class QuadratureTable:
                 + (t3 - t2) * h * d.item(i + 1)
             )
         x = np.asarray(x, dtype=float)
-        if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
+        if x.ndim == 0:
+            return self.eval(float(x))
+        # min/max propagate NaN, which then fails the comparison
+        if x.size and not (x.min() >= -1e-12 and x.max() <= 1.0 + 1e-12):
             raise DomainError(f"F argument outside [0, 1]: {x!r}")
-        i = np.clip((x * m).astype(int), 0, m - 1)
-        t = x * m - i
+        # the scalar branch's operations, in place on few temporaries
+        t = x * m
+        i = t.astype(np.int64)
+        np.minimum(i, m - 1, out=i)
+        np.maximum(i, 0, out=i)
+        t -= i
         t2 = t * t
         t3 = t2 * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        out = (
-            h00 * self.F_values[i]
-            + h10 * h * self.deriv[i]
-            + h01 * self.F_values[i + 1]
-            + h11 * h * self.deriv[i + 1]
-        )
-        return float(out) if out.ndim == 0 else out
+        Fv, d = self.F_values, self.deriv
+        out = 2.0 * t3  # h00 = 2 t^3 - 3 t^2 + 1
+        out -= 3.0 * t2
+        out += 1.0
+        out *= Fv[i]
+        acc = np.subtract(t3, 2.0 * t2)  # h10 = t^3 - 2 t^2 + t
+        acc += t
+        acc *= h
+        acc *= d[i]
+        out += acc
+        i += 1
+        np.multiply(t2, 3.0, out=t)  # h01 = -2 t^3 + 3 t^2
+        np.multiply(t3, -2.0, out=acc)
+        acc += t
+        acc *= Fv[i]
+        out += acc
+        t3 -= t2  # h11 = t^3 - t^2
+        t3 *= h
+        t3 *= d[i]
+        out += t3
+        return out
 
 
 @dataclass

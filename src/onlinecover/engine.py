@@ -23,7 +23,8 @@ functions are shared read-only.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +56,27 @@ class WaterLevelOutcome:
 def _solve_level(pots, ws, v_weight, func):
     """Maximal y <= 1 with sum_u w_u max(y - y_u, 0) <= v_weight * f(y).
 
-    Breakpoints are the sorted neighbor potentials; between them the
-    constraint gap H is smooth, so bisection from the rightmost breakpoint
-    with H <= 0 certifies the maximal crossing.  Returns (level, saturated)
-    with the dichotomy certified to LEVEL_EPS times the largest weight the
-    gap at the level sums: the arrival's, or that of the neighbors below
-    the level (a heavy neighbor above it does not loosen the certificate).
+    Returns (level, saturated): (1.0, False) when the gap H(t) = C(t) t -
+    P(t) - v_weight f(t) at 1 is within LEVEL_EPS of feasible, else the
+    crossing of H, certified.  Breakpoints are the sorted neighbor
+    potentials; one array call of f finds the last one with H <= 0, which
+    brackets the crossing with the next breakpoint above it (or 1).  On
+    that segment C and P are constant and H is convex (f is concave), so
+    the root is found by regula falsi with the Illinois weight halving,
+    keeping H(lo) <= 0 < H(hi).  Each point is clamped 4e-16 inside the
+    bracket: the root often sits on a breakpoint, where the unclamped
+    secant would only creep towards it.
+
+    The loop stops when the bracket is at most 1e-15 wide and the
+    certificate holds at lo, or when lo and hi are adjacent floats; lo is
+    returned.  The certificate is |H(lo)| <= LEVEL_EPS times the largest
+    weight H sums at lo: the arrival's, or that of the neighbors below lo
+    (a heavy neighbor above the level does not loosen it); NumericError
+    if it fails.
 
     The sorted potentials and prefix sums become lists once per arrival,
-    so each bisection step is float arithmetic, a ``bisect_left`` and one
-    scalar f call; the values equal those of ``np.searchsorted`` on the
-    arrays bit for bit.
+    so each step is float arithmetic, a ``bisect_left`` and one scalar f
+    call.
     """
     order = np.argsort(pots, kind="stable")
     sp = pots[order]
@@ -78,32 +89,52 @@ def _solve_level(pots, ws, v_weight, func):
         i = bisect_left(sp_l, t)
         return csw_l[i] * t - cswp_l[i] - v_weight * float(func(t))
 
-    if gap(1.0) <= LEVEL_EPS:
+    def bound(t: float) -> float:
+        return LEVEL_EPS * max(1.0, csw_l[bisect_left(sp_l, t)], v_weight)
+
+    g_hi = gap(1.0)
+    if g_hi <= LEVEL_EPS:
         return 1.0, False
 
-    lo = 0.0
+    lo, hi = 0.0, 1.0
     if sp.size:
         vals = csw[: sp.size] * sp - cswp[: sp.size] - v_weight * np.asarray(func(sp))
         feas = np.flatnonzero(vals <= 0.0)
         if feas.size:
-            lo = float(sp[feas[-1]])
-    if gap(lo) > 0.0:
+            lo = sp_l[feas[-1]]
+        j = bisect_right(sp_l, lo)
+        if j < len(sp_l):  # an infeasible breakpoint: H(hi) = vals[j] > 0
+            hi = sp_l[j]
+            g_hi = gap(hi)
+    g_lo = gap(lo)
+    if g_lo > 0.0:
         lo = 0.0
-    hi = 1.0
+        g_lo = gap(lo)
+    a, b = g_lo, g_hi  # interpolation weights; Illinois halves a stale one
+    side = 0
     for _ in range(200):
-        if hi - lo <= 1e-15:
+        w = hi - lo
+        if w <= 1e-15 and (abs(g_lo) <= bound(lo) or math.nextafter(lo, hi) >= hi):
             break
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            lo = mid
+        if w > 8e-16:
+            t = min(max(lo - a * w / (b - a), lo + 4e-16), hi - 4e-16)
         else:
-            hi = mid
-    residual = abs(gap(lo))
-    scale = max(1.0, csw_l[bisect_left(sp_l, lo)], v_weight)
-    if residual > LEVEL_EPS * scale:
+            t = 0.5 * (lo + hi)
+        g = gap(t)
+        if g <= 0.0:
+            lo, g_lo, a = t, g, g
+            if side < 0:
+                b *= 0.5
+            side = -1
+        else:
+            hi, b = t, g
+            if side > 0:
+                a *= 0.5
+            side = 1
+    if abs(g_lo) > bound(lo):
         raise NumericError(
-            f"water level not certified: |gap({lo})| = {residual:.3e} "
-            f"exceeds {LEVEL_EPS * scale:.3e}"
+            f"water level not certified: |gap({lo})| = {abs(g_lo):.3e} "
+            f"exceeds {bound(lo):.3e}"
         )
     return lo, True
 

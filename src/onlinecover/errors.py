@@ -14,7 +14,15 @@ class ParseError(OnlineCoverError):
 
 
 class ValidationError(OnlineCoverError):
-    """A domain-type invariant was violated; the message names it."""
+    """A domain-type invariant was violated; the message names it.
+
+    A check on a whole stream sets ``event`` to the index of the event it
+    rejects (None for the stream's offline count).
+    """
+
+    def __init__(self, message: str, event: int | None = None):
+        self.event = event
+        super().__init__(message)
 
 
 class DomainError(OnlineCoverError):

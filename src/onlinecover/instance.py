@@ -79,14 +79,17 @@ class InstanceStream:
         sides = [ev.side for ev in self.events]
         for i, ev in enumerate(self.events):
             if ev.id != i:
-                raise ValidationError(f"event ids must be consecutive from 0, got {ev.id} at {i}")
+                raise ValidationError(
+                    f"event ids must be consecutive from 0, got {ev.id} at {i}", event=i
+                )
             if i < self.offline_count and ev.neighbors.size:
-                raise ValidationError(f"offline event {i} must have no neighbors")
+                raise ValidationError(f"offline event {i} must have no neighbors", event=i)
             if ev.side is not Side.UNLABELED:
                 for u in ev.neighbors:
                     if sides[u] is ev.side:
                         raise ValidationError(
-                            f"edge ({u}, {i}) joins two {ev.side.value}-side vertices"
+                            f"edge ({u}, {i}) joins two {ev.side.value}-side vertices",
+                            event=i,
                         )
 
     def __len__(self) -> int:
@@ -139,9 +142,15 @@ def serialize_instance(stream: InstanceStream) -> str:
 
 
 def parse_instance(text: str) -> InstanceStream:
-    """Parse the line format; ParseError carries the offending line number."""
+    """Parse the line format; ParseError carries the offending line number.
+
+    A fault of the stream as a whole names the line of the event it
+    rejects, or the header line for an offline count beyond the events.
+    """
     events: list[VertexEvent] = []
+    event_lines: list[int] = []
     offline_count: int | None = None
+    header_line = 1
     expected_id = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -157,6 +166,7 @@ def parse_instance(text: str) -> InstanceStream:
                 raise ParseError(line_no, f"bad offline count {tokens[1]!r}") from None
             if offline_count < 0:
                 raise ParseError(line_no, "offline count must be >= 0")
+            header_line = line_no
             continue
         if len(tokens) < 4:
             raise ParseError(line_no, "event line needs `<id> <weight> <side> <deg> ...`")
@@ -183,10 +193,15 @@ def parse_instance(text: str) -> InstanceStream:
             events.append(VertexEvent(vid, weight, side, nbrs))
         except ValidationError as exc:
             raise ParseError(line_no, str(exc)) from None
+        event_lines.append(line_no)
         expected_id += 1
     if offline_count is None:
         raise ParseError(1, "empty input: missing `offline <count>` header")
-    return InstanceStream(tuple(events), offline_count)
+    try:
+        return InstanceStream(tuple(events), offline_count)
+    except ValidationError as exc:
+        line_no = header_line if exc.event is None else event_lines[exc.event]
+        raise ParseError(line_no, str(exc)) from None
 
 
 # -------------------------------------------------------------- generators

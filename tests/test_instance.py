@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinecover.errors import OnlineCoverError, ParseError, ValidationError
+from onlinecover.errors import ParseError, ValidationError
 from onlinecover.instance import (
     InstanceStream,
     Side,
@@ -75,6 +75,34 @@ def test_parse_rejects_malformed(text):
         parse_instance(text)
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        # one case per InstanceStream check; comments shift the line numbers
+        ("# two offline\noffline 2\n0 1 L 0\n", 2, "offline_count out of range"),
+        ("offline 0\n0 1 - 0\n\n2 1 - 0\n", 4, "expected id 1"),
+        ("offline 2\n0 1 L 0\n# next\n1 1 R 1 0\n", 4, "offline event 1 must have no neighbors"),
+        ("offline 0\n0 1 L 0\n1 1 R 1 0\n2 1 R 1 1\n", 4, "joins two R-side vertices"),
+    ],
+)
+def test_stream_faults_name_their_line(text, line_no, message):
+    with pytest.raises(ParseError) as exc:
+        parse_instance(text)
+    assert exc.value.line_no == line_no
+    assert message in str(exc.value)
+
+
+def test_stream_fault_names_its_event():
+    events = (VertexEvent(0, 1.0, Side.LEFT, []), VertexEvent(1, 1.0, Side.LEFT, [0]))
+    for offline, event in ((0, 1), (2, 1), (3, None)):
+        with pytest.raises(ValidationError) as exc:
+            InstanceStream(events, offline)
+        assert exc.value.event == event
+    with pytest.raises(ValidationError) as exc:
+        InstanceStream(events[1:], 0)
+    assert exc.value.event == 0
+
+
 def test_parse_overflowing_neighbour_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_instance("offline 0\n0 1 - 0\n1 1 - 1 99999999999999999999\n")
@@ -124,10 +152,10 @@ def _instance_text(offline, events, swap):
 @settings(max_examples=500, deadline=None)
 def test_parse_fuzz_round_trips_or_raises_own_error(offline, events, swap):
     """Any text either parses to a stream that survives serialize -> parse or
-    raises an OnlineCoverError, never another exception."""
+    raises a ParseError with its line number, never another exception."""
     try:
         s = parse_instance(_instance_text(offline, events, swap))
-    except OnlineCoverError:
+    except ParseError:
         return
     text = serialize_instance(s)
     s2 = parse_instance(text)
