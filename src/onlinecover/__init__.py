@@ -46,7 +46,6 @@ from .instance import (
 )
 from .oracle import (
     OracleResult,
-    StaticGraph,
     brute_force_half_integral,
     fractional_optima_general,
     max_matching_bipartite,

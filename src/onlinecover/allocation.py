@@ -363,10 +363,12 @@ def optimal_k(tol: float = 1e-6) -> "OptimalAllocation":
     Golden-section search assumes unimodality; the result is cross-checked
     against an independent derivation, the real fixed point of the
     hyperbolic cotangent (the stationarity condition of 1 + f_k(0) reduces
-    to coth(k) = k).  The two must agree within 10*tol.
+    to coth(k) = k).  The two must agree within 10*tol.  The search stops
+    early once the bracket no longer shrinks in floating point, so a tol
+    finer than that ends in the cross-check, not in an endless loop.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
     def h(k: float) -> float:
         a = 0.5 * (1.0 + k)
@@ -381,7 +383,7 @@ def optimal_k(tol: float = 1e-6) -> "OptimalAllocation":
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
     hc, hd = h(c), h(d)
-    while hi - lo > tol:
+    while hi - lo > tol and lo < c < d < hi:
         if hc < hd:
             hi, d, hd = d, c, hc
             c = hi - inv_phi * (hi - lo)

@@ -360,10 +360,7 @@ def round_bipartite(final_y, sides, t: float) -> set[int]:
 
 
 def check_rounding_covers(stream: InstanceStream, cover: set[int], upto: int | None = None) -> bool:
-    u, v = stream.edge_arrays()
-    if upto is not None:
-        keep = v < upto
-        u, v = u[keep], v[keep]
+    u, v = stream.edge_arrays(upto)
     in_cover = np.zeros(len(stream), dtype=bool)
     in_cover[list(cover)] = True
     return bool(np.all(in_cover[u] | in_cover[v]))
@@ -523,12 +520,8 @@ def check_invariants(
         max_inv1 = max(max_inv1, float(x_agg[u] - rhs))
     total_y = float(np.sum(cover.weights[arrived] * cover.y[arrived]))
     inv2 = abs(total_y - beta * total_x) / max(1.0, total_y)
-    u, v = stream.edge_arrays()
-    keep = v < n
-    if keep.any():
-        min_gap = float(np.min(cover.y[u[keep]] + cover.y[v[keep]] - 1.0))
-    else:
-        min_gap = 0.0
+    u, v = stream.edge_arrays(n)
+    min_gap = float(np.min(cover.y[u] + cover.y[v] - 1.0)) if u.size else 0.0
     cap_excess = float(np.max(x_agg[arrived] - cover.weights[arrived])) if arrived.size else 0.0
     return InvariantReport(
         max_inv1_slack=max_inv1 if arrived.size else 0.0,

@@ -143,7 +143,7 @@ def _summary_row(summary: dict) -> str:
 
 
 def _zero_weight_arrivals(stream: InstanceStream) -> int:
-    return sum(ev.weight == 0.0 for ev in stream.events[stream.offline_count :])
+    return int(np.count_nonzero(stream.weights()[stream.offline_count :] == 0.0))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -166,8 +166,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.prefix_mode:
             opts = oracle.prefix_optimal_values(stream)
         else:
-            g = oracle.static_from_stream(stream)
-            opt = oracle.fractional_optima_general(g).min_cover_value
+            opt = oracle.fractional_optima_general(stream).min_cover_value
             summary["opt_fractional"] = opt
             rows, opts = rows[-1:], [opt]  # the final prefix only
         cover = oracle.prefix_ratios([r.cover_cost for r in rows], opts)

@@ -11,8 +11,9 @@ pure functions of their parameters and seed.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,10 @@ class Side(enum.Enum):
     LEFT = "L"
     RIGHT = "R"
     UNLABELED = "-"
+
+
+# side code per vertex in ``InstanceStream.side_codes``
+SIDE_CODES = {Side.LEFT: 0, Side.RIGHT: 1, Side.UNLABELED: -1}
 
 
 @dataclass(frozen=True)
@@ -65,63 +70,85 @@ class VertexEvent:
 
 @dataclass(frozen=True)
 class InstanceStream:
-    """Ordered arrival events plus the size of the offline prefix."""
+    """Ordered arrival events plus the size of the offline prefix.
+
+    Construction validates the stream as a whole and builds its read-only
+    per-vertex arrays once: ``weights()``, ``side_codes`` (``SIDE_CODES``)
+    and ``edge_offsets``, where arrival v's back-edges are edges
+    ``edge_offsets[v]`` to ``edge_offsets[v + 1]`` in reveal order.  Edges
+    stay in their events; ``edge_arrays`` builds a flat cut on demand.
+    The codes are int64, not int8: numpy ops on a dtype the rest of a run
+    never touches add to its peak resident memory.
+    """
 
     events: tuple[VertexEvent, ...]
     offline_count: int
     description: str = ""
+    side_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        n = len(self.events)
+        events = tuple(self.events)
+        object.__setattr__(self, "events", events)
+        n = len(events)
         if not (0 <= self.offline_count <= n):
             raise ValidationError("offline_count out of range")
-        sides = [ev.side for ev in self.events]
-        for i, ev in enumerate(self.events):
+        codes = np.fromiter((SIDE_CODES[ev.side] for ev in events), np.int64, n)
+        for i, ev in enumerate(events):
             if ev.id != i:
                 raise ValidationError(
                     f"event ids must be consecutive from 0, got {ev.id} at {i}", event=i
                 )
-            if i < self.offline_count and ev.neighbors.size:
+            if not ev.neighbors.size:
+                continue
+            if i < self.offline_count:
                 raise ValidationError(f"offline event {i} must have no neighbors", event=i)
             if ev.side is not Side.UNLABELED:
-                for u in ev.neighbors:
-                    if sides[u] is ev.side:
-                        raise ValidationError(
-                            f"edge ({u}, {i}) joins two {ev.side.value}-side vertices",
-                            event=i,
-                        )
+                same = codes[ev.neighbors] == codes[i]
+                if same.any():
+                    raise ValidationError(
+                        f"edge ({ev.neighbors[same.argmax()]}, {i}) joins two "
+                        f"{ev.side.value}-side vertices",
+                        event=i,
+                    )
+        sizes = (ev.neighbors.size for ev in events)
+        offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.int64, n + 1)
+        weights = np.fromiter((ev.weight for ev in events), float, n)
+        for name, a in (("side_codes", codes), ("edge_offsets", offsets), ("_weights", weights)):
+            a.flags.writeable = False  # shared by every run of the stream
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return len(self.events)
 
     def weights(self) -> np.ndarray:
-        return np.array([ev.weight for ev in self.events], dtype=float)
+        return self._weights
 
     def sides(self) -> list[Side]:
         return [ev.side for ev in self.events]
 
     def has_side_labels(self) -> bool:
-        return all(ev.side is not Side.UNLABELED for ev in self.events)
+        return bool(np.all(self.side_codes >= 0))
 
     def is_unit_weight(self) -> bool:
-        return all(ev.weight == 1.0 for ev in self.events)
+        return bool(np.all(self._weights == 1.0))
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (earlier endpoint, arriving endpoint) arrays in reveal order."""
-        us = [ev.neighbors for ev in self.events if ev.neighbors.size]
-        vs = [
-            np.full(ev.neighbors.size, ev.id, dtype=np.int64)
-            for ev in self.events
-            if ev.neighbors.size
-        ]
-        if not us:
+    def edge_arrays(self, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (earlier endpoint, arriving endpoint) arrays in reveal order.
+
+        Only the edges of the first ``upto`` arrivals (all by default).
+        """
+        n = len(self) if upto is None else upto
+        if not self.edge_offsets[n]:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        return np.concatenate(us), np.concatenate(vs)
+        us = np.concatenate([ev.neighbors for ev in self.events[:n]])
+        vs = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.edge_offsets[: n + 1]))
+        return us, vs
 
     def edge_count(self) -> int:
-        return sum(ev.neighbors.size for ev in self.events)
+        return int(self.edge_offsets[-1])
 
 
 # -------------------------------------------------------------- file format
@@ -279,6 +306,8 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
         raise ValidationError("p must lie in [0, 1]")
     if mode not in RANDOM_MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {', '.join(RANDOM_MODES)}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     events: list[VertexEvent] = []
     offline_count = 0

@@ -1,5 +1,10 @@
 """Exact offline optima for measuring competitive ratios.
 
+Every oracle takes an ``InstanceStream`` and solves the graph of all its
+arrivals; the first j arrivals are the stream ``static_from_stream(stream,
+j)``.  The stream is validated once when it is built, so the oracles check
+nothing about the graph again.
+
 Integral bipartite matching comes from Hopcroft-Karp (scipy's C
 implementation) with a vectorized Konig construction for the matching-size
 vertex cover.  Fractional optima in general graphs use the bipartite
@@ -30,56 +35,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
-from .instance import InstanceStream, Side, has_repeats
+from .instance import SIDE_CODES, InstanceStream, Side
 
 _FEAS_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class StaticGraph:
-    """Offline view of an instance prefix: weights, edges, optional sides."""
+def static_from_stream(stream: InstanceStream, upto: int | None = None) -> InstanceStream:
+    """The first ``upto`` arrivals (all by default) as a stream of their own.
 
-    n: int
-    weights: np.ndarray
-    edges: np.ndarray  # shape (m, 2), u < v not required but no self loops
-    sides: tuple[Side, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        object.__setattr__(self, "edges", edges)
-        if self.weights.shape != (self.n,):
-            raise ValidationError("weights must have one entry per vertex")
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= self.n:
-                raise ValidationError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise ValidationError("self loops are not allowed")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            if has_repeats(lo * self.n + hi):
-                raise ValidationError("duplicate edges are not allowed")
-
-    def is_unit_weight(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
-
-
-def static_from_stream(stream: InstanceStream, upto: int | None = None) -> StaticGraph:
-    """Offline snapshot of the first ``upto`` arrivals (all by default)."""
-    n = len(stream) if upto is None else upto
-    if not (0 <= n <= len(stream)):
+    It shares the events, so no event is validated or sorted again.
+    """
+    if upto is None or upto == len(stream):
+        return stream
+    if not (0 <= upto <= len(stream)):
         raise ValidationError("prefix length out of range")
-    u, v = stream.edge_arrays()
-    keep = v < n
-    sides = tuple(ev.side for ev in stream.events[:n])
-    if any(s is Side.UNLABELED for s in sides):
-        sides = None
-    return StaticGraph(
-        n=n,
-        weights=np.array([ev.weight for ev in stream.events[:n]]),
-        edges=np.column_stack((u[keep], v[keep])) if n else np.empty((0, 2), np.int64),
-        sides=sides,
-    )
+    return InstanceStream(stream.events[:upto], min(stream.offline_count, upto))
 
 
 @dataclass(frozen=True)
@@ -105,16 +75,16 @@ class OracleResult:
                 raise ValidationError("fractional cover witness must be half-integral")
 
 
-def _verify_witnesses(g: StaticGraph, res: OracleResult):
+def _verify_witnesses(stream: InstanceStream, res: OracleResult):
     y = res.cover_witness
-    if g.edges.size:
-        if np.min(y[g.edges[:, 0]] + y[g.edges[:, 1]]) < 1.0 - _FEAS_EPS:
-            raise ValidationError("cover witness leaves an edge uncovered")
-    x_agg = np.zeros(g.n)
-    for (u, v), val in res.matching_witness.items():
-        x_agg[u] += val
-        x_agg[v] += val
-    if np.any(x_agg > g.weights + _FEAS_EPS):
+    u, v = stream.edge_arrays()
+    if u.size and np.min(y[u] + y[v]) < 1.0 - _FEAS_EPS:
+        raise ValidationError("cover witness leaves an edge uncovered")
+    x_agg = np.zeros(len(stream))
+    for (a, b), val in res.matching_witness.items():
+        x_agg[a] += val
+        x_agg[b] += val
+    if np.any(x_agg > stream.weights() + _FEAS_EPS):
         raise ValidationError("matching witness violates a vertex capacity")
 
 
@@ -142,34 +112,25 @@ def maximum_bipartite_matching(graph) -> np.ndarray:
     return sparse_backend()[1](graph, perm_type="column")
 
 
-def _bipartite_sides(g: StaticGraph) -> tuple[np.ndarray, np.ndarray]:
-    if g.sides is None:
-        raise NotBipartite("side labels required")
-    left = np.array([s is Side.LEFT for s in g.sides])
-    right = np.array([s is Side.RIGHT for s in g.sides])
-    if not np.all(left | right):
+def _bipartite_sides(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right vertex ids; the stream already keeps edges across sides."""
+    if not stream.has_side_labels():
         raise NotBipartite("every vertex must be labeled L or R")
-    if g.edges.size:
-        same = left[g.edges[:, 0]] == left[g.edges[:, 1]]
-        if np.any(same):
-            raise NotBipartite("an edge joins two same-side vertices")
-    return np.flatnonzero(left), np.flatnonzero(right)
+    right = stream.side_codes == SIDE_CODES[Side.RIGHT]
+    return np.flatnonzero(~right), np.flatnonzero(right)
 
 
-def _biadjacency(g: StaticGraph, left: np.ndarray, right: np.ndarray):
-    """Left x right biadjacency of a side-labeled graph as a scipy csr_matrix."""
+def _biadjacency(stream: InstanceStream, left: np.ndarray, right: np.ndarray):
+    """Left x right biadjacency of a side-labeled stream as a scipy csr_matrix."""
     csr_matrix = sparse_backend()[0]
-    lpos = np.full(g.n, -1, dtype=np.int64)
-    rpos = np.full(g.n, -1, dtype=np.int64)
+    lpos = np.full(len(stream), -1, dtype=np.int64)
+    rpos = np.full(len(stream), -1, dtype=np.int64)
     lpos[left] = np.arange(left.size)
     rpos[right] = np.arange(right.size)
-    if g.edges.size:
-        e0, e1 = g.edges[:, 0], g.edges[:, 1]
-        swap = lpos[e0] < 0
-        rows = np.where(swap, lpos[e1], lpos[e0])
-        cols = np.where(swap, rpos[e0], rpos[e1])
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
+    e0, e1 = stream.edge_arrays()
+    swap = lpos[e0] < 0
+    rows = np.where(swap, lpos[e1], lpos[e0])
+    cols = np.where(swap, rpos[e0], rpos[e1])
     data = np.ones(rows.size, dtype=np.int8)
     return csr_matrix(
         (data, (rows, cols)), shape=(max(left.size, 1), max(right.size, 1))
@@ -213,15 +174,15 @@ def _konig_cover(bi, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ~visited_l & matched, visited_r
 
 
-def max_matching_bipartite(g: StaticGraph) -> OracleResult:
+def max_matching_bipartite(stream: InstanceStream) -> OracleResult:
     """Maximum-cardinality matching and a Konig cover of equal size."""
-    if not g.is_unit_weight():
+    if not stream.is_unit_weight():
         raise ValidationError("cardinality oracle requires unit weights")
-    left, right = _bipartite_sides(g)
-    bi = _biadjacency(g, left, right)
+    left, right = _bipartite_sides(stream)
+    bi = _biadjacency(stream, left, right)
     match = _hk_matching(bi)
     cover_l, cover_r = _konig_cover(bi, match)
-    y = np.zeros(g.n)
+    y = np.zeros(len(stream))
     y[left[cover_l[: left.size]]] = 1.0
     y[right[cover_r[: right.size]]] = 1.0
     witness = {}
@@ -237,37 +198,33 @@ def max_matching_bipartite(g: StaticGraph) -> OracleResult:
         cover_witness=y,
         mode="integral-bipartite",
     )
-    _verify_witnesses(g, res)
+    _verify_witnesses(stream, res)
     return res
 
 
 # ------------------------------------------------------ fractional general
 
 
-def _double_cover_csr(g: StaticGraph):
+def _double_cover_csr(stream: InstanceStream):
     """n x n csr_matrix of the double cover: rows u-left, cols v-right."""
     csr_matrix = sparse_backend()[0]
-    if g.edges.size:
-        e0, e1 = g.edges[:, 0], g.edges[:, 1]
-        rows = np.concatenate((e0, e1))
-        cols = np.concatenate((e1, e0))
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-    return csr_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(g.n, g.n)
-    )
+    e0, e1 = stream.edge_arrays()
+    rows = np.concatenate((e0, e1))
+    cols = np.concatenate((e1, e0))
+    n = len(stream)
+    return csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
 
 
-def fractional_optima_general(g: StaticGraph) -> OracleResult:
-    """Exact fractional matching/cover optima of any simple graph.
+def fractional_optima_general(stream: InstanceStream) -> OracleResult:
+    """Exact fractional matching/cover optima of a stream's whole graph.
 
     Both values come from one integral solution on the double cover, so
     they coincide by construction; the cover witness is half-integral.
     """
-    if g.n == 0:
+    if not len(stream):
         return OracleResult(0.0, 0.0, {}, np.zeros(0), "fractional-general")
-    if g.is_unit_weight():
-        bi = _double_cover_csr(g)
+    if stream.is_unit_weight():
+        bi = _double_cover_csr(stream)
         match = _hk_matching(bi)
         cover_l, cover_r = _konig_cover(bi, match)
         y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
@@ -279,16 +236,16 @@ def fractional_optima_general(g: StaticGraph) -> OracleResult:
         value = float(np.count_nonzero(match >= 0)) / 2.0
         res = OracleResult(value, float(y.sum()), witness, y, "fractional-general")
     else:
-        flow, cover_l, cover_r, edge_flows = _min_cut_cover(g)
+        flow, cover_l, cover_r, edge_flows = _min_cut_cover(stream)
         y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
         witness = {}
         for (u, v), fv in edge_flows.items():
             if fv > 0.0:
                 key = (min(u, v), max(u, v))
                 witness[key] = witness.get(key, 0.0) + fv / 2.0
-        cover_value = float((y * g.weights).sum())
+        cover_value = float((y * stream.weights()).sum())
         res = OracleResult(flow / 2.0, cover_value, witness, y, "fractional-general")
-    _verify_witnesses(g, res)
+    _verify_witnesses(stream, res)
     return res
 
 
@@ -363,24 +320,26 @@ class _Dinic:
         return np.asarray(self.level) >= 0
 
 
-def _min_cut_cover(g: StaticGraph):
+def _min_cut_cover(stream: InstanceStream):
     """Weighted double cover solved as a minimum s-t cut.
 
     Nodes: source, u-left copies, v-right copies, sink.  Left capacities
     are vertex weights, ditto right; crossing edges are uncapacitated, so
     the min cut picks a vertex cover and max flow a fractional b-matching.
     """
-    n = g.n
+    n = len(stream)
+    w = stream.weights()
     s, t = 2 * n, 2 * n + 1
     dinic = _Dinic(2 * n + 2)
     for u in range(n):
-        dinic.add(s, u, float(g.weights[u]))
-        dinic.add(n + u, t, float(g.weights[u]))
+        dinic.add(s, u, float(w[u]))
+        dinic.add(n + u, t, float(w[u]))
     mid_edges = {}
-    for u, v in g.edges.tolist():
+    e0, e1 = stream.edge_arrays()
+    for u, v in zip(e0.tolist(), e1.tolist()):
         # strictly dearer than cutting either endpoint, so a min cut only
         # ever selects vertices; also keeps capacities near the weight scale
-        cap = float(g.weights[u] + g.weights[v] + 1.0)
+        cap = float(w[u] + w[v] + 1.0)
         mid_edges[(u, v)] = dinic.add(u, n + v, cap)
         mid_edges[(v, u)] = dinic.add(v, n + u, cap)
     flow = dinic.max_flow(s, t)
@@ -393,7 +352,7 @@ def _min_cut_cover(g: StaticGraph):
         for key, ei in mid_edges.items()
         if dinic.cap[ei ^ 1] > 0.0
     }
-    cut_value = float((g.weights[cover_l]).sum() + (g.weights[cover_r]).sum())
+    cut_value = float((w[cover_l]).sum() + (w[cover_r]).sum())
     if abs(cut_value - flow) > 1e-6 * max(1.0, flow):
         raise ValidationError("min cut does not match max flow")
     return flow, cover_l, cover_r, edge_flows
@@ -405,29 +364,31 @@ def _min_cut_cover(g: StaticGraph):
 _POW3 = 3 ** np.arange(17, dtype=np.int64)
 
 
-def brute_force_half_integral(g: StaticGraph) -> float:
+def brute_force_half_integral(stream: InstanceStream) -> float:
     """Minimum weighted cover over all potentials in {0, 1/2, 1}^V.
 
     Valid as the exact fractional optimum because the cover LP always has
     a half-integral optimal point.  Exhaustive, so capped at n <= 16.
     """
-    if g.n > 16:
-        raise TooLarge(f"brute force capped at 16 vertices, got {g.n}")
-    if g.edges.size == 0:
+    n = len(stream)
+    if n > 16:
+        raise TooLarge(f"brute force capped at 16 vertices, got {n}")
+    if not stream.edge_count():
         return 0.0
+    e0, e1 = stream.edge_arrays()
     levels = np.array([0.0, 0.5, 1.0])
-    total = int(3**g.n)
+    total = int(3**n)
     best = np.inf
-    chunk = 3 ** min(g.n, 12)
+    chunk = 3 ** min(n, 12)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // _POW3[None, : g.n]) % 3
+        digits = (idx[:, None] // _POW3[None, :n]) % 3
         y = levels[digits]
         ok = np.ones(idx.size, dtype=bool)
-        for u, v in g.edges.tolist():
+        for u, v in zip(e0.tolist(), e1.tolist()):
             ok &= y[:, u] + y[:, v] >= 1.0
         if ok.any():
-            best = min(best, float((y[ok] @ g.weights).min()))
+            best = min(best, float((y[ok] @ stream.weights()).min()))
     return best
 
 
@@ -448,9 +409,8 @@ class _GrowingMatching:
 
     def __init__(self, stream: InstanceStream, double: bool):
         n = len(stream)
-        total = np.zeros(n, dtype=np.int32)
-        for ev in stream.events:
-            total[ev.id] += ev.neighbors.size
+        total = np.diff(stream.edge_offsets).astype(np.int32)  # back-edges
+        for ev in stream.events:  # forward edges, without a flat edge copy
             total[ev.neighbors] += 1
         entries = int(total.sum())
         if entries >= 2**31:
@@ -465,7 +425,7 @@ class _GrowingMatching:
         if double:
             self.side = np.arange(span) >= n  # column copies on side 1
         else:
-            self.side = np.array([ev.side is Side.RIGHT for ev in stream.events])
+            self.side = stream.side_codes == SIDE_CODES[Side.RIGHT]
         self.mate = np.full(span, -1, dtype=np.int32)
         self.parent = np.zeros(span, dtype=np.int32)
         self.seen = np.zeros(span, dtype=np.int32)  # number of the last search

@@ -14,7 +14,10 @@ from onlinecover import allocation, engine, oracle
 from onlinecover.allocation import AllocationFunction
 from onlinecover.harness import cli_main, run_ski_rental
 from onlinecover.instance import (
+    InstanceStream,
+    Side,
     SkiRentalSpec,
+    VertexEvent,
     gen_complete_bipartite,
     gen_random,
     gen_triangular,
@@ -143,11 +146,11 @@ def general_graph_runs():
     for p in ps:
         stream = gen_random(200, p, seed=next(seeds))
         trace = engine.run_stream(stream, "primal-dual", FK)
-        opt = oracle.fractional_optima_general(oracle.static_from_stream(stream)).min_cover_value
+        opt = oracle.fractional_optima_general(stream).min_cover_value
         runs.append((f"random p={p}", trace, opt))
     stream = gen_two_phase_matching_hard(200)
     trace = engine.run_stream(stream, "primal-dual", FK)
-    opt = oracle.fractional_optima_general(oracle.static_from_stream(stream)).min_cover_value
+    opt = oracle.fractional_optima_general(stream).min_cover_value
     runs.append(("two-phase(200)", trace, opt))
     return runs, time.monotonic() - t0
 
@@ -186,6 +189,14 @@ def test_criterion_6_invariants(general_graph_runs):
 # 7. oracle cross-validation --------------------------------------------------
 
 
+def _unit_stream(n, edges):
+    """Unit-weight unlabeled stream; vertex j reveals its edges (i, j), i < j."""
+    events = tuple(
+        VertexEvent(j, 1.0, Side.UNLABELED, [i for i, k in edges if k == j]) for j in range(n)
+    )
+    return InstanceStream(events, 0)
+
+
 def test_criterion_7_oracle_cross_validation():
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -193,17 +204,15 @@ def test_criterion_7_oracle_cross_validation():
         n = int(rng.integers(1, 11))
         p = (0.2, 0.5, 0.8)[trial % 3]
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        g = oracle.StaticGraph(
-            n, np.ones(n), np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        )
+        g = _unit_stream(n, edges)
         a = oracle.fractional_optima_general(g).min_cover_value
         b = oracle.brute_force_half_integral(g)
         worst = max(worst, abs(a - b))
     tri = oracle.fractional_optima_general(
-        oracle.StaticGraph(3, np.ones(3), [(0, 1), (1, 2), (0, 2)])
+        _unit_stream(3, [(0, 1), (1, 2), (0, 2)])
     ).min_cover_value
     c5 = oracle.fractional_optima_general(
-        oracle.StaticGraph(5, np.ones(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        _unit_stream(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     ).min_cover_value
     ok = worst <= 1e-12 and tri == 1.5 and c5 == 2.5
     _report(7, ok, f"200 graphs max gap {worst:.1e} <= 1e-12, triangle={tri}, 5-cycle={c5}")
@@ -266,7 +275,7 @@ def test_criterion_9_triangular_2000():
     t0 = time.monotonic()
     stream = gen_triangular(2000)
     trace = engine.run_stream(stream, "primal-dual", FK)
-    opt = oracle.fractional_optima_general(oracle.static_from_stream(stream)).max_matching_value
+    opt = oracle.fractional_optima_general(stream).max_matching_value
     ratio = trace.matching.total_value / opt
     elapsed = time.monotonic() - t0
     ok = 0.5259 <= ratio <= 0.6322 and elapsed < 30.0

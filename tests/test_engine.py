@@ -40,7 +40,6 @@ from onlinecover.oracle import (
     fractional_optima_general,
     prefix_optimal_values,
     prefix_ratios,
-    static_from_stream,
 )
 
 K_STAR = 1.1996786402577338
@@ -254,12 +253,16 @@ def test_weighted_trajectories_match_bisection(n, p, seed, mode, weights, kind):
     )
     func = LEVEL_FUNCS[kind]
     beta = beta_of(func).beta
-    opt = brute_force_half_integral(static_from_stream(stream))
+    opt = brute_force_half_integral(stream)
     wmax = max(1.0, max(weights[:n]))
     # each level is resolved to about 1e-15, which moves a 1e12-weighted
     # cost by about 1e-3: cost slack is relative plus that resolution times
     # the total weight, with room for 8 arrivals
     resolution = 1e-13 * sum(weights[:n])
+    # the final and the prefix oracle agree with the enumeration on weights
+    opt_slack = 1e-9 * max(1.0, opt) + resolution
+    assert abs(fractional_optima_general(stream).min_cover_value - opt) <= opt_slack
+    assert abs(prefix_optimal_values(stream)[-1] - opt) <= opt_slack
     for algo in ("waterfill", "primal-dual"):
         run = run_or_error(stream, algo, func)
         with pytest.MonkeyPatch.context() as mp:
@@ -381,7 +384,7 @@ def test_weighted_primal_dual_bounds_and_invariants():
         assert max(r.inv2_slack for r in trace.rows) < 1e-8
         assert trace.feas_slack > -1e-9
         assert float(np.max(trace.matching.x_agg - trace.cover.weights)) < 1e-9
-        opt = fractional_optima_general(static_from_stream(stream)).min_cover_value
+        opt = fractional_optima_general(stream).min_cover_value
         assert trace.cover.total_cost <= BETA_STAR * opt + 1e-6
         assert trace.matching.total_value >= opt / BETA_STAR - 1e-6
 
@@ -392,7 +395,7 @@ def test_waterfill_cover_matches_primal_dual_cover():
     a = run_stream(stream, "waterfill", FK)
     b = run_stream(stream, "primal-dual", FK)
     assert a.cover.total_cost == pytest.approx(b.cover.total_cost, abs=1e-12)
-    opt = fractional_optima_general(static_from_stream(stream)).min_cover_value
+    opt = fractional_optima_general(stream).min_cover_value
     assert a.cover.total_cost <= BETA_STAR * opt + 1e-6
 
 
@@ -455,7 +458,7 @@ def test_baseline_star_ratio_two():
     trace = run_stream(stream, "greedy")
     assert trace.matching.total_value == 1.0
     assert trace.cover.total_cost == 2.0
-    opt = fractional_optima_general(static_from_stream(stream)).min_cover_value
+    opt = fractional_optima_general(stream).min_cover_value
     assert trace.cover.total_cost / opt == 2.0
 
 
@@ -606,7 +609,7 @@ def test_greedy_equivalent_stays_within_factor_two():
     for seed in (1, 2, 3):
         stream = gen_random(60, 0.2, seed=seed)
         trace = run_stream(stream, "waterfill", f1)
-        opt = fractional_optima_general(static_from_stream(stream)).min_cover_value
+        opt = fractional_optima_general(stream).min_cover_value
         if opt > 0:
             assert trace.cover.total_cost <= 2.0 * opt + 1e-6
 

@@ -1,5 +1,7 @@
 """Tests for the experiment harness, adversaries, and CLI."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import onlinecover
 from onlinecover import engine, oracle
@@ -24,6 +28,7 @@ from onlinecover.harness import (
     run_ski_rental,
 )
 from onlinecover.instance import (
+    RANDOM_MODES,
     SkiRentalSpec,
     parse_instance,
     serialize_instance,
@@ -299,6 +304,10 @@ def test_cli_usage_errors():
         ["ski-rental", "--buy", "0,4,5", "--rent", "1,0", "--t-end", "3"],
         ["adversary", "--budget", "2,5,7,99", "--algo", "waterfill", "--f", "linear-alpha"],
         ["simulate", "--input", "{overflow}"],
+        ["simulate", "--gen", "random:5,0.5", "--seed", "-1"],
+        ["optimize-f", "--tol", "nan"],
+        ["optimize-f", "--tol", "inf"],
+        ["optimize-f", "--tol", "1e-300"],  # finer than floats: ends, no endless search
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
@@ -314,6 +323,99 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+# flag values: small ints, negatives, non-finite numbers, empty and junk
+TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "-7", "0.5", "nan", "inf", "-inf", "", "x", ","])
+
+
+def _ints(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), TOKENS)
+
+
+def _numbers(*good):
+    return st.one_of(st.sampled_from(good), TOKENS)
+
+
+def _listed(element, size):
+    return st.lists(element, min_size=1, max_size=size).map(",".join)
+
+
+_GEN_SPEC = st.one_of(
+    st.tuples(st.sampled_from(["triangular", "two-phase"]), _ints(-1, 20)),
+    st.tuples(st.just("complete"), _listed(_ints(-1, 10), 3)),
+    st.tuples(
+        st.just("random"),
+        st.tuples(
+            _ints(-1, 20), _numbers("0.2", "0.5", "1"), st.sampled_from(RANDOM_MODES + ("x",))
+        ).map(",".join),
+    ),
+    st.tuples(st.sampled_from(["warp", ""]), TOKENS),
+).map(":".join)
+_ALGO = st.sampled_from(["waterfill", "primal-dual", "greedy", "x"])
+_F = st.one_of(
+    st.sampled_from(["linear-alpha", "greedy", "optimal", "x"]), TOKENS.map("family-k:{}".format)
+)
+
+# per command: (required flags, optional flags); None is a flag without a
+# value.  Instances stay small: n <= 20, adversary phases of at most 60
+# arrivals, at most 6 ski-rental intervals (t-end <= 3, step >= 0.5)
+CLI_FLAGS = {
+    "simulate": (
+        {"--gen": _GEN_SPEC},
+        {"--prefix": st.none(), "--algo": _ALGO, "--f": _F, "--seed": _ints(-3, 5)},
+    ),
+    "optimize-f": ({}, {"--tol": _numbers("1e-6", "1e-3", "0.1")}),
+    "verify": ({}, {"--suite": st.sampled_from(["identities", "x"])}),
+    "adversary": (
+        {"--budget": _listed(_ints(-1, 3), 4)},
+        {
+            "--threshold": _numbers("0.9", "0.5"),
+            "--trial-beta": _numbers("0.753", "0.8", "1.5"),
+            "--algo": _ALGO,
+            "--f": _F,
+        },
+    ),
+    "ski-rental": (
+        {
+            "--buy": _listed(_numbers("0", "1", "4"), 3),
+            "--rent": _listed(_numbers("2", "1", "0"), 3),
+            "--t-end": _numbers("1", "3"),
+        },
+        {"--step": _numbers("0.5", "1"), "--algo": _ALGO, "--f": _F},
+    ),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    required, optional = CLI_FLAGS[command]
+    flags = sorted(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        value = draw({**required, **optional}[flag])
+        if value is not None:
+            argv.append(value)
+    return argv
+
+
+@given(argv=cli_argv())
+@example(argv=["simulate", "--gen", "random:5,0.5", "--seed", "-1"])
+@example(argv=["optimize-f", "--tol", "nan"])
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_exit_code_contract(argv):
+    """Any argv exits 0, 1 or 2 and no exception escapes ``cli_main``; a
+    successful ``optimize-f`` met its own cross-check within 10 * tol."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    if argv[0] == "optimize-f" and code == 0:
+        tol = float(argv[2]) if len(argv) > 1 else 1e-6
+        agreement = float(out.getvalue().rsplit("agreement ", 1)[1].rstrip(")\n"))
+        assert agreement <= 10.0 * tol
 
 
 def test_cli_module_usage_error_has_no_traceback(tmp_path):

@@ -199,6 +199,24 @@ def test_offline_events_must_be_isolated():
         )
 
 
+def test_stream_arrays_and_prefix_edges():
+    s = gen_triangular(3)  # lefts 0-2; rights 3, 4, 5 see 3, 2, 1 lefts
+    assert s.weights().tolist() == [1.0] * 6
+    assert s.side_codes.tolist() == [0, 0, 0, 1, 1, 1]
+    assert s.edge_offsets.tolist() == [0, 0, 0, 0, 3, 5, 6]
+    assert edges_of(s)[:5] == list(zip(*(a.tolist() for a in s.edge_arrays(5))))
+    assert s.edge_arrays(3)[0].size == 0
+
+
+def test_stream_arrays_are_read_only():
+    """Runs share a stream (a CoverState holds its weights), so the arrays
+    it stores cannot be written through."""
+    s = gen_triangular(3)
+    for stored in (s.weights(), s.side_codes, s.edge_offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 7
+
+
 def test_roundtrip_is_bit_exact():
     s = gen_random(20, 0.4, seed=3)
     text = serialize_instance(s)

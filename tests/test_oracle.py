@@ -19,7 +19,6 @@ from onlinecover.instance import (
 )
 from onlinecover.oracle import (
     OracleResult,
-    StaticGraph,
     brute_force_half_integral,
     fractional_optima_general,
     max_matching_bipartite,
@@ -31,33 +30,39 @@ from onlinecover.oracle import (
 LR = (Side.LEFT, Side.RIGHT)
 
 
-def unit_graph(n, edges, sides=None):
-    return StaticGraph(
-        n,
-        np.ones(n),
-        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        sides=sides,
-    )
+def graph_stream(n, edges, sides=None, weights=None):
+    """A stream in which vertex j arrives with its edges to earlier vertices."""
+    back = [[] for _ in range(n)]
+    for u, v in edges:
+        back[max(u, v)].append(min(u, v))
+    w = np.ones(n) if weights is None else weights
+    sides = sides or (Side.UNLABELED,) * n
+    events = tuple(VertexEvent(j, float(w[j]), sides[j], back[j]) for j in range(n))
+    return InstanceStream(events, 0)
 
 
 def random_graph(rng, n, p, weights=None):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    w = np.ones(n) if weights is None else weights
-    return StaticGraph(n, w, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    return graph_stream(n, edges, weights=weights)
+
+
+def unlabeled(stream):
+    events = tuple(VertexEvent(e.id, e.weight, Side.UNLABELED, e.neighbors) for e in stream.events)
+    return InstanceStream(events, stream.offline_count)
 
 
 # ----------------------------------------------------------- bipartite
 
 
 def test_single_edge():
-    r = max_matching_bipartite(unit_graph(2, [(0, 1)], sides=LR))
+    r = max_matching_bipartite(graph_stream(2, [(0, 1)], sides=LR))
     assert r.max_matching_value == 1.0
     assert r.min_cover_value == 1.0
     assert r.matching_witness == {(0, 1): 1.0}
 
 
 def test_path_of_three_edges():
-    g = unit_graph(4, [(0, 1), (1, 2), (2, 3)], sides=LR + LR)
+    g = graph_stream(4, [(0, 1), (1, 2), (2, 3)], sides=LR + LR)
     r = max_matching_bipartite(g)
     assert r.max_matching_value == 2.0
     assert r.min_cover_value == 2.0
@@ -65,60 +70,59 @@ def test_path_of_three_edges():
 
 @pytest.mark.parametrize("n", range(1, 51))
 def test_triangular_has_perfect_matching(n):
-    g = static_from_stream(gen_triangular(n))
+    g = gen_triangular(n)
     assert max_matching_bipartite(g).max_matching_value == float(n)
 
 
 def test_triangular_1000_perfect_matching():
-    g = static_from_stream(gen_triangular(1000))
+    g = gen_triangular(1000)
     assert max_matching_bipartite(g).max_matching_value == 1000.0
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_two_phase_matching_is_2n(n):
-    g = static_from_stream(gen_two_phase_matching_hard(n))
+    g = gen_two_phase_matching_hard(n)
     assert max_matching_bipartite(g).max_matching_value == float(2 * n)
 
 
 def test_complete_bipartite_cover_is_min_side():
     from onlinecover.instance import gen_complete_bipartite
 
-    g = static_from_stream(gen_complete_bipartite(100, 1000))
+    g = gen_complete_bipartite(100, 1000)
     assert max_matching_bipartite(g).min_cover_value == 100.0
 
 
 def test_not_bipartite_errors():
     with pytest.raises(NotBipartite):
-        max_matching_bipartite(unit_graph(3, [(0, 1)]))
-    with pytest.raises(NotBipartite):
-        max_matching_bipartite(
-            unit_graph(3, [(0, 1), (1, 2), (0, 2)], sides=(Side.LEFT, Side.RIGHT, Side.LEFT))
-        )
+        max_matching_bipartite(graph_stream(3, [(0, 1)]))
+    # the stream itself rejects a same-side edge, before any oracle runs
+    with pytest.raises(ValidationError):
+        graph_stream(3, [(0, 1), (1, 2), (0, 2)], sides=(Side.LEFT, Side.RIGHT, Side.LEFT))
 
 
 # ----------------------------------------------------------- fractional
 
 
 def test_single_edge_fractional():
-    r = fractional_optima_general(unit_graph(2, [(0, 1)]))
+    r = fractional_optima_general(graph_stream(2, [(0, 1)]))
     assert r.max_matching_value == 1.0
     assert r.min_cover_value == 1.0
 
 
 def test_triangle_and_cycle():
-    tri = fractional_optima_general(unit_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    tri = fractional_optima_general(graph_stream(3, [(0, 1), (1, 2), (0, 2)]))
     assert tri.min_cover_value == 1.5
     assert np.all(tri.cover_witness == 0.5)
-    c5 = fractional_optima_general(unit_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+    c5 = fractional_optima_general(graph_stream(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
     assert c5.min_cover_value == 2.5
 
 
 def test_brute_force_basics():
-    assert brute_force_half_integral(unit_graph(3, [])) == 0.0
-    assert brute_force_half_integral(unit_graph(2, [(0, 1)])) == 1.0
-    assert brute_force_half_integral(unit_graph(3, [(0, 1), (1, 2), (0, 2)])) == 1.5
+    assert brute_force_half_integral(graph_stream(3, [])) == 0.0
+    assert brute_force_half_integral(graph_stream(2, [(0, 1)])) == 1.0
+    assert brute_force_half_integral(graph_stream(3, [(0, 1), (1, 2), (0, 2)])) == 1.5
     with pytest.raises(TooLarge):
-        brute_force_half_integral(unit_graph(17, []))
+        brute_force_half_integral(graph_stream(17, []))
 
 
 def test_fractional_matches_brute_force_sample():
@@ -147,11 +151,8 @@ def test_bipartite_inputs_agree_across_modes():
     rng = np.random.default_rng(3)
     for _ in range(20):
         s = gen_random(int(rng.integers(2, 25)), 0.4, int(rng.integers(0, 999)), mode="bipartite_alternating")
-        g = static_from_stream(s)
-        integral = max_matching_bipartite(g)
-        frac = fractional_optima_general(
-            StaticGraph(g.n, g.weights, g.edges)  # drop labels on purpose
-        )
+        integral = max_matching_bipartite(s)
+        frac = fractional_optima_general(unlabeled(s))  # drop labels on purpose
         assert frac.max_matching_value == pytest.approx(integral.max_matching_value, abs=1e-12)
 
 
@@ -161,8 +162,8 @@ def test_permutation_invariance():
     base = fractional_optima_general(g).min_cover_value
     for _ in range(5):
         perm = rng.permutation(9)
-        edges = perm[g.edges]
-        g2 = StaticGraph(9, np.ones(9), edges)
+        u, v = g.edge_arrays()
+        g2 = graph_stream(9, zip(perm[u].tolist(), perm[v].tolist()))
         assert fractional_optima_general(g2).min_cover_value == base
 
 
@@ -171,29 +172,12 @@ def test_weak_duality_enforced():
         OracleResult(2.0, 1.0, {}, np.zeros(2), "fractional-general")
 
 
-def test_static_graph_validation():
-    with pytest.raises(ValidationError):
-        StaticGraph(2, np.ones(2), [(0, 0)])
-    with pytest.raises(ValidationError):
-        StaticGraph(2, np.ones(2), [(0, 1), (1, 0)])
-    with pytest.raises(ValidationError):
-        StaticGraph(2, np.ones(2), [(0, 5)])
-
-
-def test_static_graph_finds_a_reversed_duplicate_anywhere():
-    path = [(i, i + 1) for i in range(9)]
-    StaticGraph(10, np.ones(10), path)
-    for dup in ((1, 0), (5, 4), (9, 8)):
-        for edges in (path + [dup], [dup] + path):
-            with pytest.raises(ValidationError, match="duplicate edges"):
-                StaticGraph(10, np.ones(10), edges)
-
-
 def test_static_from_stream_prefix():
     s = gen_triangular(4)
     g = static_from_stream(s, 5)  # 4 offline + first online
-    assert g.n == 5
-    assert g.edges.shape[0] == 4  # first online sees all lefts
+    assert len(g) == 5
+    assert g.offline_count == 4
+    assert g.edge_count() == 4  # first online sees all lefts
     assert max_matching_bipartite(g).max_matching_value == 1.0
 
 
@@ -219,13 +203,7 @@ def test_prefix_values_match_full_oracle():
     ):
         vals = prefix_optimal_values(stream)
         for j in range(1, len(stream) + 1):
-            full = fractional_optima_general(
-                StaticGraph(
-                    j,
-                    static_from_stream(stream, j).weights,
-                    static_from_stream(stream, j).edges,
-                )
-            ).min_cover_value
+            full = fractional_optima_general(static_from_stream(stream, j)).min_cover_value
             assert vals[j - 1] == pytest.approx(full, abs=1e-12)
 
 
