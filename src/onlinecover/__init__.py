@@ -12,7 +12,6 @@ from .allocation import (
     BetaReport,
     QuadratureTable,
     beta_of,
-    F_eval,
     ode_residual,
     optimal_k,
     product_identity_residual,

@@ -495,8 +495,7 @@ def check_invariants(
 
     Independent of the incremental bookkeeping the steps maintain: edge
     values are re-aggregated, totals re-summed, and the per-vertex budget
-    inequality re-derived with fresh quadrature.  Reports slacks, never
-    raises.
+    inequality re-derived from f and F.  Reports slacks, never raises.
     """
     n = len(stream) if upto is None else upto
     arrived = np.flatnonzero(cover.is_arrived[:n])

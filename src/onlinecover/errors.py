@@ -29,10 +29,6 @@ class DomainError(OnlineCoverError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class QuadratureError(OnlineCoverError):
-    """Adaptive quadrature hit its depth cap before meeting tolerance."""
-
-
 class ConvergenceError(OnlineCoverError):
     """An iterative solver failed to converge or its cross-checks disagree."""
 

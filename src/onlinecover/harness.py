@@ -388,9 +388,11 @@ def verify_identities(out=None) -> bool:
         report(f"ode-residual k={k}", allocation.ode_residual(k, 2001, 1e-5), 1e-5)
     for k in (1.0, 1.1997, 3.0):
         report(f"product-identity k={k}", allocation.product_identity_residual(k), 1e-9)
+    # the trapezoid in ratio_functional is independent of the closed-form F
+    grid = np.linspace(0.0, 1.0, 10_000)
     for k in (1.05, 1.1997, 1.5):
-        rep = allocation.beta_of(AllocationFunction.family(k), 10_000)
-        report(f"objective-spread k={k}", rep.spread, 1e-6)
+        R = allocation.ratio_functional(AllocationFunction.family(k)(grid), grid)
+        report(f"objective-spread k={k}", float(np.ptp(R)), 1e-6)
     rep1 = allocation.beta_of(AllocationFunction.family(1.0), 10_000)
     report("greedy-member-ratio |beta-2|", abs(rep1.beta - 2.0), 1e-9)
     return ok

@@ -39,6 +39,9 @@ class Side(enum.Enum):
 # side code per vertex in ``InstanceStream.side_codes``
 SIDE_CODES = {Side.LEFT: 0, Side.RIGHT: 1, Side.UNLABELED: -1}
 
+# largest stream a ski-rental spec may reduce to
+MAX_SKI_RENTAL_ARRIVALS = 1_000_000
+
 
 @dataclass(frozen=True)
 class VertexEvent:
@@ -50,12 +53,13 @@ class VertexEvent:
     neighbors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "neighbors", np.asarray(self.neighbors, dtype=np.int64)
-        )
+        # a read-only view: the stream cannot be written through, the
+        # caller's own array stays writeable
+        nbrs = np.asarray(self.neighbors, dtype=np.int64).view()
+        nbrs.flags.writeable = False
+        object.__setattr__(self, "neighbors", nbrs)
         if self.weight < 0.0 or not math.isfinite(self.weight):
             raise ValidationError(f"event {self.id}: weight must be finite and >= 0")
-        nbrs = self.neighbors
         if nbrs.size:
             if nbrs.min() < 0 or nbrs.max() >= self.id:
                 raise ValidationError(
@@ -341,7 +345,11 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
 
 @dataclass(frozen=True)
 class SkiRentalSpec:
-    """Multislope rent-or-buy: states with buy cost b_i and rent rate r_i."""
+    """Multislope rent-or-buy: states with buy cost b_i and rent rate r_i.
+
+    A spec whose reduction exceeds ``MAX_SKI_RENTAL_ARRIVALS`` arrivals is
+    rejected with a ValidationError.
+    """
 
     states: tuple[tuple[float, float], ...]
     epsilon: float
@@ -365,6 +373,16 @@ class SkiRentalSpec:
             raise ValidationError("epsilon must be finite and > 0")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValidationError("t_end must be finite and > 0")
+        # n lefts plus n arrivals per interval; the ratio alone may be inf
+        ratio = self.t_end / self.epsilon
+        if (
+            ratio > MAX_SKI_RENTAL_ARRIVALS
+            or self.n_states * (1 + self.intervals()) > MAX_SKI_RENTAL_ARRIVALS
+        ):
+            raise ValidationError(
+                f"t_end / epsilon = {ratio:.3g} with {self.n_states} states reduces to "
+                f"more than {MAX_SKI_RENTAL_ARRIVALS} arrivals"
+            )
 
     @property
     def n_states(self) -> int:

@@ -65,8 +65,11 @@ def test_criterion_2_identities():
     t0 = time.monotonic()
     ode = {k: allocation.ode_residual(k, 2001, 1e-5) for k in (1.0, 1.1997, 2.0)}
     prod = {k: allocation.product_identity_residual(k) for k in (1.0, 1.1997, 3.0)}
+    # flatness from the trapezoid in ratio_functional: beta_of's g is flat by
+    # construction, since its F is f(1-x) - f(1) for every family member
+    grid = np.linspace(0.0, 1.0, 10_000)
     spread = {
-        k: allocation.beta_of(AllocationFunction.family(k), 10_000).spread
+        k: float(np.ptp(allocation.ratio_functional(AllocationFunction.family(k)(grid), grid)))
         for k in (1.05, 1.1997, 1.5)
     }
     beta1 = allocation.beta_of(AllocationFunction.family(1.0), 10_000).beta

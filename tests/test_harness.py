@@ -404,6 +404,7 @@ def cli_argv(draw):
 @given(argv=cli_argv())
 @example(argv=["simulate", "--gen", "random:5,0.5", "--seed", "-1"])
 @example(argv=["optimize-f", "--tol", "nan"])
+@example(argv=["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "1e9", "--step", "1e-9"])
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_exit_code_contract(argv):
     """Any argv exits 0, 1 or 2 and no exception escapes ``cli_main``; a

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from onlinecover.errors import ParseError, ValidationError
 from onlinecover.instance import (
+    MAX_SKI_RENTAL_ARRIVALS,
     InstanceStream,
     Side,
     SkiRentalSpec,
@@ -217,6 +218,24 @@ def test_stream_arrays_are_read_only():
             stored[0] = 7
 
 
+def test_event_neighbors_are_a_read_only_view():
+    """A validated stream cannot be written through its events, and the
+    array a caller built an event from stays theirs to write."""
+    mine = np.array([0, 1], dtype=np.int64)
+    s = InstanceStream(
+        (
+            VertexEvent(0, 1.0, Side.LEFT, []),
+            VertexEvent(1, 1.0, Side.LEFT, []),
+            VertexEvent(2, 1.0, Side.RIGHT, mine),
+        ),
+        2,
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        s.events[2].neighbors[0] = 1
+    assert edges_of(s) == [(0, 2), (1, 2)]
+    mine[0] = 1  # raises if the caller's array was frozen too
+
+
 def test_roundtrip_is_bit_exact():
     s = gen_random(20, 0.4, seed=3)
     text = serialize_instance(s)
@@ -368,6 +387,13 @@ def test_ski_rental_spec_validation():
         SkiRentalSpec(states=((0.0, 1.0), (5.0, 2.0)), epsilon=1.0, t_end=1.0)
     with pytest.raises(ValidationError):
         SkiRentalSpec(states=((0.0, 1.0), (-5.0, 0.5)), epsilon=1.0, t_end=1.0)
+    # two states reduce to 2 lefts plus 2 arrivals per interval
+    states = ((0.0, 1.0), (4.0, 0.0))
+    cap_t_end = MAX_SKI_RENTAL_ARRIVALS / 2 - 1
+    SkiRentalSpec(states=states, epsilon=1.0, t_end=cap_t_end)
+    for eps, t_end in ((1.0, cap_t_end + 1), (1e-9, 1e9), (1e-300, 1e300)):
+        with pytest.raises(ValidationError, match="arrivals"):
+            SkiRentalSpec(states=states, epsilon=eps, t_end=t_end)
 
 
 def test_ski_rental_strategy_optimum_small():

@@ -2,6 +2,9 @@
 from-scratch matching is solved, scripts run."""
 
 import ast
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import onlinecover
+from onlinecover import allocation, engine, harness, oracle
 
 PACKAGE = Path(onlinecover.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
@@ -121,3 +125,30 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith(header) for line in proc.stdout.splitlines()[:2])
+
+
+def test_bench_tracer_patch_points_exist_and_count():
+    """``bench/tracer.py`` wraps package attributes by name; a rename would
+    leave ``--trace 1`` counting nothing.  Its counters must see f, F and
+    Hopcroft-Karp, and uninstalling must restore every attribute."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    owners = (allocation, engine, harness, oracle, allocation.AllocationFunction,
+              allocation.QuadratureTable, harness.EngineAlgorithm)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer, allocation, engine, harness, oracle)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = harness.cli_main(
+                ["simulate", "--gen", "random:30,0.2", "--algo", "primal-dual"]
+            )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    for name in ("allocation.F", "allocation.f", "oracle.hk"):
+        assert tracer.counted[name][0] > 0, name
+    for owner, snapshot in zip(owners, before):
+        changed = [k for k, v in snapshot.items() if vars(owner).get(k) is not v]
+        assert changed == [], owner
