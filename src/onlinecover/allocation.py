@@ -32,6 +32,11 @@ ALPHA = 1.0 / (math.e - 1.0)
 
 _CHECK_GRID = 10_000
 
+# 1 + f_k(0) is flat at its minimum, so in floats the golden section cannot
+# place k closer than about 6.5e-9 to the coth fixed point; a finer tol
+# could never pass optimal_k's 10 * tol cross-check.
+_MIN_TOL = 1e-9
+
 
 class QuadratureTable:
     """F(x) = int_0^x (1-t)/f(t) dt of one allocation function, in closed form.
@@ -229,12 +234,12 @@ def optimal_k(tol: float = 1e-6) -> "OptimalAllocation":
     Golden-section search assumes unimodality; the result is cross-checked
     against an independent derivation, the real fixed point of the
     hyperbolic cotangent (the stationarity condition of 1 + f_k(0) reduces
-    to coth(k) = k).  The two must agree within 10*tol.  The search stops
-    early once the bracket no longer shrinks in floating point, so a tol
-    finer than that ends in the cross-check, not in an endless loop.
+    to coth(k) = k).  The two must agree within 10*tol.  A tol below
+    1e-9 is rejected up front: h is so flat at its minimum that floats
+    cannot locate k more finely than about 6.5e-9.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    if not (_MIN_TOL <= tol < math.inf):
+        raise DomainError(f"tol must be finite and >= {_MIN_TOL:g}, got {tol!r}")
 
     def h(k: float) -> float:
         a = 0.5 * (1.0 + k)
@@ -249,7 +254,7 @@ def optimal_k(tol: float = 1e-6) -> "OptimalAllocation":
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
     hc, hd = h(c), h(d)
-    while hi - lo > tol and lo < c < d < hi:
+    while hi - lo > tol:
         if hc < hd:
             hi, d, hd = d, c, hc
             c = hi - inv_phi * (hi - lo)

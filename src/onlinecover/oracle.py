@@ -5,25 +5,30 @@ arrivals; the first j arrivals are the stream ``static_from_stream(stream,
 j)``.  The stream is validated once when it is built, so the oracles check
 nothing about the graph again.
 
-Integral bipartite matching comes from Hopcroft-Karp (scipy's C
-implementation) with a vectorized Konig construction for the matching-size
-vertex cover.  Fractional optima in general graphs use the bipartite
-double cover: two copies per vertex turn the half-integral LP optimum into
-an integral bipartite one, solved exactly.  Weighted graphs route the
-double cover through a minimum s-t cut instead.  A tiny-instance
-enumeration over {0, 1/2, 1} potentials serves as an independent check.
+There is one solver per weight class.  Unit weights: ``_unit_optimum``
+runs Hopcroft-Karp (scipy's C implementation) on an n x n biadjacency,
+row u the left copy of u and column v the right copy of v, and reads a
+Konig cover off the matching.  It serves the integral bipartite oracle
+(each edge from its L row to its R column) and the fractional general
+one (the bipartite double cover, each edge both ways, turns the
+half-integral LP optimum into an integral bipartite one).  Weights: the
+double cover as a minimum s-t cut, one ``_CoverNetwork`` whose max flow
+follows augmenting paths of any length without recursion.  A
+tiny-instance enumeration over {0, 1/2, 1} potentials is the
+independent check of both constructions.
 
 The optimum of every prefix of a stream, which worst-prefix ratios divide
 by, comes from one solver kept across the whole stream instead of one
 solve per prefix: for unit weights a maximum matching that grows by one
-augmenting-path search per added node, for weights one max-flow residual
-network whose flow continues after each arrival.  The from-scratch
-solvers above are the independent reference the tests compare it with.
+augmenting-path search per added node, for weights the same
+``_CoverNetwork`` as the from-scratch solve, solved after each arrival
+with its flow continued.  The tests compare both with from-scratch solves
+of every prefix.
 
 scipy is loaded only by the from-scratch unit-weight solvers, on their
 first call (``sparse_backend``), never when this module is imported.  The
-prefix oracle, the min-cut path and the brute force are numpy and Python
-only, so a run that uses nothing else never imports scipy.
+prefix oracle, the weighted network and the brute force are numpy and
+Python only, so a run that uses nothing else never imports scipy.
 
 All public functions are pure functions of their inputs.
 """
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
-from .instance import SIDE_CODES, InstanceStream, Side
+from .instance import SIDE_CODES, InstanceStream, Side, VertexEvent
 
 _FEAS_EPS = 1e-9
 
@@ -88,15 +93,15 @@ def _verify_witnesses(stream: InstanceStream, res: OracleResult):
         raise ValidationError("matching witness violates a vertex capacity")
 
 
-# ------------------------------------------------------- bipartite integral
+# ------------------------------------------------------------ unit weights
 
 
 def sparse_backend():
     """scipy's ``csr_matrix`` and Hopcroft-Karp, imported on the first call.
 
-    The from-scratch unit-weight solvers are scipy's only users.  A caller
-    that is about to run one may call this first to take the import out of
-    whatever it times next.
+    ``_unit_optimum`` is scipy's only user.  A caller that is about to
+    run it may call this first to take the import out of whatever it
+    times next.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching as hopcroft_karp
@@ -110,42 +115,6 @@ def maximum_bipartite_matching(graph) -> np.ndarray:
     scipy's Hopcroft-Karp, imported on the first call.
     """
     return sparse_backend()[1](graph, perm_type="column")
-
-
-def _bipartite_sides(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right vertex ids; the stream already keeps edges across sides."""
-    if not stream.has_side_labels():
-        raise NotBipartite("every vertex must be labeled L or R")
-    right = stream.side_codes == SIDE_CODES[Side.RIGHT]
-    return np.flatnonzero(~right), np.flatnonzero(right)
-
-
-def _biadjacency(stream: InstanceStream, left: np.ndarray, right: np.ndarray):
-    """Left x right biadjacency of a side-labeled stream as a scipy csr_matrix."""
-    csr_matrix = sparse_backend()[0]
-    lpos = np.full(len(stream), -1, dtype=np.int64)
-    rpos = np.full(len(stream), -1, dtype=np.int64)
-    lpos[left] = np.arange(left.size)
-    rpos[right] = np.arange(right.size)
-    e0, e1 = stream.edge_arrays()
-    swap = lpos[e0] < 0
-    rows = np.where(swap, lpos[e1], lpos[e0])
-    cols = np.where(swap, rpos[e0], rpos[e1])
-    data = np.ones(rows.size, dtype=np.int8)
-    return csr_matrix(
-        (data, (rows, cols)), shape=(max(left.size, 1), max(right.size, 1))
-    )
-
-
-def _hk_matching(bi) -> np.ndarray:
-    """Matched column per row (-1 if unmatched).
-
-    Goes through the module global ``maximum_bipartite_matching``, so a
-    wrapper put there sees every from-scratch solve.
-    """
-    if bi.nnz == 0:
-        return np.full(bi.shape[0], -1, dtype=np.int64)
-    return maximum_bipartite_matching(bi).astype(np.int64)
 
 
 def _konig_cover(bi, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,45 +143,52 @@ def _konig_cover(bi, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ~visited_l & matched, visited_r
 
 
-def max_matching_bipartite(stream: InstanceStream) -> OracleResult:
-    """Maximum-cardinality matching and a Konig cover of equal size."""
-    if not stream.is_unit_weight():
-        raise ValidationError("cardinality oracle requires unit weights")
-    left, right = _bipartite_sides(stream)
-    bi = _biadjacency(stream, left, right)
-    match = _hk_matching(bi)
+def _unit_optimum(stream: InstanceStream, double: bool) -> OracleResult:
+    """Unit-weight optimum from one Hopcroft-Karp matching and its Konig cover.
+
+    The biadjacency is n x n: row u is u's left copy, column v is v's
+    right copy.  ``double=True`` is the bipartite double cover of any
+    graph (each edge both ways, values and potentials halved);
+    otherwise each edge of a side-labeled stream runs from its L row to
+    its R column, and the rows of R and columns of L stay empty.
+    """
+    csr_matrix = sparse_backend()[0]
+    n = len(stream)
+    e0, e1 = stream.edge_arrays()
+    if double:
+        rows, cols = np.concatenate((e0, e1)), np.concatenate((e1, e0))
+    else:
+        swap = stream.side_codes[e0] == SIDE_CODES[Side.RIGHT]
+        rows, cols = np.where(swap, e1, e0), np.where(swap, e0, e1)
+    bi = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    match = np.full(n, -1, dtype=np.int64)
+    if bi.nnz:  # through the module global, so a wrapper put there sees every solve
+        match = maximum_bipartite_matching(bi).astype(np.int64)
     cover_l, cover_r = _konig_cover(bi, match)
-    y = np.zeros(len(stream))
-    y[left[cover_l[: left.size]]] = 1.0
-    y[right[cover_r[: right.size]]] = 1.0
-    witness = {}
-    for li in np.flatnonzero(match >= 0):
-        u = int(left[li])
-        v = int(right[match[li]])
-        witness[(min(u, v), max(u, v))] = 1.0
-    size = float(np.count_nonzero(match >= 0))
-    res = OracleResult(
-        max_matching_value=size,
-        min_cover_value=float(y.sum()),
-        matching_witness=witness,
-        cover_witness=y,
-        mode="integral-bipartite",
-    )
+    share = 0.5 if double else 1.0
+    y = (cover_l.astype(float) + cover_r.astype(float)) * share
+    witness: dict[tuple[int, int], float] = {}
+    for u in np.flatnonzero(match >= 0):
+        v = int(match[u])
+        key = (min(int(u), v), max(int(u), v))
+        witness[key] = witness.get(key, 0.0) + share
+    value = float(np.count_nonzero(match >= 0)) * share
+    mode = "fractional-general" if double else "integral-bipartite"
+    res = OracleResult(value, float(y.sum()), witness, y, mode)
     _verify_witnesses(stream, res)
     return res
 
 
+def max_matching_bipartite(stream: InstanceStream) -> OracleResult:
+    """Maximum-cardinality matching and a Konig cover of equal size."""
+    if not stream.is_unit_weight():
+        raise ValidationError("cardinality oracle requires unit weights")
+    if not stream.has_side_labels():
+        raise NotBipartite("every vertex must be labeled L or R")
+    return _unit_optimum(stream, double=False)
+
+
 # ------------------------------------------------------ fractional general
-
-
-def _double_cover_csr(stream: InstanceStream):
-    """n x n csr_matrix of the double cover: rows u-left, cols v-right."""
-    csr_matrix = sparse_backend()[0]
-    e0, e1 = stream.edge_arrays()
-    rows = np.concatenate((e0, e1))
-    cols = np.concatenate((e1, e0))
-    n = len(stream)
-    return csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
 
 
 def fractional_optima_general(stream: InstanceStream) -> OracleResult:
@@ -224,138 +200,146 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     if not len(stream):
         return OracleResult(0.0, 0.0, {}, np.zeros(0), "fractional-general")
     if stream.is_unit_weight():
-        bi = _double_cover_csr(stream)
-        match = _hk_matching(bi)
-        cover_l, cover_r = _konig_cover(bi, match)
-        y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
-        witness: dict[tuple[int, int], float] = {}
-        for u in np.flatnonzero(match >= 0):
-            v = int(match[u])
-            key = (min(int(u), v), max(int(u), v))
-            witness[key] = witness.get(key, 0.0) + 0.5
-        value = float(np.count_nonzero(match >= 0)) / 2.0
-        res = OracleResult(value, float(y.sum()), witness, y, "fractional-general")
-    else:
-        flow, cover_l, cover_r, edge_flows = _min_cut_cover(stream)
-        y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
-        witness = {}
-        for (u, v), fv in edge_flows.items():
-            if fv > 0.0:
-                key = (min(u, v), max(u, v))
-                witness[key] = witness.get(key, 0.0) + fv / 2.0
-        cover_value = float((y * stream.weights()).sum())
-        res = OracleResult(flow / 2.0, cover_value, witness, y, "fractional-general")
+        return _unit_optimum(stream, double=True)
+    net = _CoverNetwork(stream)
+    for ev in stream.events:
+        net.add(ev)
+    y, cover_value = net.solve()
+    witness: dict[tuple[int, int], float] = {}
+    for (u, v), fv in net.edge_flows().items():
+        key = (min(u, v), max(u, v))
+        witness[key] = witness.get(key, 0.0) + fv / 2.0
+    res = OracleResult(net.flow / 2.0, cover_value, witness, y, "fractional-general")
     _verify_witnesses(stream, res)
     return res
 
 
-class _Dinic:
-    """Max flow with float capacities.
+class _CoverNetwork:
+    """The weighted double cover as a max-flow network, grown by arrivals.
+
+    Nodes: u-left copies 0..n-1, v-right copies n..2n-1, source 2n, sink
+    2n+1.  Left and right capacities are vertex weights; crossing arcs
+    are dearer than cutting either endpoint, so a minimum cut picks a
+    vertex cover and the maximum flow is a fractional b-matching.  Adding
+    arcs never lowers the maximum, so ``solve`` continues the flow from
+    the previous one (Dinic's blocking flows).
 
     Residual tests are exact (> 0): the bottleneck subtraction zeroes its
-    edge exactly, so blocking flows terminate without an epsilon, and any
-    rounding dust on non-bottleneck edges stays nonnegative.
+    arc exactly, so blocking flows terminate without an epsilon, and any
+    rounding dust on non-bottleneck arcs stays nonnegative.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
+    def __init__(self, stream: InstanceStream):
+        n = len(stream)
+        self.n, self.s, self.t = n, 2 * n, 2 * n + 1
+        self.w = stream.weights()
+        self.head: list[list[int]] = [[] for _ in range(2 * n + 2)]
+        self.to: list[int] = []  # arc i and its reverse i ^ 1
         self.cap: list[float] = []
+        self.level: list[int] = []
+        self.arrived = 0
+        self.flow = 0.0
 
-    def add(self, u: int, v: int, c: float) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
+    def _arc(self, u: int, v: int, c: float) -> None:
+        self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(c)
-        self.head[v].append(idx + 1)
+        self.head[v].append(len(self.to))
         self.to.append(u)
         self.cap.append(0.0)
-        return idx
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = [s]
+    def add(self, ev: VertexEvent) -> None:
+        """An arrival's source and sink arcs, then its crossing arcs."""
+        n, w, v = self.n, self.w, ev.id
+        self._arc(self.s, v, float(w[v]))
+        self._arc(n + v, self.t, float(w[v]))
+        for u in ev.neighbors.tolist():
+            cap = float(w[u] + w[v] + 1.0)
+            self._arc(u, n + v, cap)
+            self._arc(v, n + u, cap)
+        self.arrived = v + 1
+
+    def _bfs(self) -> bool:
+        head, to, cap = self.head, self.to, self.cap
+        level = [-1] * len(head)
+        level[self.s] = 0
+        q = [self.s]
         for u in q:
-            for ei in self.head[u]:
-                v = self.to[ei]
-                if self.cap[ei] > 0.0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
+            for ei in head[u]:
+                v = to[ei]
+                if cap[ei] > 0.0 and level[v] < 0:
+                    level[v] = level[u] + 1
                     q.append(v)
-        return self.level[t] >= 0
+        self.level = level
+        return level[self.t] >= 0
 
-    def _dfs(self, u: int, t: int, pushed: float) -> float:
-        if u == t:
-            return pushed
-        while self.iter[u] < len(self.head[u]):
-            ei = self.head[u][self.iter[u]]
-            v = self.to[ei]
-            if self.cap[ei] > 0.0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(pushed, self.cap[ei]))
-                if d > 0.0:
-                    self.cap[ei] -= d
-                    self.cap[ei ^ 1] += d
-                    return d
-            self.iter[u] += 1
-        return 0.0
+    def _augment(self, nxt: list[int]) -> float:
+        """Push flow along one path of the level graph, found depth-first.
 
-    def max_flow(self, s: int, t: int) -> float:
-        total = 0.0
-        while self._bfs(s, t):
-            self.iter = [0] * self.n
-            while True:
-                f = self._dfs(s, t, float("inf"))
-                if f <= 0.0:
-                    break
-                total += f
-        return total
-
-    def source_side(self) -> np.ndarray:
-        """Nodes reachable from the source in the residual graph.
-
-        ``max_flow`` ends with a search that fails to reach the sink; the
-        levels it set mark exactly the source side of a minimum cut.
+        The path is an explicit stack of arcs, so it may be of any length.
+        ``nxt[u]`` is u's first arc not yet found to lead to a dead end in
+        this phase.  Returns the amount pushed, 0.0 once the phase's flow
+        is blocking.
         """
-        return np.asarray(self.level) >= 0
+        head, to, cap, level = self.head, self.to, self.cap, self.level
+        path: list[int] = []
+        u = self.s
+        while u != self.t:
+            arcs, i, up = head[u], nxt[u], level[u] + 1
+            while i < len(arcs):
+                ei = arcs[i]
+                if cap[ei] > 0.0 and level[to[ei]] == up:
+                    break
+                i += 1
+            nxt[u] = i
+            if i < len(arcs):
+                path.append(ei)
+                u = to[ei]
+            elif path:  # dead end: back up and skip the arc that led here
+                u = to[path.pop() ^ 1]
+                nxt[u] += 1
+            else:
+                return 0.0
+        d = min(cap[ei] for ei in path)
+        for ei in path:
+            cap[ei] -= d
+            cap[ei ^ 1] += d
+        return d
 
+    def solve(self) -> tuple[np.ndarray, float]:
+        """Continue the flow to a maximum; the half-integral cover and its weight.
 
-def _min_cut_cover(stream: InstanceStream):
-    """Weighted double cover solved as a minimum s-t cut.
+        The last search fails to reach the sink, and the nodes it reached
+        are the source side of a minimum cut, whose weight must equal the
+        flow.
+        """
+        pushed = 0.0
+        while self._bfs():
+            nxt = [0] * len(self.head)
+            while (d := self._augment(nxt)) > 0.0:
+                pushed += d
+        self.flow += pushed
+        n, k = self.n, self.arrived
+        reach = np.asarray(self.level) >= 0
+        cover_l, cover_r = ~reach[:k], reach[n : n + k]
+        w = self.w[:k]
+        cut_value = float(w[cover_l].sum() + w[cover_r].sum())
+        if abs(cut_value - self.flow) > 1e-6 * max(1.0, self.flow):
+            raise ValidationError(f"{k} arrivals: min cut does not match max flow")
+        y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
+        return y, float((y * w).sum())
 
-    Nodes: source, u-left copies, v-right copies, sink.  Left capacities
-    are vertex weights, ditto right; crossing edges are uncapacitated, so
-    the min cut picks a vertex cover and max flow a fractional b-matching.
-    """
-    n = len(stream)
-    w = stream.weights()
-    s, t = 2 * n, 2 * n + 1
-    dinic = _Dinic(2 * n + 2)
-    for u in range(n):
-        dinic.add(s, u, float(w[u]))
-        dinic.add(n + u, t, float(w[u]))
-    mid_edges = {}
-    e0, e1 = stream.edge_arrays()
-    for u, v in zip(e0.tolist(), e1.tolist()):
-        # strictly dearer than cutting either endpoint, so a min cut only
-        # ever selects vertices; also keeps capacities near the weight scale
-        cap = float(w[u] + w[v] + 1.0)
-        mid_edges[(u, v)] = dinic.add(u, n + v, cap)
-        mid_edges[(v, u)] = dinic.add(v, n + u, cap)
-    flow = dinic.max_flow(s, t)
-    reach = dinic.source_side()
-    cover_l = ~reach[:n]
-    cover_r = reach[n : 2 * n]
-    # net flow sits on the reverse edge, accumulated exactly from zero
-    edge_flows = {
-        key: dinic.cap[ei ^ 1]
-        for key, ei in mid_edges.items()
-        if dinic.cap[ei ^ 1] > 0.0
-    }
-    cut_value = float((w[cover_l]).sum() + (w[cover_r]).sum())
-    if abs(cut_value - flow) > 1e-6 * max(1.0, flow):
-        raise ValidationError("min cut does not match max flow")
-    return flow, cover_l, cover_r, edge_flows
+    def edge_flows(self) -> dict[tuple[int, int], float]:
+        """Flow on each crossing arc u-left -> v-right that carries any.
+
+        Net flow sits on the reverse arc, accumulated exactly from zero.
+        """
+        n, to, cap = self.n, self.to, self.cap
+        return {
+            (to[ei + 1], to[ei] - n): cap[ei + 1]
+            for ei in range(0, len(to), 2)
+            if to[ei + 1] < n and cap[ei + 1] > 0.0
+        }
 
 
 # ------------------------------------------------------------- brute force
@@ -543,40 +527,13 @@ def _unit_prefix_values(stream: InstanceStream) -> np.ndarray:
 
 
 def _weighted_prefix_values(stream: InstanceStream) -> np.ndarray:
-    """Minimum weighted fractional cover after each arrival.
-
-    One residual network of the weighted double cover (as in
-    ``_min_cut_cover``) grows with the stream: an arrival adds its source
-    and sink arcs and its mid arcs, and ``max_flow`` continues from the
-    previous flow, since adding arcs never lowers the maximum.  The cover
-    is the minimum cut read from the residual graph, whose weight must
-    equal the flow at every prefix.
-    """
-    n = len(stream)
-    w = stream.weights()
-    s, t = 2 * n, 2 * n + 1
-    net = _Dinic(2 * n + 2)
-    flow = 0.0
-    vals = np.zeros(n)
+    """Minimum weighted fractional cover after each arrival: one
+    ``_CoverNetwork`` grows with the stream and is solved per arrival."""
+    net = _CoverNetwork(stream)
+    vals = np.zeros(len(stream))
     for ev in stream.events:
-        v = ev.id
-        wv = float(w[v])
-        net.add(s, v, wv)
-        net.add(n + v, t, wv)
-        for u in ev.neighbors.tolist():
-            cap = float(w[u] + w[v] + 1.0)
-            net.add(u, n + v, cap)
-            net.add(v, n + u, cap)
-        flow += net.max_flow(s, t)
-        reach = net.source_side()
-        cover_l = ~reach[: v + 1]
-        cover_r = reach[n : n + v + 1]
-        wj = w[: v + 1]
-        cut_value = float(wj[cover_l].sum() + wj[cover_r].sum())
-        if abs(cut_value - flow) > 1e-6 * max(1.0, flow):
-            raise ValidationError(f"prefix {v + 1}: min cut does not match max flow")
-        y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
-        vals[v] = float((y * wj).sum())
+        net.add(ev)
+        vals[ev.id] = net.solve()[1]
     return vals
 
 

@@ -259,6 +259,12 @@ def test_greedy_endpoint_of_family():
 def test_optimal_k_rejects_bad_tol():
     with pytest.raises(DomainError):
         optimal_k(-1.0)
+    # below 1e-9 float h cannot place k within 10 * tol of the coth fixed
+    # point: a domain error naming the floor, not a failed cross-check
+    with pytest.raises(DomainError, match="1e-09"):
+        optimal_k(1e-10)
+    res = optimal_k(1e-9)
+    assert abs(res.k - res.k_coth) <= 1e-8
 
 
 # ---------------------------------------------------------------- smoothing

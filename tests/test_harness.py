@@ -307,7 +307,7 @@ def test_cli_usage_errors():
         ["simulate", "--gen", "random:5,0.5", "--seed", "-1"],
         ["optimize-f", "--tol", "nan"],
         ["optimize-f", "--tol", "inf"],
-        ["optimize-f", "--tol", "1e-300"],  # finer than floats: ends, no endless search
+        ["optimize-f", "--tol", "1e-300"],  # below the 1e-9 floor
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):

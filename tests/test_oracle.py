@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from onlinecover import oracle
 from onlinecover.errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
+from onlinecover.harness import cli_main
 from onlinecover.instance import (
     InstanceStream,
     Side,
@@ -16,6 +17,7 @@ from onlinecover.instance import (
     gen_triangular,
     gen_two_phase_matching_hard,
     reduce_ski_rental,
+    serialize_instance,
 )
 from onlinecover.oracle import (
     OracleResult,
@@ -28,6 +30,7 @@ from onlinecover.oracle import (
 )
 
 LR = (Side.LEFT, Side.RIGHT)
+MODES = ("general", "bipartite_one_sided", "bipartite_alternating")
 
 
 def graph_stream(n, edges, sides=None, weights=None):
@@ -148,12 +151,21 @@ def test_weighted_fractional_matches_brute_force():
 
 
 def test_bipartite_inputs_agree_across_modes():
+    """The integral oracle's n x n layout against the double cover, on edgeless
+    and one-vertex streams and on streams where R arrives before its L."""
+    streams = [graph_stream(1, [], sides=(side,)) for side in LR]
+    streams += [gen_random(n, 0.0, 0, mode=m) for n in (1, 6) for m in MODES[1:]]
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        s = gen_random(int(rng.integers(2, 25)), 0.4, int(rng.integers(0, 999)), mode="bipartite_alternating")
+    streams += [
+        gen_random(int(rng.integers(2, 25)), 0.4, int(rng.integers(0, 999)), mode=MODES[2])
+        for _ in range(20)
+    ]
+    for s in streams:
         integral = max_matching_bipartite(s)
+        assert np.all((integral.cover_witness == 0.0) | (integral.cover_witness == 1.0))
         frac = fractional_optima_general(unlabeled(s))  # drop labels on purpose
-        assert frac.max_matching_value == pytest.approx(integral.max_matching_value, abs=1e-12)
+        assert integral.max_matching_value == frac.max_matching_value
+        assert integral.min_cover_value == frac.min_cover_value
 
 
 def test_permutation_invariance():
@@ -216,9 +228,6 @@ def test_prefix_values_weighted_path():
         assert vals[j - 1] == full
 
 
-MODES = ("general", "bipartite_one_sided", "bipartite_alternating")
-
-
 def with_weights(stream, w):
     events = tuple(
         VertexEvent(ev.id, float(w[ev.id]), ev.side, ev.neighbors) for ev in stream.events
@@ -274,7 +283,8 @@ def test_warm_prefix_values_float_weights():
 
 def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
     """One warm-started solver per stream: the from-scratch entry points run
-    at most once in total, where a per-prefix loop would call them per arrival."""
+    at most once in total, where a per-prefix loop would call them per
+    arrival, and a weighted stream builds exactly one flow network."""
     calls = []
     for name in ("maximum_bipartite_matching", "fractional_optima_general"):
         fn = getattr(oracle, name)
@@ -284,12 +294,44 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(oracle, name, counted)
+    networks = []
+
+    class CountedNetwork(oracle._CoverNetwork):
+        def __init__(self, stream):
+            networks.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(oracle, "_CoverNetwork", CountedNetwork)
     spec = SkiRentalSpec(states=((0.0, 2.0), (5.0, 1.0), (9.0, 0.0)), epsilon=1.0, t_end=6.0)
-    for stream in (gen_triangular(60), reduce_ski_rental(spec)):
+    for stream, built in ((gen_triangular(60), 0), (reduce_ski_rental(spec), 1)):
         calls.clear()
+        networks.clear()
         vals = oracle.prefix_optimal_values(stream)
         assert vals[-1] > 0.0
         assert len(calls) <= 1
+        assert len(networks) == built
+
+
+def zigzag(m):
+    """R_0..R_{m-1} offline, L_i (i >= 1) adjacent to R_{i-1} and R_i, then
+    L_0 adjacent to R_0 alone, every weight 2: the last arrival's augmenting
+    path runs through all 2m vertices."""
+    events = [VertexEvent(i, 2.0, Side.RIGHT, []) for i in range(m)]
+    events += [VertexEvent(m - 1 + i, 2.0, Side.LEFT, [i - 1, i]) for i in range(1, m)]
+    events.append(VertexEvent(2 * m - 1, 2.0, Side.LEFT, [0]))
+    return InstanceStream(tuple(events), m)
+
+
+def test_augmenting_path_longer_than_the_recursion_limit(tmp_path, capsys):
+    stream = zigzag(600)
+    assert fractional_optima_general(stream).min_cover_value == 1200.0
+    assert prefix_optimal_values(stream)[-1] == 1200.0
+    path = tmp_path / "zigzag.txt"
+    path.write_text(serialize_instance(stream))
+    argv = ["simulate", "--input", str(path), "--algo", "waterfill", "--f", "linear-alpha"]
+    assert cli_main(argv) == 0
+    assert cli_main(argv + ["--prefix"]) == 0
+    assert capsys.readouterr().out.count("#summary") == 2
 
 
 # ---------------------------------------------------------------- ratios
