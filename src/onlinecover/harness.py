@@ -286,11 +286,7 @@ def adaptive_adversary_vc(
     phase_sizes: list[int] = []
     for phase in range(1, k + 1):
         presenting_right = phase % 2 == 1
-        attach_to = lefts if presenting_right else rights
-        driven = attach_to  # the attached side is the one forced toward 1
-        if not attach_to:
-            phase_sizes.append(0)
-            continue
+        attach_to = lefts if presenting_right else rights  # the side forced toward 1
         limit = min(fixed_sizes.get(phase, budget.per_phase_cap), budget.per_phase_cap)
         by_convergence = phase not in fixed_sizes and phase > 1
         count = 0
@@ -302,9 +298,8 @@ def adaptive_adversary_vc(
             alg.process(ev)
             (rights if presenting_right else lefts).append(vid)
             count += 1
-            if by_convergence and driven:
-                if float(np.min(alg.cover.y[driven])) >= budget.convergence_threshold:
-                    break
+            if by_convergence and np.min(alg.cover.y[attach_to]) >= budget.convergence_threshold:
+                break
         else:
             if by_convergence:
                 budget_exhausted = True

@@ -317,22 +317,18 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
     offline_count = 0
     if mode == "general":
         sides = [Side.UNLABELED] * n
-        eligible = [np.arange(i, dtype=np.int64) for i in range(n)]
     elif mode == "bipartite_one_sided":
         offline_count = (n + 1) // 2
         sides = [Side.LEFT] * offline_count + [Side.RIGHT] * (n - offline_count)
-        eligible = [
-            np.arange(offline_count, dtype=np.int64) if i >= offline_count else np.empty(0, np.int64)
-            for i in range(n)
-        ]
     else:
         sides = [Side.LEFT if i % 2 == 0 else Side.RIGHT for i in range(n)]
-        eligible = [
-            np.flatnonzero([sides[j] is not sides[i] for j in range(i)]).astype(np.int64)
-            for i in range(n)
-        ]
-    for i in range(n):
-        cand = eligible[i]
+    for i in range(n):  # each arrival's candidates only when it comes: O(n + E) memory
+        if mode == "general":
+            cand = np.arange(i, dtype=np.int64)
+        elif mode == "bipartite_one_sided":
+            cand = np.arange(offline_count if i >= offline_count else 0, dtype=np.int64)
+        else:  # the earlier arrivals of the other parity
+            cand = np.arange((i + 1) % 2, i, 2, dtype=np.int64)
         mask = rng.random(cand.size) < p
         events.append(VertexEvent(i, 1.0, sides[i], cand[mask]))
     return InstanceStream(

@@ -13,7 +13,9 @@ Konig cover off the matching.  It serves the integral bipartite oracle
 one (the bipartite double cover, each edge both ways, turns the
 half-integral LP optimum into an integral bipartite one).  Weights: the
 double cover as a minimum s-t cut, one ``_CoverNetwork`` whose max flow
-follows augmenting paths of any length without recursion.  A
+follows augmenting paths of any length without recursion.  Both count in
+integers (halves, or weights over a common power of two), so every check
+is an exact comparison and each value is rounded to a float once.  A
 tiny-instance enumeration over {0, 1/2, 1} potentials is the
 independent check of both constructions.
 
@@ -42,8 +44,6 @@ import numpy as np
 from .errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
 from .instance import SIDE_CODES, InstanceStream, Side, VertexEvent
 
-_FEAS_EPS = 1e-9
-
 
 def static_from_stream(stream: InstanceStream, upto: int | None = None) -> InstanceStream:
     """The first ``upto`` arrivals (all by default) as a stream of their own.
@@ -68,11 +68,7 @@ class OracleResult:
     mode: str  # "integral-bipartite" | "fractional-general"
 
     def __post_init__(self):
-        if self.max_matching_value > self.min_cover_value + _FEAS_EPS:
-            raise ValidationError("weak duality violated in oracle result")
-        if abs(self.max_matching_value - self.min_cover_value) > _FEAS_EPS * max(
-            1.0, self.min_cover_value
-        ):
+        if self.max_matching_value != self.min_cover_value:
             raise ValidationError(f"{self.mode}: optimal values must coincide")
         if self.mode == "fractional-general":
             y = self.cover_witness
@@ -80,17 +76,44 @@ class OracleResult:
                 raise ValidationError("fractional cover witness must be half-integral")
 
 
-def _verify_witnesses(stream: InstanceStream, res: OracleResult):
-    y = res.cover_witness
+def _scaled_weights(stream: InstanceStream) -> tuple[np.ndarray, int]:
+    """The weights as Python ints over their largest power-of-two denominator, and it."""
+    ratios = [w.as_integer_ratio() for w in stream.weights().tolist()]
+    den = max((d for _, d in ratios), default=1)
+    return np.array([a * (den // d) for a, d in ratios], dtype=object), den
+
+
+def _to_float(num: int, den: int) -> float:
+    """``num / den``, correctly rounded; a value beyond the float range is an error."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValidationError("the optimum is beyond the float range") from None
+
+
+def _certified(stream: InstanceStream, cover2: np.ndarray, arcs, mode: str) -> OracleResult:
+    """Check integer witnesses exactly, then convert them to floats once.
+
+    ``cover2`` holds the potentials in halves; ``arcs`` yields (a, b, x), the
+    matching x on the double-cover arc a -> b in units of 1/(2 den).
+    """
+    iw, den = _scaled_weights(stream)
     u, v = stream.edge_arrays()
-    if u.size and np.min(y[u] + y[v]) < 1.0 - _FEAS_EPS:
+    if u.size and np.min(cover2[u] + cover2[v]) < 2:
         raise ValidationError("cover witness leaves an edge uncovered")
-    x_agg = np.zeros(len(stream))
-    for (a, b), val in res.matching_witness.items():
-        x_agg[a] += val
-        x_agg[b] += val
-    if np.any(x_agg > stream.weights() + _FEAS_EPS):
+    pairs: dict[tuple[int, int], int] = {}
+    load = [0] * len(stream)
+    for a, b, x in arcs:
+        key = (min(a, b), max(a, b))
+        pairs[key] = pairs.get(key, 0) + x
+        load[a] += x
+        load[b] += x
+    if any(x > 2 * c for x, c in zip(load, iw)):  # each vertex has two copies
         raise ValidationError("matching witness violates a vertex capacity")
+    scale = 2 * den
+    value = _to_float(sum(pairs.values()), scale)
+    witness = {k: x / scale for k, x in pairs.items()}
+    return OracleResult(value, _to_float((cover2 * iw).sum(), scale), witness, cover2 / 2.0, mode)
 
 
 # ------------------------------------------------------------ unit weights
@@ -165,18 +188,10 @@ def _unit_optimum(stream: InstanceStream, double: bool) -> OracleResult:
     if bi.nnz:  # through the module global, so a wrapper put there sees every solve
         match = maximum_bipartite_matching(bi).astype(np.int64)
     cover_l, cover_r = _konig_cover(bi, match)
-    share = 0.5 if double else 1.0
-    y = (cover_l.astype(float) + cover_r.astype(float)) * share
-    witness: dict[tuple[int, int], float] = {}
-    for u in np.flatnonzero(match >= 0):
-        v = int(match[u])
-        key = (min(int(u), v), max(int(u), v))
-        witness[key] = witness.get(key, 0.0) + share
-    value = float(np.count_nonzero(match >= 0)) * share
+    share = 1 if double else 2  # halves per matched row
+    arcs = ((int(u), int(match[u]), share) for u in np.flatnonzero(match >= 0))
     mode = "fractional-general" if double else "integral-bipartite"
-    res = OracleResult(value, float(y.sum()), witness, y, mode)
-    _verify_witnesses(stream, res)
-    return res
+    return _certified(stream, (cover_l.astype(np.int64) + cover_r) * share, arcs, mode)
 
 
 def max_matching_bipartite(stream: InstanceStream) -> OracleResult:
@@ -204,14 +219,7 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     net = _CoverNetwork(stream)
     for ev in stream.events:
         net.add(ev)
-    y, cover_value = net.solve()
-    witness: dict[tuple[int, int], float] = {}
-    for (u, v), fv in net.edge_flows().items():
-        key = (min(u, v), max(u, v))
-        witness[key] = witness.get(key, 0.0) + fv / 2.0
-    res = OracleResult(net.flow / 2.0, cover_value, witness, y, "fractional-general")
-    _verify_witnesses(stream, res)
-    return res
+    return _certified(stream, net.solve()[0], net.edge_flows(), "fractional-general")
 
 
 class _CoverNetwork:
@@ -224,37 +232,37 @@ class _CoverNetwork:
     arcs never lowers the maximum, so ``solve`` continues the flow from
     the previous one (Dinic's blocking flows).
 
-    Residual tests are exact (> 0): the bottleneck subtraction zeroes its
-    arc exactly, so blocking flows terminate without an epsilon, and any
-    rounding dust on non-bottleneck arcs stays nonnegative.
+    Capacities and flows are exact Python ints: the weights are scaled by
+    their common power-of-two denominator ``den``, and a crossing arc holds
+    w_u + w_v + den.  The cover's value is rounded once, to cut / (2 den).
     """
 
     def __init__(self, stream: InstanceStream):
         n = len(stream)
         self.n, self.s, self.t = n, 2 * n, 2 * n + 1
-        self.w = stream.weights()
+        self.w, self.den = _scaled_weights(stream)
         self.head: list[list[int]] = [[] for _ in range(2 * n + 2)]
         self.to: list[int] = []  # arc i and its reverse i ^ 1
-        self.cap: list[float] = []
+        self.cap: list[int] = []
         self.level: list[int] = []
         self.arrived = 0
-        self.flow = 0.0
+        self.flow = 0
 
-    def _arc(self, u: int, v: int, c: float) -> None:
+    def _arc(self, u: int, v: int, c: int) -> None:
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(c)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0.0)
+        self.cap.append(0)
 
     def add(self, ev: VertexEvent) -> None:
         """An arrival's source and sink arcs, then its crossing arcs."""
         n, w, v = self.n, self.w, ev.id
-        self._arc(self.s, v, float(w[v]))
-        self._arc(n + v, self.t, float(w[v]))
+        self._arc(self.s, v, w[v])
+        self._arc(n + v, self.t, w[v])
         for u in ev.neighbors.tolist():
-            cap = float(w[u] + w[v] + 1.0)
+            cap = w[u] + w[v] + self.den
             self._arc(u, n + v, cap)
             self._arc(v, n + u, cap)
         self.arrived = v + 1
@@ -267,19 +275,19 @@ class _CoverNetwork:
         for u in q:
             for ei in head[u]:
                 v = to[ei]
-                if cap[ei] > 0.0 and level[v] < 0:
+                if cap[ei] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     q.append(v)
         self.level = level
         return level[self.t] >= 0
 
-    def _augment(self, nxt: list[int]) -> float:
+    def _augment(self, nxt: list[int]) -> int:
         """Push flow along one path of the level graph, found depth-first.
 
         The path is an explicit stack of arcs, so it may be of any length.
         ``nxt[u]`` is u's first arc not yet found to lead to a dead end in
-        this phase.  Returns the amount pushed, 0.0 once the phase's flow
-        is blocking.
+        this phase.  Returns the amount pushed, 0 once the phase's flow is
+        blocking.
         """
         head, to, cap, level = self.head, self.to, self.cap, self.level
         path: list[int] = []
@@ -288,7 +296,7 @@ class _CoverNetwork:
             arcs, i, up = head[u], nxt[u], level[u] + 1
             while i < len(arcs):
                 ei = arcs[i]
-                if cap[ei] > 0.0 and level[to[ei]] == up:
+                if cap[ei] > 0 and level[to[ei]] == up:
                     break
                 i += 1
             nxt[u] = i
@@ -299,47 +307,40 @@ class _CoverNetwork:
                 u = to[path.pop() ^ 1]
                 nxt[u] += 1
             else:
-                return 0.0
+                return 0
         d = min(cap[ei] for ei in path)
         for ei in path:
             cap[ei] -= d
             cap[ei ^ 1] += d
         return d
 
-    def solve(self) -> tuple[np.ndarray, float]:
-        """Continue the flow to a maximum; the half-integral cover and its weight.
+    def solve(self) -> tuple[np.ndarray, int]:
+        """Continue the flow to a maximum; the cover in halves and its cut.
 
         The last search fails to reach the sink, and the nodes it reached
-        are the source side of a minimum cut, whose weight must equal the
-        flow.
+        are the source side of a minimum cut, whose capacity must equal
+        the flow.
         """
-        pushed = 0.0
         while self._bfs():
             nxt = [0] * len(self.head)
-            while (d := self._augment(nxt)) > 0.0:
-                pushed += d
-        self.flow += pushed
+            while d := self._augment(nxt):
+                self.flow += d
         n, k = self.n, self.arrived
         reach = np.asarray(self.level) >= 0
         cover_l, cover_r = ~reach[:k], reach[n : n + k]
-        w = self.w[:k]
-        cut_value = float(w[cover_l].sum() + w[cover_r].sum())
-        if abs(cut_value - self.flow) > 1e-6 * max(1.0, self.flow):
+        cut = self.w[:k][cover_l].sum() + self.w[:k][cover_r].sum()
+        if cut != self.flow:
             raise ValidationError(f"{k} arrivals: min cut does not match max flow")
-        y = (cover_l.astype(float) + cover_r.astype(float)) / 2.0
-        return y, float((y * w).sum())
+        return cover_l.astype(np.int64) + cover_r, cut
 
-    def edge_flows(self) -> dict[tuple[int, int], float]:
-        """Flow on each crossing arc u-left -> v-right that carries any.
-
-        Net flow sits on the reverse arc, accumulated exactly from zero.
-        """
+    def edge_flows(self) -> list[tuple[int, int, int]]:
+        """(u, v, flow) per crossing arc u-left -> v-right with flow, read off its reverse arc."""
         n, to, cap = self.n, self.to, self.cap
-        return {
-            (to[ei + 1], to[ei] - n): cap[ei + 1]
+        return [
+            (to[ei + 1], to[ei] - n, cap[ei + 1])
             for ei in range(0, len(to), 2)
-            if to[ei + 1] < n and cap[ei + 1] > 0.0
-        }
+            if to[ei + 1] < n and cap[ei + 1] > 0
+        ]
 
 
 # ------------------------------------------------------------- brute force
@@ -533,7 +534,7 @@ def _weighted_prefix_values(stream: InstanceStream) -> np.ndarray:
     vals = np.zeros(len(stream))
     for ev in stream.events:
         net.add(ev)
-        vals[ev.id] = net.solve()[1]
+        vals[ev.id] = _to_float(net.solve()[1], 2 * net.den)
     return vals
 
 
@@ -546,9 +547,7 @@ def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     cover).  Unit weights keep one maximum matching and search one
     augmenting path per added node; weights keep one max-flow residual
     network and continue the flow.  At every prefix the value equals what
-    a from-scratch ``fractional_optima_general`` solve returns, exactly
-    wherever the flow sums are exact (unit or integer weights) and up to
-    rounding otherwise.
+    a from-scratch ``fractional_optima_general`` solve returns.
     """
     if stream.is_unit_weight():
         return _unit_prefix_values(stream)

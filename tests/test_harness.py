@@ -308,15 +308,19 @@ def test_cli_usage_errors():
         ["optimize-f", "--tol", "nan"],
         ["optimize-f", "--tol", "inf"],
         ["optimize-f", "--tol", "1e-300"],  # below the 1e-9 floor
+        ["simulate", "--input", "{huge}", "--algo", "waterfill", "--f", "linear-alpha"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     """Usage errors exit 2 with one `error:` line and raise nothing."""
     overflow = tmp_path / "overflow.txt"  # a neighbour id beyond int64
     overflow.write_text("offline 0\n0 1 - 0\n1 1 - 1 99999999999999999999\n")
+    huge = tmp_path / "huge.txt"  # K4 of weight 1e308: its optimum 2e308 is no float
+    huge.write_text("offline 0\n" + "".join(
+        f"{j} 1e308 - {j} {' '.join(map(str, range(j)))}\n" for j in range(4)))
     argv = [
         a.format(missing=tmp_path / "no-such-file.txt", missing_dir=tmp_path / "no-such-dir",
-                 overflow=overflow)
+                 overflow=overflow, huge=huge)
         for a in argv
     ]
     assert cli_main(argv) == 2

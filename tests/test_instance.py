@@ -1,10 +1,16 @@
 """Tests for the instance model, file format, and generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onlinecover
 from onlinecover.errors import ParseError, ValidationError
 from onlinecover.instance import (
     MAX_SKI_RENTAL_ARRIVALS,
@@ -338,6 +344,26 @@ def test_random_deterministic():
     assert serialize_instance(a) == serialize_instance(b)
     c = gen_random(30, 0.3, seed=43)
     assert serialize_instance(a) != serialize_instance(c)
+
+
+MEMORY_CAPPED = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from onlinecover.instance import gen_random
+print(gen_random(30_000, 1e-4, 0).edge_count())
+"""
+
+
+def test_random_stream_fits_in_a_gigabyte():
+    """30,000 arrivals have 4.5e8 candidate back-edges, 3.6 GB as int64: the
+    generator never holds them all, so it runs with 1 GiB of address space."""
+    src = str(Path(onlinecover.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", MEMORY_CAPPED],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
 
 
 @pytest.mark.parametrize("mode", ["bipartite_one_sided", "bipartite_alternating"])

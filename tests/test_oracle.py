@@ -1,5 +1,9 @@
 """Tests for the offline oracles, cross-validated against enumeration."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,7 +220,7 @@ def test_prefix_values_match_full_oracle():
         vals = prefix_optimal_values(stream)
         for j in range(1, len(stream) + 1):
             full = fractional_optima_general(static_from_stream(stream, j)).min_cover_value
-            assert vals[j - 1] == pytest.approx(full, abs=1e-12)
+            assert vals[j - 1] == full
 
 
 def test_prefix_values_weighted_path():
@@ -268,8 +272,8 @@ def test_warm_prefix_values_equal_from_scratch(seed, n, p, mode, weighted):
 
 
 def test_warm_prefix_values_float_weights():
-    """With arbitrary float weights the flow sums round, so the warm and the
-    from-scratch solves may part in the last bits, never further."""
+    """With arbitrary float weights too, the warm and the from-scratch solves
+    count the same exact integers and round them once, to the same float."""
     rng = np.random.default_rng(17)
     for trial in range(30):
         n = int(rng.integers(2, 16))
@@ -278,7 +282,41 @@ def test_warm_prefix_values_float_weights():
         vals = prefix_optimal_values(stream)
         for j in range(1, n + 1):
             full = fractional_optima_general(static_from_stream(stream, j)).min_cover_value
-            assert vals[j - 1] == pytest.approx(full, rel=1e-9, abs=1e-12)
+            assert vals[j - 1] == full
+
+
+def exact_cover(stream, j):
+    """Minimum cover of the first j arrivals over {0, 1/2, 1}^j, as a Fraction."""
+    w = [Fraction(x) for x in stream.weights()[:j].tolist()]
+    den = math.lcm(*(x.denominator for x in w))
+    iw = [int(x * den) for x in w]
+    edges = [(a, b) for a, b in zip(*(e.tolist() for e in stream.edge_arrays())) if max(a, b) < j]
+    best = min(
+        sum(c * x for c, x in zip(halves, iw))
+        for halves in itertools.product((0, 1, 2), repeat=j)
+        if all(halves[a] + halves[b] >= 2 for a, b in edges)
+    )
+    return Fraction(best, 2 * den)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    p=st.sampled_from((0.3, 0.6, 1.0)),
+    mode=st.sampled_from(MODES),
+    weights=st.lists(
+        st.one_of(st.sampled_from((0.0, 1.0, 1e12)), st.floats(0.01, 5.0)), min_size=6, max_size=6
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_weighted_optima_are_the_correctly_rounded_exact_optimum(seed, n, p, mode, weights):
+    """The final and every prefix value are the exact rational optimum,
+    rounded to the nearest float, at weights mixing 0, 1, 1e12 and floats."""
+    stream = with_weights(gen_random(n, p, seed, mode), weights)
+    assert fractional_optima_general(stream).min_cover_value == float(exact_cover(stream, n))
+    vals = prefix_optimal_values(stream)
+    for j in range(1, n + 1):
+        assert vals[j - 1] == float(exact_cover(stream, j))
 
 
 def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
