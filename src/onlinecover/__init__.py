@@ -47,7 +47,6 @@ from .oracle import (
     OracleResult,
     brute_force_half_integral,
     fractional_optima_general,
-    max_matching_bipartite,
     prefix_optimal_values,
     prefix_ratios,
     static_from_stream,

@@ -7,9 +7,10 @@ in closed form for each of them, the worst-case ratio functional
 
     beta(f) = max_{z in [0,1]}  1 + f(1-z) + int_z^1 (1-t)/f(t) dt,
 
-the solver for the optimal member of the closed-form family, the
-constant-ratio smoothing iteration, and residual checks for the
-functional identities the family satisfies.
+which every function here attains at z = 0, so ``beta_of`` returns
+1 + f(1) + F(1) in closed form; the solver for the optimal member of the
+closed-form family, the constant-ratio smoothing iteration, and residual
+checks for the functional identities the family satisfies.
 """
 
 from __future__ import annotations
@@ -84,11 +85,9 @@ class QuadratureTable:
 
 @dataclass
 class BetaReport:
-    """Grid maximum of the ratio objective, its argmax, and its spread."""
+    """The worst-case ratio beta(f) of an allocation function."""
 
     beta: float
-    argmax_z: float
-    spread: float
 
 
 class AllocationFunction:
@@ -206,26 +205,20 @@ class AllocationFunction:
         return self._F
 
 
-def beta_of(func: AllocationFunction, grid_size: int = 10_000) -> BetaReport:
-    """Grid maximum of g(z) = 1 + f(1-z) + F(1) - F(z).
+def beta_of(func: AllocationFunction) -> BetaReport:
+    """beta(f) = max of g(z) = 1 + f(1-z) + F(1) - F(z), which is g(0) = 1 + f(1) + F(1).
 
-    F(1) - F(z) = f(0) - f(1-z) for every family member, so g is 1 + f(0)
-    by construction there and the spread is no check; ``ratio_functional``
-    measures the flatness independently of F.
+    g'(z) = -f'(1-z) - (1-z)/f(z), so z = 0 is the maximum whenever
+    f(z) f'(1-z) >= z - 1 on [0, 1].  Every family member, greedy included,
+    meets it with equality (g is constant, 1 + f(0)); linear-alpha has
+    f' = 1 and meets it strictly (g decreases).  F(0) = 0 exactly, so one
+    expression serves every kind.  A NaN from a corrupted f or F raises
+    NumericError.
     """
-    if grid_size < 100:
-        raise DomainError("grid_size must be >= 100")
-    z = np.linspace(0.0, 1.0, grid_size)
-    F1 = float(func.table().eval(1.0))
-    g = 1.0 + func(1.0 - z) + F1 - func.table().eval(z)
-    i = int(np.argmax(g))
-    report = BetaReport(beta=float(g[i]), argmax_z=float(z[i]), spread=float(g.max() - g.min()))
-    floor = 1.0 + float(np.min(func(1.0 - z)))
-    # g(1) = 1 + f(0) already meets the floor, so only a NaN from a
-    # corrupt f or F can miss it
-    if not report.beta >= floor - 1e-12:
-        raise NumericError(f"beta = {report.beta!r} is below its floor 1 + min f = {floor!r}")
-    return report
+    beta = 1.0 + func(1.0) + float(func.table().eval(1.0))
+    if math.isnan(beta):
+        raise NumericError(f"beta(f) is NaN for {func.describe()}")
+    return BetaReport(beta=beta)
 
 
 def optimal_k(tol: float = 1e-6) -> "OptimalAllocation":

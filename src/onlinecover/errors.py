@@ -54,10 +54,6 @@ class SideError(OnlineCoverError):
     """Bipartite side labels missing or an edge joins two same-side vertices."""
 
 
-class NotBipartite(OnlineCoverError):
-    """Operation requires a side-labeled bipartite graph."""
-
-
 class TooLarge(OnlineCoverError):
     """Input exceeds the size limit of an exhaustive oracle."""
 

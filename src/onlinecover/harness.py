@@ -23,6 +23,7 @@ from . import allocation, engine, oracle
 from .allocation import AllocationFunction
 from .errors import InvariantViolation, OnlineCoverError, ValidationError
 from .instance import (
+    MAX_ARRIVALS,
     RANDOM_MODES,
     InstanceStream,
     Side,
@@ -191,7 +192,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 @dataclass
 class AdversaryBudget:
-    """Finite surrogate for "append vertices forever" adversary phases."""
+    """Finite surrogate for "append vertices forever" adversary phases.
+
+    The adversary's engine is sized for offline_d + phases * per_phase_cap
+    arrivals up front, so a budget above ``MAX_ARRIVALS`` is rejected.
+    """
 
     phases: int
     offline_d: int
@@ -203,6 +208,11 @@ class AdversaryBudget:
             self.per_phase_cap = 20 * self.offline_d
         if self.phases < 1 or self.offline_d < 1 or self.per_phase_cap < 1:
             raise ValidationError("budget fields must be positive")
+        arrivals = self.offline_d + self.phases * self.per_phase_cap
+        if arrivals > MAX_ARRIVALS:
+            raise ValidationError(
+                f"budget allows {arrivals} arrivals, more than {MAX_ARRIVALS}"
+            )
         if not (0.0 < self.convergence_threshold < 1.0):
             raise ValidationError("convergence_threshold must lie in (0, 1)")
 
@@ -388,7 +398,7 @@ def verify_identities(out=None) -> bool:
     for k in (1.05, 1.1997, 1.5):
         R = allocation.ratio_functional(AllocationFunction.family(k)(grid), grid)
         report(f"objective-spread k={k}", float(np.ptp(R)), 1e-6)
-    rep1 = allocation.beta_of(AllocationFunction.family(1.0), 10_000)
+    rep1 = allocation.beta_of(AllocationFunction.family(1.0))
     report("greedy-member-ratio |beta-2|", abs(rep1.beta - 2.0), 1e-9)
     return ok
 

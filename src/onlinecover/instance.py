@@ -39,8 +39,9 @@ class Side(enum.Enum):
 # side code per vertex in ``InstanceStream.side_codes``
 SIDE_CODES = {Side.LEFT: 0, Side.RIGHT: 1, Side.UNLABELED: -1}
 
-# largest stream a ski-rental spec may reduce to
-MAX_SKI_RENTAL_ARRIVALS = 1_000_000
+# largest stream a ski-rental spec may reduce to, and the largest an
+# adversary budget may emit
+MAX_ARRIVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,12 @@ class InstanceStream:
         sizes = (ev.neighbors.size for ev in events)
         offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.int64, n + 1)
         weights = np.fromiter((ev.weight for ev in events), float, n)
+        # the level solve sums neighbour weights, which must stay finite;
+        # a Python float sum overflows to inf without a numpy warning
+        if math.isinf(sum(weights.tolist())):
+            i = next(i for i, t in enumerate(itertools.accumulate(weights.tolist()))
+                     if math.isinf(t))
+            raise ValidationError(f"event {i}: total weight overflows the float range", event=i)
         for name, a in (("side_codes", codes), ("edge_offsets", offsets), ("_weights", weights)):
             a.flags.writeable = False  # shared by every run of the stream
             object.__setattr__(self, name, a)
@@ -343,7 +350,7 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
 class SkiRentalSpec:
     """Multislope rent-or-buy: states with buy cost b_i and rent rate r_i.
 
-    A spec whose reduction exceeds ``MAX_SKI_RENTAL_ARRIVALS`` arrivals is
+    A spec whose reduction exceeds ``MAX_ARRIVALS`` arrivals is
     rejected with a ValidationError.
     """
 
@@ -372,12 +379,12 @@ class SkiRentalSpec:
         # n lefts plus n arrivals per interval; the ratio alone may be inf
         ratio = self.t_end / self.epsilon
         if (
-            ratio > MAX_SKI_RENTAL_ARRIVALS
-            or self.n_states * (1 + self.intervals()) > MAX_SKI_RENTAL_ARRIVALS
+            ratio > MAX_ARRIVALS
+            or self.n_states * (1 + self.intervals()) > MAX_ARRIVALS
         ):
             raise ValidationError(
                 f"t_end / epsilon = {ratio:.3g} with {self.n_states} states reduces to "
-                f"more than {MAX_SKI_RENTAL_ARRIVALS} arrivals"
+                f"more than {MAX_ARRIVALS} arrivals"
             )
 
     @property

@@ -5,14 +5,15 @@ arrivals; the first j arrivals are the stream ``static_from_stream(stream,
 j)``.  The stream is validated once when it is built, so the oracles check
 nothing about the graph again.
 
-There is one solver per weight class.  Unit weights: ``_unit_optimum``
-runs Hopcroft-Karp (scipy's C implementation) on an n x n biadjacency,
-row u the left copy of u and column v the right copy of v, and reads a
-Konig cover off the matching.  It serves the integral bipartite oracle
-(each edge from its L row to its R column) and the fractional general
-one (the bipartite double cover, each edge both ways, turns the
-half-integral LP optimum into an integral bipartite one).  Weights: the
-double cover as a minimum s-t cut, one ``_CoverNetwork`` whose max flow
+There is one from-scratch solver per weight class.  Both solve the
+bipartite double cover of the graph, which turns the half-integral LP
+optimum into an integral bipartite one.  They read no side labels: on a
+bipartite graph the fractional optimum already equals the integral one
+(Konig), so no separate integral oracle is needed.
+Unit weights: ``_unit_optimum`` runs Hopcroft-Karp (scipy's C
+implementation) on an n x n biadjacency, row u the left copy of u and
+column v the right copy of v, and reads a Konig cover off the matching.
+Weights: a minimum s-t cut, one ``_CoverNetwork`` whose max flow
 follows augmenting paths of any length without recursion.  Both count in
 integers (halves, or weights over a common power of two), so every check
 is an exact comparison and each value is rounded to a float once.  A
@@ -27,7 +28,7 @@ augmenting-path search per added node, for weights the same
 with its flow continued.  The tests compare both with from-scratch solves
 of every prefix.
 
-scipy is loaded only by the from-scratch unit-weight solvers, on their
+scipy is loaded only by the from-scratch unit-weight solver, on its
 first call (``sparse_backend``), never when this module is imported.  The
 prefix oracle, the weighted network and the brute force are numpy and
 Python only, so a run that uses nothing else never imports scipy.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
+from .errors import LengthMismatch, TooLarge, ValidationError
 from .instance import SIDE_CODES, InstanceStream, Side, VertexEvent
 
 
@@ -65,15 +66,13 @@ class OracleResult:
     min_cover_value: float
     matching_witness: dict[tuple[int, int], float]
     cover_witness: np.ndarray
-    mode: str  # "integral-bipartite" | "fractional-general"
 
     def __post_init__(self):
         if self.max_matching_value != self.min_cover_value:
-            raise ValidationError(f"{self.mode}: optimal values must coincide")
-        if self.mode == "fractional-general":
-            y = self.cover_witness
-            if not np.all((y == 0.0) | (y == 0.5) | (y == 1.0)):
-                raise ValidationError("fractional cover witness must be half-integral")
+            raise ValidationError("optimal values must coincide")
+        y = self.cover_witness
+        if not np.all((y == 0.0) | (y == 0.5) | (y == 1.0)):
+            raise ValidationError("fractional cover witness must be half-integral")
 
 
 def _scaled_weights(stream: InstanceStream) -> tuple[np.ndarray, int]:
@@ -91,7 +90,7 @@ def _to_float(num: int, den: int) -> float:
         raise ValidationError("the optimum is beyond the float range") from None
 
 
-def _certified(stream: InstanceStream, cover2: np.ndarray, arcs, mode: str) -> OracleResult:
+def _certified(stream: InstanceStream, cover2: np.ndarray, arcs) -> OracleResult:
     """Check integer witnesses exactly, then convert them to floats once.
 
     ``cover2`` holds the potentials in halves; ``arcs`` yields (a, b, x), the
@@ -113,7 +112,7 @@ def _certified(stream: InstanceStream, cover2: np.ndarray, arcs, mode: str) -> O
     scale = 2 * den
     value = _to_float(sum(pairs.values()), scale)
     witness = {k: x / scale for k, x in pairs.items()}
-    return OracleResult(value, _to_float((cover2 * iw).sum(), scale), witness, cover2 / 2.0, mode)
+    return OracleResult(value, _to_float((cover2 * iw).sum(), scale), witness, cover2 / 2.0)
 
 
 # ------------------------------------------------------------ unit weights
@@ -166,41 +165,25 @@ def _konig_cover(bi, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ~visited_l & matched, visited_r
 
 
-def _unit_optimum(stream: InstanceStream, double: bool) -> OracleResult:
+def _unit_optimum(stream: InstanceStream) -> OracleResult:
     """Unit-weight optimum from one Hopcroft-Karp matching and its Konig cover.
 
-    The biadjacency is n x n: row u is u's left copy, column v is v's
-    right copy.  ``double=True`` is the bipartite double cover of any
-    graph (each edge both ways, values and potentials halved);
-    otherwise each edge of a side-labeled stream runs from its L row to
-    its R column, and the rows of R and columns of L stay empty.
+    The biadjacency is the n x n bipartite double cover: row u is u's
+    left copy, column v is v's right copy, and each edge runs both ways.
+    Each matched row carries half a unit of matching, and a vertex's
+    potential is half the number of its copies in the cover.
     """
     csr_matrix = sparse_backend()[0]
     n = len(stream)
     e0, e1 = stream.edge_arrays()
-    if double:
-        rows, cols = np.concatenate((e0, e1)), np.concatenate((e1, e0))
-    else:
-        swap = stream.side_codes[e0] == SIDE_CODES[Side.RIGHT]
-        rows, cols = np.where(swap, e1, e0), np.where(swap, e0, e1)
+    rows, cols = np.concatenate((e0, e1)), np.concatenate((e1, e0))
     bi = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
     match = np.full(n, -1, dtype=np.int64)
     if bi.nnz:  # through the module global, so a wrapper put there sees every solve
         match = maximum_bipartite_matching(bi).astype(np.int64)
     cover_l, cover_r = _konig_cover(bi, match)
-    share = 1 if double else 2  # halves per matched row
-    arcs = ((int(u), int(match[u]), share) for u in np.flatnonzero(match >= 0))
-    mode = "fractional-general" if double else "integral-bipartite"
-    return _certified(stream, (cover_l.astype(np.int64) + cover_r) * share, arcs, mode)
-
-
-def max_matching_bipartite(stream: InstanceStream) -> OracleResult:
-    """Maximum-cardinality matching and a Konig cover of equal size."""
-    if not stream.is_unit_weight():
-        raise ValidationError("cardinality oracle requires unit weights")
-    if not stream.has_side_labels():
-        raise NotBipartite("every vertex must be labeled L or R")
-    return _unit_optimum(stream, double=False)
+    arcs = ((int(u), int(match[u]), 1) for u in np.flatnonzero(match >= 0))
+    return _certified(stream, cover_l.astype(np.int64) + cover_r, arcs)
 
 
 # ------------------------------------------------------ fractional general
@@ -213,13 +196,13 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     they coincide by construction; the cover witness is half-integral.
     """
     if not len(stream):
-        return OracleResult(0.0, 0.0, {}, np.zeros(0), "fractional-general")
+        return OracleResult(0.0, 0.0, {}, np.zeros(0))
     if stream.is_unit_weight():
-        return _unit_optimum(stream, double=True)
+        return _unit_optimum(stream)
     net = _CoverNetwork(stream)
     for ev in stream.events:
         net.add(ev)
-    return _certified(stream, net.solve()[0], net.edge_flows(), "fractional-general")
+    return _certified(stream, net.solve()[0], net.edge_flows())
 
 
 class _CoverNetwork:

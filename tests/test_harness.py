@@ -28,6 +28,7 @@ from onlinecover.harness import (
     run_ski_rental,
 )
 from onlinecover.instance import (
+    MAX_ARRIVALS,
     RANDOM_MODES,
     SkiRentalSpec,
     parse_instance,
@@ -153,6 +154,31 @@ def test_adversary_budget_validation():
     with pytest.raises(ValidationError):
         AdversaryBudget(phases=1, offline_d=5, convergence_threshold=1.5)
     assert AdversaryBudget(phases=1, offline_d=5).per_phase_cap == 100
+    AdversaryBudget(phases=3, offline_d=10, per_phase_cap=(MAX_ARRIVALS - 10) // 3)
+    with pytest.raises(ValidationError):
+        AdversaryBudget(phases=3, offline_d=11, per_phase_cap=(MAX_ARRIVALS - 10) // 3)
+
+
+ADVERSARY_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from onlinecover.harness import cli_main
+sys.exit(cli_main(["adversary", "--budget", "3,1000000000"]))
+"""
+
+
+def test_adversary_budget_beyond_the_arrival_cap_is_usage_error():
+    """d = 10^9 and three phases of 20 d would size the engine for 6.1e10
+    arrivals (454 GiB); with 1 GiB of address space the run must still end
+    with a usage error, not a MemoryError."""
+    src = str(Path(onlinecover.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", ADVERSARY_CAPPED],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_adversary_one_phase_hits_tight_ratio():
@@ -315,7 +341,7 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     """Usage errors exit 2 with one `error:` line and raise nothing."""
     overflow = tmp_path / "overflow.txt"  # a neighbour id beyond int64
     overflow.write_text("offline 0\n0 1 - 0\n1 1 - 1 99999999999999999999\n")
-    huge = tmp_path / "huge.txt"  # K4 of weight 1e308: its optimum 2e308 is no float
+    huge = tmp_path / "huge.txt"  # K4 of weight 1e308: its total weight is no float
     huge.write_text("offline 0\n" + "".join(
         f"{j} 1e308 - {j} {' '.join(map(str, range(j)))}\n" for j in range(4)))
     argv = [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import onlinecover
 from onlinecover.errors import ParseError, ValidationError
 from onlinecover.instance import (
-    MAX_SKI_RENTAL_ARRIVALS,
+    MAX_ARRIVALS,
     InstanceStream,
     Side,
     SkiRentalSpec,
@@ -90,6 +90,8 @@ def test_parse_rejects_malformed(text):
         ("offline 0\n0 1 - 0\n\n2 1 - 0\n", 4, "expected id 1"),
         ("offline 2\n0 1 L 0\n# next\n1 1 R 1 0\n", 4, "offline event 1 must have no neighbors"),
         ("offline 0\n0 1 L 0\n1 1 R 1 0\n2 1 R 1 1\n", 4, "joins two R-side vertices"),
+        # each weight is a float, their sum is not (and no numpy warning)
+        ("offline 0\n0 1.7e308 - 0\n1 0 - 0\n2 1e308 - 0\n", 4, "total weight overflows"),
     ],
 )
 def test_stream_faults_name_their_line(text, line_no, message):
@@ -415,7 +417,7 @@ def test_ski_rental_spec_validation():
         SkiRentalSpec(states=((0.0, 1.0), (-5.0, 0.5)), epsilon=1.0, t_end=1.0)
     # two states reduce to 2 lefts plus 2 arrivals per interval
     states = ((0.0, 1.0), (4.0, 0.0))
-    cap_t_end = MAX_SKI_RENTAL_ARRIVALS / 2 - 1
+    cap_t_end = MAX_ARRIVALS / 2 - 1
     SkiRentalSpec(states=states, epsilon=1.0, t_end=cap_t_end)
     for eps, t_end in ((1.0, cap_t_end + 1), (1e-9, 1e9), (1e-300, 1e300)):
         with pytest.raises(ValidationError, match="arrivals"):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinecover import oracle
-from onlinecover.errors import LengthMismatch, NotBipartite, TooLarge, ValidationError
+from onlinecover.errors import LengthMismatch, TooLarge, ValidationError
 from onlinecover.harness import cli_main
 from onlinecover.instance import (
     InstanceStream,
@@ -27,7 +27,6 @@ from onlinecover.oracle import (
     OracleResult,
     brute_force_half_integral,
     fractional_optima_general,
-    max_matching_bipartite,
     prefix_optimal_values,
     prefix_ratios,
     static_from_stream,
@@ -61,8 +60,12 @@ def unlabeled(stream):
 # ----------------------------------------------------------- bipartite
 
 
+# On a bipartite graph the fractional optimum is the integral one (Konig),
+# so the integral values below come from the fractional oracle.
+
+
 def test_single_edge():
-    r = max_matching_bipartite(graph_stream(2, [(0, 1)], sides=LR))
+    r = fractional_optima_general(graph_stream(2, [(0, 1)], sides=LR))
     assert r.max_matching_value == 1.0
     assert r.min_cover_value == 1.0
     assert r.matching_witness == {(0, 1): 1.0}
@@ -70,7 +73,7 @@ def test_single_edge():
 
 def test_path_of_three_edges():
     g = graph_stream(4, [(0, 1), (1, 2), (2, 3)], sides=LR + LR)
-    r = max_matching_bipartite(g)
+    r = fractional_optima_general(g)
     assert r.max_matching_value == 2.0
     assert r.min_cover_value == 2.0
 
@@ -78,30 +81,28 @@ def test_path_of_three_edges():
 @pytest.mark.parametrize("n", range(1, 51))
 def test_triangular_has_perfect_matching(n):
     g = gen_triangular(n)
-    assert max_matching_bipartite(g).max_matching_value == float(n)
+    assert fractional_optima_general(g).max_matching_value == float(n)
 
 
 def test_triangular_1000_perfect_matching():
     g = gen_triangular(1000)
-    assert max_matching_bipartite(g).max_matching_value == 1000.0
+    assert fractional_optima_general(g).max_matching_value == 1000.0
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_two_phase_matching_is_2n(n):
     g = gen_two_phase_matching_hard(n)
-    assert max_matching_bipartite(g).max_matching_value == float(2 * n)
+    assert fractional_optima_general(g).max_matching_value == float(2 * n)
 
 
 def test_complete_bipartite_cover_is_min_side():
     from onlinecover.instance import gen_complete_bipartite
 
     g = gen_complete_bipartite(100, 1000)
-    assert max_matching_bipartite(g).min_cover_value == 100.0
+    assert fractional_optima_general(g).min_cover_value == 100.0
 
 
 def test_not_bipartite_errors():
-    with pytest.raises(NotBipartite):
-        max_matching_bipartite(graph_stream(3, [(0, 1)]))
     # the stream itself rejects a same-side edge, before any oracle runs
     with pytest.raises(ValidationError):
         graph_stream(3, [(0, 1), (1, 2), (0, 2)], sides=(Side.LEFT, Side.RIGHT, Side.LEFT))
@@ -155,8 +156,9 @@ def test_weighted_fractional_matches_brute_force():
 
 
 def test_bipartite_inputs_agree_across_modes():
-    """The integral oracle's n x n layout against the double cover, on edgeless
-    and one-vertex streams and on streams where R arrives before its L."""
+    """A labeled stream against its unlabeled copy and the brute force, on
+    edgeless and one-vertex streams and on streams where R arrives before
+    its L."""
     streams = [graph_stream(1, [], sides=(side,)) for side in LR]
     streams += [gen_random(n, 0.0, 0, mode=m) for n in (1, 6) for m in MODES[1:]]
     rng = np.random.default_rng(3)
@@ -165,11 +167,13 @@ def test_bipartite_inputs_agree_across_modes():
         for _ in range(20)
     ]
     for s in streams:
-        integral = max_matching_bipartite(s)
-        assert np.all((integral.cover_witness == 0.0) | (integral.cover_witness == 1.0))
+        labeled = fractional_optima_general(s)
         frac = fractional_optima_general(unlabeled(s))  # drop labels on purpose
-        assert integral.max_matching_value == frac.max_matching_value
-        assert integral.min_cover_value == frac.min_cover_value
+        assert labeled.max_matching_value == frac.max_matching_value
+        assert labeled.min_cover_value == frac.min_cover_value
+        assert labeled.min_cover_value == float(int(labeled.min_cover_value))
+        if len(s) <= 12:  # 3^n potentials: n = 16 alone takes seconds
+            assert labeled.min_cover_value == brute_force_half_integral(s)
 
 
 def test_permutation_invariance():
@@ -185,7 +189,7 @@ def test_permutation_invariance():
 
 def test_weak_duality_enforced():
     with pytest.raises(ValidationError):
-        OracleResult(2.0, 1.0, {}, np.zeros(2), "fractional-general")
+        OracleResult(2.0, 1.0, {}, np.zeros(2))
 
 
 def test_static_from_stream_prefix():
@@ -194,7 +198,7 @@ def test_static_from_stream_prefix():
     assert len(g) == 5
     assert g.offline_count == 4
     assert g.edge_count() == 4  # first online sees all lefts
-    assert max_matching_bipartite(g).max_matching_value == 1.0
+    assert fractional_optima_general(g).max_matching_value == 1.0
 
 
 @given(seed=st.integers(0, 10_000))
