@@ -278,7 +278,8 @@ def primal_dual_step(
     matching.inv1_base[v] = float(func(1.0 - zv)) - float(tbl.eval(zv))
     touched = np.concatenate((nbrs[raised_mask], [v])).astype(np.int64)
     w_t = cover.weights[touched]
-    rhs = w_t * (cover.y[touched] + matching.inv1_base[touched] + tbl.eval(cover.y[touched])) / beta
+    # the bracket is at most g(z) <= beta, so dividing it first keeps w * (...) <= w finite
+    rhs = w_t * ((cover.y[touched] + matching.inv1_base[touched] + tbl.eval(cover.y[touched])) / beta)
     matching.inv1_slack[touched] = matching.x_agg[touched] - rhs
 
     worst = float(np.max(matching.inv1_slack[touched]))
@@ -511,9 +512,8 @@ def check_invariants(
     max_inv1 = -np.inf
     for u in arrived.tolist():
         zu = cover.z_arrival[u]
-        rhs = (
-            cover.weights[u]
-            * (cover.y[u] + float(func(1.0 - zu)) + float(tbl.eval(cover.y[u])) - float(tbl.eval(zu)))
+        rhs = cover.weights[u] * (
+            (cover.y[u] + float(func(1.0 - zu)) + float(tbl.eval(cover.y[u])) - float(tbl.eval(zu)))
             / beta
         )
         max_inv1 = max(max_inv1, float(x_agg[u] - rhs))

@@ -151,9 +151,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one instance through the engine and measure it against oracles."""
     stream = config.load()
     func = resolve_allocation(config.f_spec)
-    if not config.prefix_mode:
-        # load the final oracle's solver during set-up, not after the last arrival
-        oracle.sparse_backend()
     alg = engine.run_stream(stream, config.algo, func)
 
     summary: dict = {

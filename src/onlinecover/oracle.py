@@ -10,9 +10,10 @@ bipartite double cover of the graph, which turns the half-integral LP
 optimum into an integral bipartite one.  They read no side labels: on a
 bipartite graph the fractional optimum already equals the integral one
 (Konig), so no separate integral oracle is needed.
-Unit weights: ``_unit_optimum`` runs Hopcroft-Karp (scipy's C
-implementation) on an n x n biadjacency, row u the left copy of u and
-column v the right copy of v, and reads a Konig cover off the matching.
+Unit weights: ``_unit_optimum`` runs Hopcroft-Karp, written here in
+Python and numpy, on the n x n biadjacency, row u the left copy of u and
+column v the right copy of v, and reads a Konig cover off the last,
+failed search.
 Weights: a minimum s-t cut, one ``_CoverNetwork`` whose max flow
 follows augmenting paths of any length without recursion.  Both count in
 integers (halves, or weights over a common power of two), so every check
@@ -28,10 +29,8 @@ augmenting-path search per added node, for weights the same
 with its flow continued.  The tests compare both with from-scratch solves
 of every prefix.
 
-scipy is loaded only by the from-scratch unit-weight solver, on its
-first call (``sparse_backend``), never when this module is imported.  The
-prefix oracle, the weighted network and the brute force are numpy and
-Python only, so a run that uses nothing else never imports scipy.
+Everything here is numpy and Python only; the tests check the unit
+solver against scipy's Hopcroft-Karp.
 
 All public functions are pure functions of their inputs.
 """
@@ -118,72 +117,152 @@ def _certified(stream: InstanceStream, cover2: np.ndarray, arcs) -> OracleResult
 # ------------------------------------------------------------ unit weights
 
 
-def sparse_backend():
-    """scipy's ``csr_matrix`` and Hopcroft-Karp, imported on the first call.
+def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
+    """The whole graph's adjacency: v's neighbours are ``idx[ptr[v]:ptr[v + 1]]``.
 
-    ``_unit_optimum`` is scipy's only user.  A caller that is about to
-    run it may call this first to take the import out of whatever it
-    times next.
+    One sort of v * n + neighbour keys builds it, in int32 while n * n
+    fits, so each slice is ascending.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching as hopcroft_karp
+    n = len(stream)
+    e0, e1 = stream.edge_arrays()
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    e0, e1 = e0.astype(dtype), e1.astype(dtype)
+    keys = np.concatenate((e1 * n + e0, e0 * n + e1))
+    keys.sort()
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e0, minlength=n) + np.diff(stream.edge_offsets), out=ptr[1:])
+    return ptr, keys % n
 
-    return csr_matrix, hopcroft_karp
+
+_LONG_ROW = 64  # the greedy start scans longer rows with numpy
 
 
-def maximum_bipartite_matching(graph) -> np.ndarray:
-    """Matched column per row of a csr biadjacency (-1 if unmatched).
+def maximum_bipartite_matching(ptr: np.ndarray, idx: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Hopcroft-Karp on the biadjacency whose row u has the columns ``idx[ptr[u]:ptr[u + 1]]``.
 
-    scipy's Hopcroft-Karp, imported on the first call.
+    A greedy start visits rows in ascending degree order and gives each
+    its free column of least degree.  Then each phase finds a maximal set of
+    disjoint shortest augmenting paths: a breadth-first search from every
+    free row, one numpy step per layer, stops at the first layer that
+    reaches a free column, and a depth-first walk with an explicit stack
+    follows the layers, so a path may be of any length.  Returns the
+    matched column per row (-1 if none) and the layer of every row the
+    last search reached (-1 if none): that search found no free column,
+    so it reached exactly the rows that alternating paths from free rows
+    reach (Konig).
     """
-    return sparse_backend()[1](graph, perm_type="column")
+    n = ptr.size - 1
+    p = ptr.tolist()
+    rmate, cmate = [-1] * n, [-1] * n
+    rows: list[list[int] | None] = [None] * n  # a row's columns, listed when first scanned
+    taken = np.zeros(n, dtype=bool)
+    deg = np.diff(ptr)
+    dl = deg.tolist()
+    for u in np.argsort(deg, kind="stable")[np.count_nonzero(deg == 0) :].tolist():
+        a, b = p[u], p[u + 1]
+        if b - a <= _LONG_ROW:
+            rows[u] = row = idx[a:b].tolist()
+            v, dv = -1, n
+            for x in row:
+                if cmate[x] < 0 and dl[x] < dv:
+                    v, dv = x, dl[x]
+            if v < 0:
+                continue
+        else:
+            cand = idx[a:b]
+            free = cand[~taken[cand]]
+            if not free.size:
+                continue
+            v = int(free[np.argmin(deg[free])])
+        rmate[u], cmate[v], taken[v] = v, u, True
+
+    while True:
+        mate = np.array(cmate, dtype=np.int64)
+        dist = np.full(n, -1, dtype=np.int64)
+        layer = np.flatnonzero((np.array(rmate) < 0) & (deg > 0))
+        dist[layer] = 0
+        depth = 0
+        while layer.size:
+            lens = deg[layer]
+            stop = np.cumsum(lens)
+            w = mate[idx[np.arange(stop[-1]) + np.repeat(ptr[layer] - (stop - lens), lens)]]
+            if (w < 0).any():
+                break
+            dist[w[dist[w] < 0]] = depth + 1
+            layer = np.flatnonzero(dist == depth + 1)
+            depth += 1
+        else:
+            return rmate, dist
+        # of the last layer, keep only the rows next to a free column
+        dist[layer] = -1
+        dist[np.repeat(layer, lens)[w < 0]] = depth
+        for u in np.flatnonzero(dist >= 0).tolist():
+            if rows[u] is None:
+                rows[u] = idx[p[u] : p[u + 1]].tolist()
+        _augment_layers(rows, rmate, cmate, dist.tolist())
 
 
-def _konig_cover(bi, match_lr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum vertex cover masks (left, right) from a maximum matching.
+def _augment_layers(
+    rows: list[list[int]], rmate: list[int], cmate: list[int], dist: list[int]
+) -> None:
+    """Flip a maximal set of disjoint augmenting paths through the layers.
 
-    Alternating reachability from unmatched left vertices, vectorized over
-    whole frontiers: any edge goes left-to-right, matching edges come back.
+    Each walk starts at a free row and goes from a row of layer d through
+    a matched column to the column's mate in layer d + 1, and ends at a
+    free column, which only rows of the last layer are next to.  ``nxt[u]``
+    is u's first arc not yet tried; a row on a path or at a dead end
+    leaves the layers.
     """
-    nl, nr = bi.shape
-    match_rl = np.full(nr, -1, dtype=np.int64)
-    matched = match_lr >= 0
-    match_rl[match_lr[matched]] = np.flatnonzero(matched)
-    visited_l = ~matched  # start from every unmatched left
-    visited_r = np.zeros(nr, dtype=bool)
-    frontier = visited_l.copy()
-    while frontier.any():
-        cols = np.unique(bi[frontier].indices)
-        new_r = cols[~visited_r[cols]]
-        visited_r[new_r] = True
-        back = match_rl[new_r]
-        back = back[back >= 0]
-        new_l = back[~visited_l[back]]
-        visited_l[new_l] = True
-        frontier = np.zeros(nl, dtype=bool)
-        frontier[new_l] = True
-    return ~visited_l & matched, visited_r
+    nxt = [0] * len(rmate)
+    for root, d in enumerate(dist):
+        if d or rmate[root] >= 0:
+            continue
+        path, cols = [root], []
+        while path:
+            u = path[-1]
+            arcs, i, du = rows[u], nxt[u], dist[u]
+            while i < len(arcs):
+                v = arcs[i]
+                w = cmate[v]
+                i += 1
+                if w < 0 or dist[w] == du + 1:
+                    break
+            else:
+                dist[u] = -1  # dead end: back up
+                path.pop()
+                if cols:
+                    cols.pop()
+                continue
+            nxt[u] = i
+            cols.append(v)
+            if w < 0:  # a free column: flip the path
+                for x, c in zip(path, cols):
+                    rmate[x], cmate[c] = c, x
+                    dist[x] = -1
+                break
+            path.append(w)
 
 
 def _unit_optimum(stream: InstanceStream) -> OracleResult:
     """Unit-weight optimum from one Hopcroft-Karp matching and its Konig cover.
 
     The biadjacency is the n x n bipartite double cover: row u is u's
-    left copy, column v is v's right copy, and each edge runs both ways.
-    Each matched row carries half a unit of matching, and a vertex's
-    potential is half the number of its copies in the cover.
+    left copy, column v is v's right copy, and each edge runs both ways,
+    so row u's columns are u's neighbours.  Each matched row carries half
+    a unit of matching, and a vertex's potential is half the number of
+    its copies in the cover: its row if matched and unreached by the last
+    search, its column if its mate row was reached.
     """
-    csr_matrix = sparse_backend()[0]
-    n = len(stream)
-    e0, e1 = stream.edge_arrays()
-    rows, cols = np.concatenate((e0, e1)), np.concatenate((e1, e0))
-    bi = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
-    match = np.full(n, -1, dtype=np.int64)
-    if bi.nnz:  # through the module global, so a wrapper put there sees every solve
-        match = maximum_bipartite_matching(bi).astype(np.int64)
-    cover_l, cover_r = _konig_cover(bi, match)
-    arcs = ((int(u), int(match[u]), 1) for u in np.flatnonzero(match >= 0))
-    return _certified(stream, cover_l.astype(np.int64) + cover_r, arcs)
+    # through the module global, so a wrapper put there sees every solve
+    match, dist = maximum_bipartite_matching(*_adjacency(stream))
+    match = np.array(match, dtype=np.int64)
+    rows = np.flatnonzero(match >= 0)
+    cols = match[rows]
+    reached = dist[rows] >= 0
+    cover2 = np.zeros(len(stream), dtype=np.int64)
+    cover2[rows[~reached]] = 1
+    cover2[cols[reached]] += 1
+    return _certified(stream, cover2, ((u, v, 1) for u, v in zip(rows.tolist(), cols.tolist())))
 
 
 # ------------------------------------------------------ fractional general

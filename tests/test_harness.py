@@ -284,6 +284,19 @@ def test_cli_verify(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_budget_monitor_is_finite_at_the_largest_weights(capsys, tmp_path):
+    """One vertex of weight 1.7e308: w * (y + f(1-z) - F(z) + F(y)) / beta
+    overflows if it multiplies before it divides, and the slack is -inf
+    (or, under the suite's RuntimeWarning filter, the run errors)."""
+    path = tmp_path / "big.txt"
+    path.write_text("offline 0\n0 1.7e308 - 0\n")
+    argv = ["simulate", "--input", str(path), "--algo", "primal-dual", "--f", "linear-alpha"]
+    assert cli_main(argv) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    slack = float(summary.split("max_inv1_slack=")[1].split(",")[0])
+    assert np.isfinite(slack) and slack <= 0.0
+
+
 def test_cli_simulate(capsys, tmp_path):
     out = tmp_path / "t.csv"
     code = cli_main(

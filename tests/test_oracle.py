@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from onlinecover.instance import (
     Side,
     SkiRentalSpec,
     VertexEvent,
+    gen_complete_bipartite,
     gen_random,
     gen_triangular,
     gen_two_phase_matching_hard,
@@ -96,8 +98,6 @@ def test_two_phase_matching_is_2n(n):
 
 
 def test_complete_bipartite_cover_is_min_side():
-    from onlinecover.instance import gen_complete_bipartite
-
     g = gen_complete_bipartite(100, 1000)
     assert fractional_optima_general(g).min_cover_value == 100.0
 
@@ -374,6 +374,77 @@ def test_augmenting_path_longer_than_the_recursion_limit(tmp_path, capsys):
     assert cli_main(argv) == 0
     assert cli_main(argv + ["--prefix"]) == 0
     assert capsys.readouterr().out.count("#summary") == 2
+
+
+# ------------------------------------------------ unit solver vs scipy
+
+
+def scipy_matching_size(stream):
+    """Maximum matching of the double cover by scipy's Hopcroft-Karp on a
+    csr biadjacency, as the unit oracle used to solve it (scipy is a
+    test-only reference)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    n = len(stream)
+    e0, e1 = stream.edge_arrays()
+    if not e0.size:
+        return 0
+    rows, cols = np.concatenate((e0, e1)), np.concatenate((e1, e0))
+    bi = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    return int((maximum_bipartite_matching(bi, perm_type="column") >= 0).sum())
+
+
+def check_unit_solver(stream):
+    size = scipy_matching_size(stream)
+    match, _ = oracle.maximum_bipartite_matching(*oracle._adjacency(stream))
+    assert sum(v >= 0 for v in match) == size
+    r = fractional_optima_general(stream)
+    assert r.max_matching_value == size / 2
+    assert r.min_cover_value == size / 2
+    if len(stream) <= 12:
+        assert r.min_cover_value == brute_force_half_integral(stream)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.one_of(st.integers(1, 12), st.integers(13, 300)),
+    p=st.sampled_from((0.01, 0.05, 0.2, 0.5, 0.8)),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=100, deadline=None)
+def test_unit_solver_equals_scipy_hopcroft_karp(seed, n, p, mode):
+    """The in-repo Hopcroft-Karp finds a matching as large as scipy's on
+    general, one-sided and alternating streams, sparse and dense, and the
+    values equal the {0, 1/2, 1} enumeration where it is affordable."""
+    check_unit_solver(gen_random(n, p, seed, mode))
+
+
+def unit_zigzag(m):
+    """The path L_0 - R_0 - L_1 - R_1 - ... - L_{m-1} - R_{m-1}, unit weights:
+    R_i is arrival i and L_i arrival 2m - 1 - i, so the L ids fall along
+    the path.  Visiting rows of equal degree in id order, the greedy start
+    gives L_i the column R_{i-1} and R_i the column L_{i+1} along most of
+    the path, which leaves one augmenting path through about m rows in
+    each copy of the double cover."""
+    events = [VertexEvent(i, 1.0, Side.RIGHT, []) for i in range(m)]
+    events += [VertexEvent(m + j, 1.0, Side.LEFT, [m - 2 - j, m - 1 - j]) for j in range(m - 1)]
+    events.append(VertexEvent(2 * m - 1, 1.0, Side.LEFT, [0]))
+    return InstanceStream(tuple(events), m)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_triangular(1000),
+        lambda: gen_two_phase_matching_hard(300),
+        lambda: gen_complete_bipartite(100, 1000),
+        lambda: unit_zigzag(sys.getrecursionlimit() + 10),
+    ],
+    ids=["triangular-1000", "two-phase-300", "complete-100x1000", "unit-zigzag"],
+)
+def test_unit_solver_equals_scipy_on_hard_families(make):
+    check_unit_solver(make())
 
 
 # ---------------------------------------------------------------- ratios

@@ -1,5 +1,5 @@
-"""Source and script checks: no `assert` in the library, scipy only where a
-from-scratch matching is solved, scripts run."""
+"""Source and script checks: no `assert` in the library, no scipy at
+runtime, scripts run."""
 
 import ast
 import contextlib
@@ -31,26 +31,17 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _import_time_nodes(tree):
-    """Every node that runs when the module is imported: all but function bodies."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def _is_scipy(name):
     return name == "scipy" or name.startswith("scipy.")
 
 
-def test_library_imports_scipy_only_inside_functions():
-    # a module-level scipy import loads it for every command, solver or not
+def test_library_imports_no_scipy():
+    # scipy is a test-only reference; an import anywhere in the library,
+    # even inside a function, would make it a runtime dependency again
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (isinstance(node, ast.Import) and any(_is_scipy(a.name) for a in node.names))
         or (isinstance(node, ast.ImportFrom) and _is_scipy(node.module or ""))
     ]
@@ -58,52 +49,54 @@ def test_library_imports_scipy_only_inside_functions():
 
 
 SCIPY_PROBE = """
-import json, sys
-from onlinecover import engine
+import contextlib, io, json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
 from onlinecover.harness import cli_main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-report = {"codes": [cli_main(argv) for argv in json.loads(sys.argv[1])]}
-report["after_commands"] = scipy_modules()
-step, at_first_step = engine.greedy_allocation_step, []
-
-def probe(*args, **kwargs):
-    if not at_first_step:
-        at_first_step.append(scipy_modules())
-    return step(*args, **kwargs)
-
-engine.greedy_allocation_step = probe
-report["final_code"] = cli_main(json.loads(sys.argv[2]))
-report["at_first_final_step"] = at_first_step[0]
-print(json.dumps(report))
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    runs.append([code, out.getvalue()])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"runs": runs, "scipy_modules": loaded}))
 """
 
+CLI_COMMANDS = [
+    ["simulate", "--gen", "random:30,0.2", "--algo", "primal-dual", "--f", "linear-alpha"],
+    ["simulate", "--gen", "triangular:20", "--algo", "waterfill", "--f", "linear-alpha",
+     "--prefix"],
+    ["optimize-f", "--tol", "1e-6"],
+    ["verify", "--suite", "identities"],
+    ["adversary", "--budget", "2,5", "--algo", "primal-dual", "--f", "linear-alpha"],
+    ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "6", "--algo", "waterfill",
+     "--f", "linear-alpha"],
+]
 
-def test_scipy_is_loaded_only_by_a_final_solve():
-    """Prefix, adversary and ski-rental commands never import scipy; a
-    final-mode simulate imports it before its first arrival is stepped."""
-    commands = [
-        ["simulate", "--gen", "triangular:20", "--algo", "waterfill", "--f", "linear-alpha",
-         "--prefix"],
-        ["adversary", "--budget", "2,5", "--algo", "primal-dual", "--f", "linear-alpha"],
-        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "6", "--algo", "waterfill",
-         "--f", "linear-alpha"],
-    ]
-    final = ["simulate", "--gen", "random:30,0.2", "--algo", "primal-dual", "--f", "linear-alpha"]
+
+def _probe(mode):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent),
                                                         os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands), json.dumps(final)],
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(CLI_COMMANDS), mode],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0]
-    assert report["after_commands"] == []
-    assert report["final_code"] == 0
-    assert "scipy.sparse.csgraph" in report["at_first_final_step"]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_no_cli_command_loads_scipy():
+    """Every command, a final-mode simulate included, runs without scipy:
+    none imports it, and with every scipy import made to fail each still
+    exits 0 and prints the same output, ``#summary`` line and all."""
+    free = _probe("plain")
+    assert free["scipy_modules"] == []
+    assert [code for code, _ in free["runs"]] == [0] * len(CLI_COMMANDS)
+    assert all(out for _, out in free["runs"])
+    assert sum("#summary" in out for _, out in free["runs"]) >= 4
+    assert _probe("blocked")["runs"] == free["runs"]
 
 
 @pytest.mark.parametrize(
