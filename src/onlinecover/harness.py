@@ -312,12 +312,7 @@ def adaptive_adversary_vc(
                 budget_exhausted = True
         phase_sizes.append(count)
 
-    description = (
-        f"adversary k={k} d={d} cap={budget.per_phase_cap} "
-        f"threshold={budget.convergence_threshold}"
-        + (" budget-exhausted" if budget_exhausted else "")
-    )
-    transcript = InstanceStream(tuple(events), d, description=description)
+    transcript = InstanceStream(tuple(events), d)
     opts = oracle.prefix_optimal_values(transcript)
     ratios = oracle.prefix_ratios([row.cover_cost for row in alg.rows], opts)
     return AdversaryOutcome(
@@ -407,7 +402,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--algo", default="primal-dual", choices=list(engine.ALGOS))
     p.add_argument("--f", dest="f_spec", default="optimal",
                    help="linear-alpha | family-k:<k> | greedy | optimal")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
 
 
@@ -420,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", help="triangular:n | complete:d,m | two-phase:n | random:n,p[,mode]")
     src.add_argument("--input", help="instance file path")
     p.add_argument("--prefix", action="store_true", help="worst-prefix ratios")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
     p = sub.add_parser("optimize-f", help="solve for the best family member")

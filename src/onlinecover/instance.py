@@ -88,7 +88,6 @@ class InstanceStream:
 
     events: tuple[VertexEvent, ...]
     offline_count: int
-    description: str = ""
     side_codes: np.ndarray = field(init=False, repr=False, compare=False)
     edge_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -258,7 +257,7 @@ def gen_triangular(n: int) -> InstanceStream:
         events.append(
             VertexEvent(n + i - 1, 1.0, Side.RIGHT, np.arange(n + 1 - i, dtype=np.int64))
         )
-    return InstanceStream(tuple(events), n, description=f"triangular n={n}")
+    return InstanceStream(tuple(events), n)
 
 
 def gen_two_phase_matching_hard(n: int) -> InstanceStream:
@@ -288,7 +287,7 @@ def gen_two_phase_matching_hard(n: int) -> InstanceStream:
                 np.arange(n, n + (n + 1 - i), dtype=np.int64),
             )
         )
-    return InstanceStream(tuple(events), n, description=f"two-phase n={n}")
+    return InstanceStream(tuple(events), n)
 
 
 def gen_complete_bipartite(d: int, m: int) -> InstanceStream:
@@ -298,7 +297,7 @@ def gen_complete_bipartite(d: int, m: int) -> InstanceStream:
     events = [VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int64)) for i in range(d)]
     for j in range(m):
         events.append(VertexEvent(d + j, 1.0, Side.RIGHT, np.arange(d, dtype=np.int64)))
-    return InstanceStream(tuple(events), d, description=f"complete-bipartite {d}x{m}")
+    return InstanceStream(tuple(events), d)
 
 
 RANDOM_MODES = ("general", "bipartite_one_sided", "bipartite_alternating")
@@ -338,9 +337,7 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
             cand = np.arange((i + 1) % 2, i, 2, dtype=np.int64)
         mask = rng.random(cand.size) < p
         events.append(VertexEvent(i, 1.0, sides[i], cand[mask]))
-    return InstanceStream(
-        tuple(events), offline_count, description=f"random n={n} p={p} seed={seed} mode={mode}"
-    )
+    return InstanceStream(tuple(events), offline_count)
 
 
 # -------------------------------------------------------------- ski rental
@@ -424,14 +421,7 @@ def reduce_ski_rental(spec: SkiRentalSpec) -> InstanceStream:
                 VertexEvent(vid, online_w[k - 1], Side.RIGHT, np.arange(k, dtype=np.int64))
             )
             vid += 1
-    return InstanceStream(
-        tuple(events),
-        n,
-        description=(
-            f"ski-rental n={n} eps={spec.epsilon} t_end={spec.t_end} "
-            f"sentinel_vertex={n - 1}"
-        ),
-    )
+    return InstanceStream(tuple(events), n)
 
 
 def ski_rental_strategy_optimum(spec: SkiRentalSpec) -> float:

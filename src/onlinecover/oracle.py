@@ -11,9 +11,9 @@ optimum into an integral bipartite one.  They read no side labels: on a
 bipartite graph the fractional optimum already equals the integral one
 (Konig), so no separate integral oracle is needed.
 Unit weights: ``_unit_optimum`` runs Hopcroft-Karp, written here in
-Python and numpy, on the n x n biadjacency, row u the left copy of u and
-column v the right copy of v, and reads a Konig cover off the last,
-failed search.
+Python and numpy, on the n x n biadjacency ``_adjacency`` builds, row u
+the left copy of u and column v the right copy of v, and reads a Konig
+cover off the last, failed search.
 Weights: a minimum s-t cut, one ``_CoverNetwork`` whose max flow
 follows augmenting paths of any length without recursion.  Both count in
 integers (halves, or weights over a common power of two), so every check
@@ -23,11 +23,12 @@ independent check of both constructions.
 
 The optimum of every prefix of a stream, which worst-prefix ratios divide
 by, comes from one solver kept across the whole stream instead of one
-solve per prefix: for unit weights a maximum matching that grows by one
-augmenting-path search per added node, for weights the same
+solve per prefix: for unit weights a maximum matching of the same
+biadjacency, one ``_adjacency`` with the same row and column numbers,
+grown by one augmenting-path search per added node; for weights the same
 ``_CoverNetwork`` as the from-scratch solve, solved after each arrival
-with its flow continued.  The tests compare both with from-scratch solves
-of every prefix.
+with its flow continued.  The tests compare both with from-scratch
+solves of every prefix.
 
 Everything here is numpy and Python only; the tests check the unit
 solver against scipy's Hopcroft-Karp.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, TooLarge, ValidationError
-from .instance import SIDE_CODES, InstanceStream, Side, VertexEvent
+from .instance import InstanceStream, Side, VertexEvent
 
 
 def static_from_stream(stream: InstanceStream, upto: int | None = None) -> InstanceStream:
@@ -89,49 +90,84 @@ def _to_float(num: int, den: int) -> float:
         raise ValidationError("the optimum is beyond the float range") from None
 
 
-def _certified(stream: InstanceStream, cover2: np.ndarray, arcs) -> OracleResult:
+def _certified(stream: InstanceStream, cover2: np.ndarray, a, b, x) -> OracleResult:
     """Check integer witnesses exactly, then convert them to floats once.
 
-    ``cover2`` holds the potentials in halves; ``arcs`` yields (a, b, x), the
-    matching x on the double-cover arc a -> b in units of 1/(2 den).
+    ``cover2`` holds the potentials in halves; the matching is x[i] on the
+    double-cover arc a[i] -> b[i] in units of 1/(2 den), x int64 or, for
+    Python-int flows, object.
     """
+    n = len(stream)
     iw, den = _scaled_weights(stream)
     u, v = stream.edge_arrays()
     if u.size and np.min(cover2[u] + cover2[v]) < 2:
         raise ValidationError("cover witness leaves an edge uncovered")
-    pairs: dict[tuple[int, int], int] = {}
-    load = [0] * len(stream)
-    for a, b, x in arcs:
-        key = (min(a, b), max(a, b))
-        pairs[key] = pairs.get(key, 0) + x
-        load[a] += x
-        load[b] += x
-    if any(x > 2 * c for x, c in zip(load, iw)):  # each vertex has two copies
+    load = np.zeros(n, dtype=x.dtype)
+    np.add.at(load, a, x)
+    np.add.at(load, b, x)
+    if np.any(load > 2 * iw):  # each vertex has two copies
         raise ValidationError("matching witness violates a vertex capacity")
     scale = 2 * den
-    value = _to_float(sum(pairs.values()), scale)
-    witness = {k: x / scale for k, x in pairs.items()}
+    value = _to_float(int(x.sum()), scale)
+    # an edge's two arcs are one witness entry: sort by edge, sum each run
+    # (a stable sort: the default one maps more of numpy, 0.3 MiB of peak RSS)
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    key = key[order][first]
+    witness = dict(zip(zip((key // n).tolist(), (key % n).tolist()),
+                       (np.add.reduceat(x[order], first) / scale).tolist()))
     return OracleResult(value, _to_float((cover2 * iw).sum(), scale), witness, cover2 / 2.0)
 
 
 # ------------------------------------------------------------ unit weights
 
 
+_BLOCK = 1 << 14  # keys formed per step in ``_adjacency``
+
+
 def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
     """The whole graph's adjacency: v's neighbours are ``idx[ptr[v]:ptr[v + 1]]``.
 
-    One sort of v * n + neighbour keys builds it, in int32 while n * n
-    fits, so each slice is ascending.
+    One sort of v * n + neighbour keys builds it, so each slice is
+    ascending: v's earlier neighbours, then its later ones in arrival
+    order.  Keys and ``ptr`` are int32 while n * n fits.  The key buffer
+    is the only array as long as the edge list: its halves first hold each
+    edge's endpoints, then the keys, formed in place a block at a time.
     """
     n = len(stream)
-    e0, e1 = stream.edge_arrays()
+    off = stream.edge_offsets
+    e = int(off[-1])
     dtype = np.int32 if n * n < 2**31 else np.int64
-    e0, e1 = e0.astype(dtype), e1.astype(dtype)
-    keys = np.concatenate((e1 * n + e0, e0 * n + e1))
-    keys.sort()
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(e0, minlength=n) + np.diff(stream.edge_offsets), out=ptr[1:])
-    return ptr, keys % n
+    keys = np.zeros(2 * e, dtype=dtype)
+    if e:
+        u, v = keys[:e], keys[e:]
+        np.concatenate([ev.neighbors for ev in stream.events], out=u, casting="same_kind")
+        # edge i's arrival is the number of events after 0 starting at or before i
+        starts = off[1:-1]
+        np.add.at(v, starts[starts < e], 1)
+        np.cumsum(v, out=v)
+        for i in range(0, e, _BLOCK):
+            lo, hi = u[i : i + _BLOCK], v[i : i + _BLOCK]
+            t = lo * n
+            lo += hi * n
+            hi += t
+        keys.sort()
+    ptr = np.full(n + 1, 2 * e, dtype=dtype)
+    # needles of the keys' own dtype: other needles make searchsorted copy the keys
+    ptr[:n] = np.searchsorted(keys, np.arange(n, dtype=dtype) * n)
+    keys %= n
+    return ptr, keys
+
+
+def _gather(ptr: np.ndarray, idx: np.ndarray, nodes, lens) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``lens[i]`` entries of each ``nodes[i]``'s slice, concatenated,
+    and where each node's run ends: ``searchsorted(ends, i, "right")`` names
+    the node of entry i."""
+    ends = np.cumsum(lens, dtype=ptr.dtype)
+    pos = np.arange(ends[-1], dtype=ptr.dtype)
+    pos += np.repeat(ptr[nodes] - (ends - lens), lens)
+    return idx[pos], ends
 
 
 _LONG_ROW = 64  # the greedy start scans longer rows with numpy
@@ -184,8 +220,7 @@ def maximum_bipartite_matching(ptr: np.ndarray, idx: np.ndarray) -> tuple[list[i
         depth = 0
         while layer.size:
             lens = deg[layer]
-            stop = np.cumsum(lens)
-            w = mate[idx[np.arange(stop[-1]) + np.repeat(ptr[layer] - (stop - lens), lens)]]
+            w = mate[_gather(ptr, idx, layer, lens)[0]]
             if (w < 0).any():
                 break
             dist[w[dist[w] < 0]] = depth + 1
@@ -262,7 +297,7 @@ def _unit_optimum(stream: InstanceStream) -> OracleResult:
     cover2 = np.zeros(len(stream), dtype=np.int64)
     cover2[rows[~reached]] = 1
     cover2[cols[reached]] += 1
-    return _certified(stream, cover2, ((u, v, 1) for u, v in zip(rows.tolist(), cols.tolist())))
+    return _certified(stream, cover2, rows, cols, np.ones(rows.size, dtype=np.int64))
 
 
 # ------------------------------------------------------ fractional general
@@ -281,7 +316,7 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     net = _CoverNetwork(stream)
     for ev in stream.events:
         net.add(ev)
-    return _certified(stream, net.solve()[0], net.edge_flows())
+    return _certified(stream, net.solve()[0], *net.edge_flows())
 
 
 class _CoverNetwork:
@@ -395,14 +430,13 @@ class _CoverNetwork:
             raise ValidationError(f"{k} arrivals: min cut does not match max flow")
         return cover_l.astype(np.int64) + cover_r, cut
 
-    def edge_flows(self) -> list[tuple[int, int, int]]:
-        """(u, v, flow) per crossing arc u-left -> v-right with flow, read off its reverse arc."""
-        n, to, cap = self.n, self.to, self.cap
-        return [
-            (to[ei + 1], to[ei] - n, cap[ei + 1])
-            for ei in range(0, len(to), 2)
-            if to[ei + 1] < n and cap[ei + 1] > 0
-        ]
+    def edge_flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays u, v, flow over the crossing arcs u-left -> v-right with flow,
+        read off each arc's reverse, whose head is its tail; flows are Python ints."""
+        to = np.array(self.to)
+        tail, flow = to[1::2], np.array(self.cap[1::2], dtype=object)
+        keep = (tail < self.n) & (flow > 0)
+        return tail[keep], to[0::2][keep] - self.n, flow[keep]
 
 
 # ------------------------------------------------------------- brute force
@@ -443,80 +477,46 @@ def brute_force_half_integral(stream: InstanceStream) -> float:
 
 
 class _GrowingMatching:
-    """Maximum matching of a bipartite graph that grows one node at a time.
+    """Maximum matching of the bipartite double cover, grown one node at a time.
 
-    Nodes are the stream's vertices (``double=False``: side-labeled
-    streams, every edge joins L and R) or the two copies of each vertex in
-    the bipartite double cover (``double=True``: node v is the row copy,
-    n + v the column copy).  Every vertex owns one slice of a single int32
-    adjacency array: its back-edges first, then later arrivals in reveal
-    order, filled in as they arrive, so its arrived neighbours are always
-    the first ``count[v]`` entries of its slice.
+    Node v is vertex v's row copy and n + v its column copy, as in
+    ``_unit_optimum``.  The adjacency is ``_adjacency``'s, whose slices
+    list each vertex's earlier neighbours and then its later ones in
+    arrival order, so a vertex's arrived neighbours are always the first
+    ``count[v]`` entries of its slice; an arrival only updates counts.
     """
 
-    def __init__(self, stream: InstanceStream, double: bool):
-        n = len(stream)
-        total = np.diff(stream.edge_offsets).astype(np.int32)  # back-edges
-        for ev in stream.events:  # forward edges, without a flat edge copy
-            total[ev.neighbors] += 1
-        entries = int(total.sum())
-        if entries >= 2**31:
-            raise TooLarge(f"{entries} adjacency entries overflow the int32 index")
-        self.n = n
-        self.double = double
-        self.start = np.zeros(n, dtype=np.int32)
-        np.cumsum(total[:-1], out=self.start[1:])
-        self.adj = np.empty(entries, dtype=np.int32)
-        self.count = np.zeros(n, dtype=np.int32)
-        span = 2 * n if double else n
-        if double:
-            self.side = np.arange(span) >= n  # column copies on side 1
-        else:
-            self.side = stream.side_codes == SIDE_CODES[Side.RIGHT]
-        self.mate = np.full(span, -1, dtype=np.int32)
-        self.parent = np.zeros(span, dtype=np.int32)
-        self.seen = np.zeros(span, dtype=np.int32)  # number of the last search
-        self.slot = np.zeros(span, dtype=np.int32)  # workspace for deduplication
+    def __init__(self, stream: InstanceStream):
+        self.n = n = len(stream)
+        self.ptr, self.idx = _adjacency(stream)
+        self.count = np.zeros(n, dtype=self.ptr.dtype)
+        self.mate = np.full(2 * n, -1, dtype=np.int32)
+        self.parent = np.zeros(2 * n, dtype=np.int32)
+        self.seen = np.zeros(2 * n, dtype=np.int32)  # number of the last search
+        self.slot = np.zeros(2 * n, dtype=np.int32)  # workspace for deduplication
         self.searches = 0
-        self.free = [0, 0]  # unmatched nodes that have joined, per side
+        self.free = [0, 0]  # unmatched nodes that have joined: rows, columns
         self.size = 0
 
     def arrive(self, v: int, nbrs: np.ndarray) -> None:
-        """Record v's back-edges in v's slice and v in each neighbour's."""
-        a = self.start[v]
-        self.adj[a : a + nbrs.size] = nbrs
+        """Count v's back-edges, and v in each neighbour's slice, as arrived."""
         self.count[v] = nbrs.size
-        self.adj[self.start[nbrs] + self.count[nbrs]] = v
         self.count[nbrs] += 1
 
-    def join(self, node: int, nbrs: np.ndarray) -> None:
+    def join(self, node: int) -> None:
         """Add a free node (its vertex has arrived) and keep the matching maximum.
 
         The matching was maximum before, so every augmenting path now
         starts at ``node`` and ends at a free node of the other side.
-        ``nbrs`` are the node's neighbours as vertex ids.
         """
-        side = int(self.side[node])
+        side = int(node >= self.n)
         self.free[side] += 1
-        if nbrs.size and self.free[1 - side] and self._augment(node, nbrs):
+        if self.count[node % self.n] and self.free[1 - side] and self._augment(node):
             self.free[0] -= 1
             self.free[1] -= 1
             self.size += 1
 
-    def _neighbours(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Arrived neighbours (vertex ids) of all nodes, concatenated.
-
-        Also returns the end offset of each node's run, so that
-        ``searchsorted(ends, i, "right")`` names the node of entry i.
-        """
-        base = nodes % self.n if self.double else nodes
-        lens = self.count[base]
-        ends = np.cumsum(lens, dtype=np.int32)
-        idx = np.arange(ends[-1], dtype=np.int32)
-        idx += np.repeat(self.start[base] - (ends - lens), lens)
-        return self.adj[idx], ends
-
-    def _augment(self, root: int, nbrs: np.ndarray) -> bool:
+    def _augment(self, root: int) -> bool:
         """Search one augmenting path from ``root`` and flip it if found.
 
         Breadth-first over whole frontiers: a free neighbour ends the
@@ -525,16 +525,17 @@ class _GrowingMatching:
         """
         self.searches += 1
         stamp = self.searches
-        mate, seen, slot = self.mate, self.seen, self.slot
-        off = 0  # node id of vertex 0 on the side opposite the root
-        if self.double and root < self.n:
-            off = self.n
-            # the column copy joins only after this search: a path into it
-            # would skip its own search and leave the matching short
-            seen[root + off] = stamp
+        n, mate, seen, slot = self.n, self.mate, self.seen, self.slot
+        off = n if root < n else 0  # node id of vertex 0 on the side opposite the root
+        # a row's own column joins only after this search (a path into it
+        # would skip its own search and leave the matching short); a column
+        # root marks itself
+        seen[root + off] = stamp
         frontier = np.array([root], dtype=np.int32)
-        cand, ends = nbrs.astype(np.int32) + off, np.array([nbrs.size])
         while True:
+            base = frontier % n
+            cand, ends = _gather(self.ptr, self.idx, base, self.count[base])
+            cand += off
             pos = np.flatnonzero(seen[cand] != stamp)
             if not pos.size:
                 return False
@@ -553,8 +554,6 @@ class _GrowingMatching:
             seen[tgt] = stamp
             self.parent[tgt] = frontier[np.searchsorted(ends, pos, "right")]
             frontier = mate[tgt]
-            cand, ends = self._neighbours(frontier)
-            cand += off
 
     def _flip(self, b: int, a: int) -> None:
         """Match a-b, then rematch along the search tree back to the root."""
@@ -571,20 +570,21 @@ class _GrowingMatching:
 def _unit_prefix_values(stream: InstanceStream) -> np.ndarray:
     """Maximum (fractional) matching size after each arrival, unit weights.
 
-    Side-labeled streams match L against R directly.  Otherwise each
-    arrival adds its row copy and then its column copy to the double
-    cover, and the value is half the double cover's matching.  Each added
-    node raises the matching by at most one augmenting path (Berge).
+    A side-labeled stream's L vertex joins as its row and R vertex as its
+    column, a matching of the graph itself; otherwise each arrival adds
+    its row, then its column, and the value is half the double cover's
+    matching.  Each added node adds at most one augmenting path (Berge).
     """
     labeled = stream.has_side_labels()
-    m = _GrowingMatching(stream, double=not labeled)
+    m = _GrowingMatching(stream)
     vals = np.zeros(len(stream))
     for ev in stream.events:
-        v, nbrs = ev.id, ev.neighbors
-        m.arrive(v, nbrs)
-        m.join(v, nbrs)
-        if not labeled:
-            m.join(m.n + v, nbrs)
+        v = ev.id
+        m.arrive(v, ev.neighbors)
+        if not labeled or ev.side is Side.LEFT:
+            m.join(v)
+        if not labeled or ev.side is Side.RIGHT:
+            m.join(m.n + v)
         vals[v] = m.size if labeled else m.size / 2.0
     return vals
 

@@ -235,7 +235,6 @@ def test_adversary_budget_exhaustion_is_reported():
     )
     out = adaptive_adversary_vc(budget, "waterfill", FK)
     assert out.budget_exhausted
-    assert "budget-exhausted" in out.transcript.description
 
 
 # --------------------------------------------------------------- ski rental
@@ -322,6 +321,10 @@ def test_cli_usage_errors():
     assert cli_main(["simulate"]) == 2  # missing source
     assert cli_main(["adversary", "--budget", "xyz"]) == 2
     assert cli_main(["no-such-command"]) == 2
+    # only simulate draws its instance from a seed
+    assert cli_main(["adversary", "--budget", "3,5", "--seed", "-7"]) == 2
+    assert cli_main(["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3",
+                     "--seed", "1"]) == 2
 
 
 @pytest.mark.parametrize(

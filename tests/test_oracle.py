@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from onlinecover.instance import (
     gen_random,
     gen_triangular,
     gen_two_phase_matching_hard,
+    parse_instance,
     reduce_ski_rental,
     serialize_instance,
 )
@@ -172,6 +174,7 @@ def test_bipartite_inputs_agree_across_modes():
         assert labeled.max_matching_value == frac.max_matching_value
         assert labeled.min_cover_value == frac.min_cover_value
         assert labeled.min_cover_value == float(int(labeled.min_cover_value))
+        assert prefix_optimal_values(s).tolist() == prefix_optimal_values(unlabeled(s)).tolist()
         if len(s) <= 12:  # 3^n potentials: n = 16 alone takes seconds
             assert labeled.min_cover_value == brute_force_half_integral(s)
 
@@ -352,6 +355,58 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
         assert vals[-1] > 0.0
         assert len(calls) <= 1
         assert len(networks) == built
+
+
+def shuffled(stream, rng):
+    """The stream's text form with every neighbour list shuffled, parsed back."""
+    lines = serialize_instance(stream).splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        tokens = line.split()
+        lines[i] = " ".join(tokens[:4] + rng.permutation(tokens[4:]).tolist())
+    return parse_instance("\n".join(lines) + "\n")
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 40),
+    p=st.sampled_from((0.1, 0.3, 0.7)),
+    mode=st.sampled_from(MODES),
+    shuffle=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_arrived_neighbours_lead_every_slice(seed, n, p, mode, shuffle):
+    """The prefix matcher reads the from-scratch adjacency and only counts
+    arrivals: after each arrival, the first count[v] entries of v's slice
+    are exactly v's neighbours among the arrived vertices, also when the
+    events list their neighbours out of order."""
+    stream = gen_random(n, p, seed, mode)
+    if shuffle:
+        stream = shuffled(stream, np.random.default_rng(seed))
+    m = oracle._GrowingMatching(stream)
+    arrived = [[] for _ in range(n)]
+    for ev in stream.events:
+        m.arrive(ev.id, ev.neighbors)
+        for u in ev.neighbors.tolist():
+            arrived[u].append(ev.id)
+            arrived[ev.id].append(u)
+        for v in range(n):
+            a = int(m.ptr[v])
+            assert sorted(m.idx[a : a + m.count[v]].tolist()) == sorted(arrived[v])
+
+
+def test_adjacency_peak_memory_is_its_output():
+    """The key buffer is the only array as long as the edge list: building
+    the adjacency allocates at most 1.25 times the bytes it returns."""
+    stream = gen_complete_bipartite(200, 1000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ptr, idx = oracle._adjacency(stream)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (ptr.nbytes + idx.nbytes)
 
 
 def zigzag(m):
