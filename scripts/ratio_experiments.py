@@ -12,15 +12,15 @@ import argparse
 import csv
 import sys
 
-from onlinecover.harness import ExperimentConfig, run_experiment
+from onlinecover.harness import resolve_allocation, resolve_generator, run_experiment
 
 
 def measure(spec, algo, f_spec="optimal", seed=0):
-    """One CSV row from the summary of one simulate run on ``gen:<spec>``."""
-    config = ExperimentConfig(f"gen:{spec}", algo, f_spec, seed)
-    summary = run_experiment(config).summary
+    """One CSV row from the summary of one simulate run on ``--gen <spec>``."""
+    stream = resolve_generator(spec, seed)
+    _, summary = run_experiment(stream, algo, resolve_allocation(f_spec))
     return {
-        "instance": f"{config.instance_source} seed={seed}",
+        "instance": f"gen:{spec} seed={seed}",
         "algo": algo,
         "f": summary["f"],
         "cover_ratio": summary["cover_ratio"],

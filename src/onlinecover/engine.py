@@ -144,7 +144,10 @@ def _solve_level(pots, ws, v_weight, func):
 
 @dataclass
 class CoverState:
-    """Monotone fractional cover potentials with arrival values."""
+    """Monotone fractional cover potentials with arrival values.
+
+    Each vertex's weight is recorded from its event when it arrives.
+    """
 
     weights: np.ndarray
     y: np.ndarray
@@ -153,10 +156,9 @@ class CoverState:
     total_cost: float = 0.0
 
     @classmethod
-    def fresh(cls, n: int, weights=None) -> "CoverState":
-        w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    def fresh(cls, n: int) -> "CoverState":
         return cls(
-            weights=w,
+            weights=np.zeros(n),
             y=np.zeros(n),
             z_arrival=np.zeros(n),
             is_arrived=np.zeros(n, dtype=bool),
@@ -211,6 +213,7 @@ def _arrive(cover: CoverState, event: VertexEvent):
         raise ValidationError(f"event {event.id}: neighbor not yet arrived")
     if cover.is_arrived[event.id]:
         raise ValidationError(f"event {event.id} arrived twice")
+    cover.weights[event.id] = event.weight
 
 
 def greedy_allocation_step(
@@ -307,7 +310,7 @@ def greedy_baseline_step(
     event: VertexEvent,
 ) -> tuple[CoverState, MatchingState, WaterLevelOutcome]:
     """Match to the lowest-id unmatched arrived neighbor; cover both ends."""
-    if event.weight != 1.0 or np.any(cover.weights != 1.0):
+    if event.weight != 1.0:
         raise ValidationError("greedy baseline requires unit weights")
     _arrive(cover, event)
     v = event.id
@@ -393,14 +396,14 @@ class Algorithm:
     ``feas_slack`` is the most negative y_u + y_v - 1 seen on a revealed edge.
     """
 
-    def __init__(self, algo: str, func: AllocationFunction | None, n: int, weights=None):
+    def __init__(self, algo: str, func: AllocationFunction | None, n: int):
         if algo not in ALGOS:
             raise ValidationError(f"unknown algorithm {algo!r}")
         if algo != "greedy" and func is None:
             raise ValidationError(f"{algo} requires an allocation function")
         self.algo = algo
         self.func = None if algo == "greedy" else func  # greedy reads no f
-        self.cover = CoverState.fresh(n, weights)
+        self.cover = CoverState.fresh(n)
         self.matching: MatchingState | None = None
         self.beta = 0.0
         if algo == "primal-dual":
@@ -467,7 +470,7 @@ def run_stream(
 
     Fully deterministic: identical inputs give identical rows.
     """
-    alg = Algorithm(algo, func, len(stream), stream.weights())
+    alg = Algorithm(algo, func, len(stream))
     for event in stream.events:
         alg.step(event)
     return alg

@@ -1,9 +1,14 @@
-"""Experiment harness and CLI.
+"""Runners and CLI.
 
 Subcommands: ``simulate`` (run an algorithm over a generated or loaded
 instance and report ratios), ``optimize-f`` (solve for the best family
 member), ``verify`` (identity/residual suite), ``adversary`` (adaptive
 alternation lower-bound surrogates), ``ski-rental`` (reduction runs).
+
+``run_experiment`` and ``run_ski_rental`` return the ``Algorithm`` they
+stepped with a summary dict; ``_dispatch`` builds the adversary's summary
+from its outcome, writes the ``--csv`` file if one is named, and only then
+prints the summary as one ``#summary,k=v,...`` line.
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
 2 usage error (including malformed numbers and unreadable or unwritable
@@ -82,8 +87,8 @@ _GENERATORS = {
 }
 
 
-def parse_generator_spec(spec: str):
-    """Parse a `name:params` --gen spec into a builder from seed to stream.
+def resolve_generator(spec: str, seed: int = 0) -> InstanceStream:
+    """Build the stream a `name:params` --gen spec names.
 
     Malformed specs raise ValidationError before anything is built.
     """
@@ -98,70 +103,39 @@ def parse_generator_spec(spec: str):
         values = [convert(a) for convert, a in zip(types, args)]
     except ValueError as exc:
         raise ValidationError(f"bad generator spec {spec!r}: {exc}") from None
-    return lambda seed: build(seed, *values)
+    return build(seed, *values)
 
 
-def resolve_generator(spec: str, seed: int = 0) -> InstanceStream:
-    """Build the stream a --gen spec names."""
-    return parse_generator_spec(spec)(seed)
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything needed to reproduce one simulate run."""
-
-    instance_source: str  # "gen:<spec>" or a file path
-    algo: str = "primal-dual"
-    f_spec: str = "optimal"
-    seed: int = 0
-    prefix_mode: bool = False
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.instance_source.startswith("gen:"):
-            parse_generator_spec(self.instance_source[4:])
-
-    def load(self) -> InstanceStream:
-        if self.instance_source.startswith("gen:"):
-            return resolve_generator(self.instance_source[4:], self.seed)
-        with open(self.instance_source, encoding="utf-8") as fh:
-            return parse_instance(fh.read())
-
-
-# -------------------------------------------------------------- experiments
-
-
-@dataclass
-class ExperimentResult:
-    algorithm: engine.Algorithm
-    summary: dict
-    csv_text: str
+# ------------------------------------------------------------------ runners
 
 
 def _summary_row(summary: dict) -> str:
-    parts = [f"{k}={v}" for k, v in summary.items()]
-    return "#summary," + ",".join(parts)
+    return "#summary," + ",".join(f"{k}={v}" for k, v in summary.items())
 
 
 def _zero_weight_arrivals(stream: InstanceStream) -> int:
     return int(np.count_nonzero(stream.weights()[stream.offline_count :] == 0.0))
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one instance through the engine and measure it against oracles."""
-    stream = config.load()
-    func = resolve_allocation(config.f_spec)
-    alg = engine.run_stream(stream, config.algo, func)
+def run_experiment(
+    stream: InstanceStream, algo: str, func: AllocationFunction | None, prefix: bool = False
+) -> tuple[engine.Algorithm, dict]:
+    """Run one stream through the engine and measure it against the oracles.
+
+    The ratios are the final prefix's, or with ``prefix`` the worst over
+    every prefix.
+    """
+    alg = engine.run_stream(stream, algo, func)
 
     summary: dict = {
-        "algo": config.algo,
+        "algo": algo,
         "f": alg.func.describe() if alg.func is not None else "none",
         "n": len(stream),
         "edges": stream.edge_count(),
     }
     if len(stream):
         rows = alg.rows
-        if config.prefix_mode:
+        if prefix:
             opts = oracle.prefix_optimal_values(stream)
         else:
             opt = oracle.fractional_optima_general(stream).min_cover_value
@@ -176,12 +150,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         summary["max_inv2_slack"] = max(r.inv2_slack for r in alg.rows)
         summary["feas_slack"] = alg.feas_slack
         summary["zero_weight_arrivals"] = _zero_weight_arrivals(stream)
-
-    csv_text = alg.to_csv() + _summary_row(summary) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    return ExperimentResult(algorithm=alg, summary=summary, csv_text=csv_text)
+    return alg, summary
 
 
 # ---------------------------------------------------------------- adversary
@@ -207,9 +176,7 @@ class AdversaryBudget:
             raise ValidationError("budget fields must be positive")
         arrivals = self.offline_d + self.phases * self.per_phase_cap
         if arrivals > MAX_ARRIVALS:
-            raise ValidationError(
-                f"budget allows {arrivals} arrivals, more than {MAX_ARRIVALS}"
-            )
+            raise ValidationError(f"budget allows {arrivals} arrivals, more than {MAX_ARRIVALS}")
         if not (0.0 < self.convergence_threshold < 1.0):
             raise ValidationError("convergence_threshold must lie in (0, 1)")
 
@@ -328,58 +295,39 @@ def adaptive_adversary_vc(
 # --------------------------------------------------------------- ski rental
 
 
-@dataclass
-class SkiRentalReport:
-    spec: SkiRentalSpec
-    algorithm: engine.Algorithm
-    worst_prefix_cover_ratio: float
-    reduced_optimum: float
-    strategy_optimum: float
-    sentinel_potential: float
-    zero_weight_arrivals: int
-
-
 def run_ski_rental(
-    spec: SkiRentalSpec,
-    algo: str = "waterfill",
-    func: AllocationFunction | None = None,
-) -> SkiRentalReport:
+    spec: SkiRentalSpec, algo: str, func: AllocationFunction | None
+) -> tuple[engine.Algorithm, dict]:
     """Reduce, run, and measure worst-prefix cover ratio plus sanity flags.
 
     The sentinel left vertex should keep potential 0; anything else is
     reported rather than silently accepted.
     """
-    if func is None:
-        func = AllocationFunction.linear_alpha()
     stream = reduce_ski_rental(spec)
     alg = engine.run_stream(stream, algo, func)
     opts = oracle.prefix_optimal_values(stream)
     ratios = oracle.prefix_ratios([row.cover_cost for row in alg.rows], opts)
-    return SkiRentalReport(
-        spec=spec,
-        algorithm=alg,
-        worst_prefix_cover_ratio=float(ratios.max()),
-        reduced_optimum=float(opts[-1]),
-        strategy_optimum=ski_rental_strategy_optimum(spec),
-        sentinel_potential=float(alg.cover.y[spec.n_states - 1]),
-        zero_weight_arrivals=_zero_weight_arrivals(stream),
-    )
+    return alg, {
+        "worst_prefix_cover_ratio": float(ratios.max()),
+        "reduced_optimum": float(opts[-1]),
+        "strategy_optimum": ski_rental_strategy_optimum(spec),
+        "sentinel_potential": float(alg.cover.y[spec.n_states - 1]),
+        "zero_weight_arrivals": _zero_weight_arrivals(stream),
+    }
 
 
 # ----------------------------------------------------------------- verify
 
 
-def verify_identities(out=None) -> bool:
+def verify_identities() -> bool:
     """Residual suite for the closed-form family; prints one line each."""
-    if out is None:
-        out = sys.stdout
     ok = True
 
     def report(name: str, value: float, bound: float):
         nonlocal ok
         good = value < bound
         ok = ok and good
-        out.write(f"{name}: {value:.3e} (< {bound:.0e}) {'ok' if good else 'FAIL'}\n")
+        print(f"{name}: {value:.3e} (< {bound:.0e}) {'ok' if good else 'FAIL'}")
 
     for k in (1.0, 1.1997, 2.0):
         report(f"ode-residual k={k}", allocation.ode_residual(k, 2001, 1e-5), 1e-5)
@@ -398,11 +346,11 @@ def verify_identities(out=None) -> bool:
 # -------------------------------------------------------------------- CLI
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, csv_help: str):
     p.add_argument("--algo", default="primal-dual", choices=list(engine.ALGOS))
     p.add_argument("--f", dest="f_spec", default="optimal",
                    help="linear-alpha | family-k:<k> | greedy | optimal")
-    p.add_argument("--csv", default=None)
+    p.add_argument("--csv", default=None, help=csv_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,27 +362,26 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", help="triangular:n | complete:d,m | two-phase:n | random:n,p[,mode]")
     src.add_argument("--input", help="instance file path")
     p.add_argument("--prefix", action="store_true", help="worst-prefix ratios")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="generator seed, at least 0")
+    _add_common(p, "write one CSV row per arrival, then the #summary line")
 
     p = sub.add_parser("optimize-f", help="solve for the best family member")
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("verify", help="identity/residual suite")
-    p.add_argument("--suite", default="identities", choices=["identities"])
+    sub.add_parser("verify", help="identity/residual suite")
 
     p = sub.add_parser("adversary", help="adaptive alternation lower-bound surrogate")
     p.add_argument("--budget", required=True, help="k,d[,cap]")
     p.add_argument("--threshold", type=float, default=0.999)
     p.add_argument("--trial-beta", type=float, default=None)
-    _add_common(p)
+    _add_common(p, "write the transcript in the instance format")
 
     p = sub.add_parser("ski-rental", help="multislope reduction run")
     p.add_argument("--buy", required=True, help="comma-separated buy costs, first 0")
     p.add_argument("--rent", required=True, help="comma-separated rent rates")
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--t-end", type=float, required=True)
-    _add_common(p)
+    _add_common(p, "write one CSV row per arrival of the reduced stream")
     return parser
 
 
@@ -466,45 +413,42 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         return 0 if verify_identities() else 1
 
+    # each run yields its summary and a function building its --csv text
     if args.command == "simulate":
-        source = f"gen:{args.gen}" if args.gen else args.input
-        config = ExperimentConfig(
-            instance_source=source,
-            algo=args.algo,
-            f_spec=args.f_spec,
-            seed=args.seed,
-            prefix_mode=args.prefix,
-            output=args.csv,
-        )
-        result = run_experiment(config)
-        print(_summary_row(result.summary))
-        return 0
+        if args.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {args.seed}")
+        if args.gen:
+            stream = resolve_generator(args.gen, args.seed)
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                stream = parse_instance(fh.read())
+        func = resolve_allocation(args.f_spec)
+        alg, summary = run_experiment(stream, args.algo, func, args.prefix)
 
-    if args.command == "adversary":
+        def file_text():
+            return alg.to_csv() + _summary_row(summary) + "\n"
+
+    elif args.command == "adversary":
         try:
             parts = [int(x) for x in args.budget.split(",")]
         except ValueError:
             parts = []
         if not 2 <= len(parts) <= 3:
             raise ValidationError(f"--budget needs k,d[,cap], got {args.budget!r}")
-        budget = AdversaryBudget(
-            phases=parts[0],
-            offline_d=parts[1],
-            per_phase_cap=parts[2] if len(parts) > 2 else 0,
-            convergence_threshold=args.threshold,
-        )
+        budget = AdversaryBudget(*parts, convergence_threshold=args.threshold)
         func = resolve_allocation(args.f_spec)
         outcome = adaptive_adversary_vc(budget, args.algo, func, args.trial_beta)
-        print(
-            f"#summary,ratio={outcome.ratio},phases={outcome.phase_sizes},"
-            f"arrivals={len(outcome.transcript)},budget_exhausted={outcome.budget_exhausted}"
-        )
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(serialize_instance(outcome.transcript))
-        return 0
+        summary = {
+            "ratio": outcome.ratio,
+            "phases": outcome.phase_sizes,
+            "arrivals": len(outcome.transcript),
+            "budget_exhausted": outcome.budget_exhausted,
+        }
 
-    if args.command == "ski-rental":
+        def file_text():
+            return serialize_instance(outcome.transcript)
+
+    else:
         try:
             buys = tuple(float(x) for x in args.buy.split(","))
             rents = tuple(float(x) for x in args.rent.split(","))
@@ -514,20 +458,14 @@ def _dispatch(args) -> int:
             raise ValidationError("--buy and --rent must have equal length")
         spec = SkiRentalSpec(states=tuple(zip(buys, rents)), epsilon=args.step, t_end=args.t_end)
         func = resolve_allocation(args.f_spec)
-        report = run_ski_rental(spec, args.algo, func)
-        print(
-            f"#summary,worst_prefix_cover_ratio={report.worst_prefix_cover_ratio},"
-            f"reduced_optimum={report.reduced_optimum},"
-            f"strategy_optimum={report.strategy_optimum},"
-            f"sentinel_potential={report.sentinel_potential},"
-            f"zero_weight_arrivals={report.zero_weight_arrivals}"
-        )
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(report.algorithm.to_csv())
-        return 0
+        alg, summary = run_ski_rental(spec, args.algo, func)
+        file_text = alg.to_csv
 
-    return 2
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(file_text())
+    print(_summary_row(summary))
+    return 0
 
 
 def main() -> None:

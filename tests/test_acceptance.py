@@ -226,7 +226,7 @@ def test_criterion_7_oracle_cross_validation():
 
 def test_criterion_8_rounding():
     stream = gen_complete_bipartite(50, 500)
-    cover = engine.CoverState.fresh(len(stream), stream.weights())
+    cover = engine.CoverState.fresh(len(stream))
     yu_at_reveal, yv_at_reveal = [], []
     prev = cover.y.copy()
     monotone = True
@@ -290,8 +290,8 @@ def test_criterion_9_triangular_2000():
 
 def test_criterion_10_ski_rental():
     classical = SkiRentalSpec(states=((0.0, 1.0), (100.0, 0.0)), epsilon=1.0, t_end=300.0)
-    report = run_ski_rental(classical, "waterfill", LIN)
-    ratio_ok = report.worst_prefix_cover_ratio <= 1.5820
+    _, report = run_ski_rental(classical, "waterfill", LIN)
+    ratio_ok = report["worst_prefix_cover_ratio"] <= 1.5820
 
     rng = np.random.default_rng(12)
     exact = True
@@ -302,13 +302,13 @@ def test_criterion_10_ski_rental():
         spec = SkiRentalSpec(
             states=tuple(zip(buys, rents)), epsilon=1.0, t_end=float(rng.integers(2, 20))
         )
-        rep = run_ski_rental(spec, "waterfill", LIN)
-        if rep.reduced_optimum != ski_rental_strategy_optimum(spec):
+        _, rep = run_ski_rental(spec, "waterfill", LIN)
+        if rep["reduced_optimum"] != ski_rental_strategy_optimum(spec):
             exact = False
-    ok = ratio_ok and exact and report.sentinel_potential == 0.0
+    ok = ratio_ok and exact and report["sentinel_potential"] == 0.0
     _report(
         10,
         ok,
-        f"classical worst-prefix {report.worst_prefix_cover_ratio:.6f} <= 1.5820, "
-        f"10 multislope optima exact={exact}, sentinel potential {report.sentinel_potential}",
+        f"classical worst-prefix {report['worst_prefix_cover_ratio']:.6f} <= 1.5820, "
+        f"10 multislope optima exact={exact}, sentinel potential {report['sentinel_potential']}",
     )

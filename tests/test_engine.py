@@ -62,7 +62,8 @@ def star_level(neighbors, v_weight, func):
     vertex ids are the input indices.
     """
     m = len(neighbors)
-    cover = CoverState.fresh(m + 1, [w for _, w in neighbors] + [v_weight])
+    cover = CoverState.fresh(m + 1)
+    cover.weights[:m] = [w for _, w in neighbors]
     cover.y[:m] = [p for p, _ in neighbors]
     cover.is_arrived[:m] = True
     center = VertexEvent(m, v_weight, Side.UNLABELED, np.arange(m, dtype=np.int64))
@@ -352,7 +353,7 @@ def test_primal_dual_invariants_random_run():
 
 def test_check_invariants_stepwise():
     stream = gen_random(40, 0.25, seed=8)
-    cover = CoverState.fresh(len(stream), stream.weights())
+    cover = CoverState.fresh(len(stream))
     matching = PrimalDualState.fresh(len(stream))
     for ev in stream.events:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
@@ -413,7 +414,7 @@ def test_understated_beta_shows_up_as_capacity_excess():
     # the two maintained invariants are scale-invariant in beta, so an
     # understated beta must surface in the capacity check instead
     stream = gen_complete_bipartite(2, 12)
-    cover = CoverState.fresh(len(stream), stream.weights())
+    cover = CoverState.fresh(len(stream))
     matching = PrimalDualState.fresh(len(stream))
     for ev in stream.events:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, beta=1.0)
@@ -433,7 +434,7 @@ def test_check_invariants_fresh_state():
 
 def test_monotone_potentials():
     stream = gen_random(80, 0.2, seed=13)
-    cover = CoverState.fresh(len(stream), stream.weights())
+    cover = CoverState.fresh(len(stream))
     prev = cover.y.copy()
     for ev in stream.events:
         cover, _ = greedy_allocation_step(cover, ev, FK)
@@ -515,7 +516,7 @@ def test_round_monte_carlo_mean():
 
 def test_round_monotone_over_trace():
     stream = gen_complete_bipartite(6, 30)
-    cover = CoverState.fresh(len(stream), stream.weights())
+    cover = CoverState.fresh(len(stream))
     sides = stream.sides()
     prev_covers = {t: set() for t in (0.12, 0.5, 0.87)}
     for ev in stream.events:
@@ -554,22 +555,30 @@ def test_run_rejects_bad_args():
 
 @pytest.mark.parametrize("algo", ["waterfill", "primal-dual", "greedy"])
 def test_stepping_by_hand_equals_run_stream(algo):
-    stream = gen_random(60, 0.2, seed=4)
+    """Each vertex's weight comes from its event alone, so a stepper sized
+    by the arrival count alone runs a reweighted stream as run_stream does."""
     func = None if algo == "greedy" else FK
-    alg = Algorithm(algo, func, len(stream), stream.weights())
-    rows = [alg.step(ev) for ev in stream.events]
-    trace = run_stream(stream, algo, func)
-    assert rows == alg.rows == trace.rows
-    assert alg.feas_slack == trace.feas_slack
-    assert np.array_equal(alg.cover.y, trace.cover.y)
-    if algo == "primal-dual":
-        # the row monitors agree with the from-scratch checker at every prefix
-        alg = Algorithm(algo, func, len(stream), stream.weights())
-        for ev in stream.events:
-            row = alg.step(ev)
-            rep = check_invariants(alg.cover, alg.matching, FK, alg.beta, stream, upto=ev.id + 1)
-            assert row.inv1_slack == pytest.approx(rep.max_inv1_slack, abs=1e-12)
-            assert row.inv2_slack == pytest.approx(rep.inv2_rel_slack, abs=1e-12)
+    streams = [gen_random(60, 0.2, seed=4)]
+    if algo != "greedy":  # the greedy baseline takes unit weights only
+        streams.append(weighted_stream(4))
+    for stream in streams:
+        alg = Algorithm(algo, func, len(stream))
+        rows = [alg.step(ev) for ev in stream.events]
+        trace = run_stream(stream, algo, func)
+        assert rows == alg.rows == trace.rows
+        assert alg.feas_slack == trace.feas_slack
+        assert np.array_equal(alg.cover.y, trace.cover.y)
+        assert np.array_equal(alg.cover.weights, stream.weights())
+        if algo == "primal-dual":
+            # the row monitors agree with the from-scratch checker at every prefix
+            alg = Algorithm(algo, func, len(stream))
+            for ev in stream.events:
+                row = alg.step(ev)
+                rep = check_invariants(
+                    alg.cover, alg.matching, FK, alg.beta, stream, upto=ev.id + 1
+                )
+                assert row.inv1_slack == pytest.approx(rep.max_inv1_slack, abs=1e-12)
+                assert row.inv2_slack == pytest.approx(rep.inv2_rel_slack, abs=1e-12)
     # each algorithm builds only its own state
     expected = {"waterfill": type(None), "primal-dual": PrimalDualState, "greedy": MatchingState}
     assert type(alg.matching) is expected[algo]

@@ -18,10 +18,8 @@ from onlinecover.allocation import ALPHA, AllocationFunction, optimal_k
 from onlinecover.errors import LengthMismatch, ValidationError
 from onlinecover.harness import (
     AdversaryBudget,
-    ExperimentConfig,
     adaptive_adversary_vc,
     cli_main,
-    parse_generator_spec,
     resolve_allocation,
     resolve_generator,
     run_experiment,
@@ -60,69 +58,66 @@ def test_resolve_generator_specs():
     assert len(resolve_generator("random:9,0.5", seed=1)) == 9
     for bad in ("nonsense:5", "triangular", "complete:3", "random:5,2x"):
         with pytest.raises(ValidationError):
-            parse_generator_spec(bad)
+            resolve_generator(bad)
 
 
 def test_random_mode_error_names_the_modes(capsys):
     modes = "general, bipartite_one_sided, bipartite_alternating"
     with pytest.raises(ValidationError, match=modes):
-        ExperimentConfig(instance_source="gen:random:10,0.3,weird")
+        resolve_generator("random:10,0.3,weird")
     assert cli_main(["simulate", "--gen", "random:10,0.3,weird"]) == 2
     assert "bipartite_alternating" in capsys.readouterr().err
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ValidationError):
-        ExperimentConfig(instance_source="gen:warp:9")
+def test_resolve_generator_rejects_before_building(monkeypatch):
+    import onlinecover.harness as hmod
+
+    def boom(*args):
+        raise AssertionError("a malformed spec reached its builder")
+
+    monkeypatch.setattr(hmod, "gen_random", boom)
+    monkeypatch.setattr(hmod, "gen_complete_bipartite", boom)
+    for bad in ("warp:9", "random:10,0.3,weird", "random:5,2x", "random:5", "complete:3,4,5"):
+        with pytest.raises(ValidationError):
+            resolve_generator(bad)
+    with pytest.raises(AssertionError, match="reached its builder"):
+        resolve_generator("random:5,0.5")
 
 
 # -------------------------------------------------------------- experiments
 
 
 def test_run_experiment_random_primal_dual():
-    cfg = ExperimentConfig(
-        instance_source="gen:random:200,0.1",
-        algo="primal-dual",
-        f_spec="optimal",
-        seed=7,
-    )
-    res = run_experiment(cfg)
-    assert res.summary["cover_ratio"] <= 1.9011
-    assert res.summary["matching_ratio"] >= 0.5259
-    assert res.summary["max_inv1_slack"] < 1e-8
-    assert res.summary["max_inv2_slack"] < 1e-8
+    _, summary = run_experiment(resolve_generator("random:200,0.1", seed=7), "primal-dual", FK)
+    assert summary["cover_ratio"] <= 1.9011
+    assert summary["matching_ratio"] >= 0.5259
+    assert summary["max_inv1_slack"] < 1e-8
+    assert summary["max_inv2_slack"] < 1e-8
 
 
 def test_run_experiment_prefix_bound():
-    cfg = ExperimentConfig(
-        instance_source="gen:complete:100,1000",
-        algo="waterfill",
-        f_spec="linear-alpha",
-        prefix_mode=True,
-    )
-    res = run_experiment(cfg)
-    assert res.summary["cover_ratio"] <= 1.5820
+    stream = resolve_generator("complete:100,1000")
+    _, summary = run_experiment(stream, "waterfill", LIN, prefix=True)
+    assert summary["cover_ratio"] <= 1.5820
 
 
-def test_run_experiment_csv_reparses(tmp_path):
+def test_run_experiment_csv_reparses(tmp_path, capsys):
     out = tmp_path / "run.csv"
-    cfg = ExperimentConfig(
-        instance_source="gen:random:25,0.3",
-        algo="primal-dual",
-        f_spec="family-k:1.1996786402577338",
-        seed=3,
-        output=str(out),
+    f_spec = "family-k:1.1996786402577338"
+    argv = ["simulate", "--gen", "random:25,0.3", "--algo", "primal-dual", "--f", f_spec,
+            "--seed", "3", "--csv", str(out)]
+    assert cli_main(argv) == 0
+    alg, _ = run_experiment(
+        resolve_generator("random:25,0.3", seed=3), "primal-dual", resolve_allocation(f_spec)
     )
-    res = run_experiment(cfg)
     text = out.read_text()
-    assert text == res.csv_text
     lines = [ln for ln in text.strip().split("\n")]
     assert lines[0].startswith("step,vertex,level,")
-    assert lines[-1].startswith("#summary,")
+    assert lines[-1] + "\n" == capsys.readouterr().out  # the summary it printed
     data = [ln.split(",") for ln in lines[1:-1]]
     assert len(data) == 25
     costs = [float(r[3]) for r in data]
-    assert costs == [row.cover_cost for row in res.algorithm.rows]
+    assert costs == [row.cover_cost for row in alg.rows]
 
 
 def test_worst_prefix_ratio_semantics():
@@ -242,11 +237,11 @@ def test_adversary_budget_exhaustion_is_reported():
 
 def test_ski_rental_classical_run():
     spec = SkiRentalSpec(states=((0.0, 1.0), (100.0, 0.0)), epsilon=1.0, t_end=300.0)
-    report = run_ski_rental(spec)
-    assert report.worst_prefix_cover_ratio <= 1.5820
-    assert report.sentinel_potential == 0.0
-    assert report.reduced_optimum == pytest.approx(report.strategy_optimum, abs=1e-9)
-    assert report.zero_weight_arrivals == 300
+    _, summary = run_ski_rental(spec, "waterfill", LIN)
+    assert summary["worst_prefix_cover_ratio"] <= 1.5820
+    assert summary["sentinel_potential"] == 0.0
+    assert summary["reduced_optimum"] == pytest.approx(summary["strategy_optimum"], abs=1e-9)
+    assert summary["zero_weight_arrivals"] == 300
 
 
 def test_ski_rental_multislope_optimum_matches_enumeration():
@@ -260,8 +255,8 @@ def test_ski_rental_multislope_optimum_matches_enumeration():
             epsilon=1.0,
             t_end=float(rng.integers(3, 15)),
         )
-        report = run_ski_rental(spec)
-        assert report.reduced_optimum == pytest.approx(
+        _, summary = run_ski_rental(spec, "waterfill", LIN)
+        assert summary["reduced_optimum"] == pytest.approx(
             ski_rental_strategy_optimum(spec), abs=1e-9
         )
 
@@ -279,8 +274,11 @@ def test_cli_optimize_f(capsys):
 
 
 def test_cli_verify(capsys):
-    assert cli_main(["verify", "--suite", "identities"]) == 0
-    assert "ok" in capsys.readouterr().out
+    assert cli_main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" ok\n") == 10 and "FAIL" not in out
+    # verify takes no options
+    assert cli_main(["verify", "--suite", "identities"]) == 2
 
 
 def test_budget_monitor_is_finite_at_the_largest_weights(capsys, tmp_path):
@@ -351,10 +349,15 @@ def test_cli_usage_errors():
         ["optimize-f", "--tol", "inf"],
         ["optimize-f", "--tol", "1e-300"],  # below the 1e-9 floor
         ["simulate", "--input", "{huge}", "--algo", "waterfill", "--f", "linear-alpha"],
+        ["simulate", "--gen", "triangular:3", "--seed", "-1"],  # a seed its builder ignores
+        ["adversary", "--budget", "2,5", "--csv", "{missing_dir}/transcript.txt"],
+        ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3",
+         "--csv", "{missing_dir}/run.csv"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
-    """Usage errors exit 2 with one `error:` line and raise nothing."""
+    """Usage errors exit 2 with one `error:` line, print no summary and
+    raise nothing; a failed --csv write comes before the summary."""
     overflow = tmp_path / "overflow.txt"  # a neighbour id beyond int64
     overflow.write_text("offline 0\n0 1 - 0\n1 1 - 1 99999999999999999999\n")
     huge = tmp_path / "huge.txt"  # K4 of weight 1e308: its total weight is no float
@@ -366,7 +369,8 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
         for a in argv
     ]
     assert cli_main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
 
@@ -412,7 +416,7 @@ CLI_FLAGS = {
         {"--prefix": st.none(), "--algo": _ALGO, "--f": _F, "--seed": _ints(-3, 5)},
     ),
     "optimize-f": ({}, {"--tol": _numbers("1e-6", "1e-3", "0.1")}),
-    "verify": ({}, {"--suite": st.sampled_from(["identities", "x"])}),
+    "verify": ({}, {}),
     "adversary": (
         {"--budget": _listed(_ints(-1, 3), 4)},
         {
@@ -437,7 +441,9 @@ CLI_FLAGS = {
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(CLI_FLAGS)))
     required, optional = CLI_FLAGS[command]
-    flags = sorted(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    flags = sorted(required)
+    if optional:  # verify takes none
+        flags += draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
     argv = [command]
     for flag in flags:
         argv.append(flag)
@@ -499,7 +505,7 @@ def test_cli_invariant_violation_exit_code(monkeypatch, capsys):
     import onlinecover.harness as hmod
     from onlinecover.errors import InvariantViolation
 
-    def boom(config):
+    def boom(*args):
         raise InvariantViolation("synthetic failure", vertex=0, slack=1.0)
 
     monkeypatch.setattr(hmod, "run_experiment", boom)

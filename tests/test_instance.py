@@ -218,8 +218,8 @@ def test_stream_arrays_and_prefix_edges():
 
 
 def test_stream_arrays_are_read_only():
-    """Runs share a stream (a CoverState holds its weights), so the arrays
-    it stores cannot be written through."""
+    """Runs share a stream, so the arrays it stores cannot be written
+    through."""
     s = gen_triangular(3)
     for stored in (s.weights(), s.side_codes, s.edge_offsets):
         with pytest.raises(ValueError, match="read-only"):

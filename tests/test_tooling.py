@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,7 +70,7 @@ CLI_COMMANDS = [
     ["simulate", "--gen", "triangular:20", "--algo", "waterfill", "--f", "linear-alpha",
      "--prefix"],
     ["optimize-f", "--tol", "1e-6"],
-    ["verify", "--suite", "identities"],
+    ["verify"],
     ["adversary", "--budget", "2,5", "--algo", "primal-dual", "--f", "linear-alpha"],
     ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "6", "--algo", "waterfill",
      "--f", "linear-alpha"],
@@ -120,28 +121,89 @@ def test_script_runs(script, args, header):
     assert any(line.startswith(header) for line in proc.stdout.splitlines()[:2])
 
 
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a tiny command of each run the benchmark measures, and the traced entry
+# points it passes through
+TRACED_COMMANDS = [
+    (["simulate", "--gen", "random:30,0.2", "--algo", "primal-dual"],
+     ["instance.resolve_generator", "allocation.resolve_allocation", "engine.run_stream",
+      "oracle.fractional_optima_general"]),
+    (["simulate", "--gen", "triangular:20", "--algo", "waterfill", "--f", "linear-alpha",
+      "--prefix"],
+     ["instance.resolve_generator", "allocation.resolve_allocation", "engine.run_stream",
+      "oracle.prefix_optimal_values"]),
+    (["adversary", "--budget", "3,5", "--algo", "primal-dual", "--f", "linear-alpha"],
+     ["allocation.resolve_allocation", "harness.adaptive_adversary_vc",
+      "harness.EngineAlgorithm.process", "oracle.prefix_optimal_values"]),
+    (["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "6", "--algo", "waterfill",
+      "--f", "linear-alpha"],
+     ["instance.reduce_ski_rental", "allocation.resolve_allocation", "engine.run_stream",
+      "oracle.prefix_optimal_values"]),
+]
+
+
 def test_bench_tracer_patch_points_exist_and_count():
-    """``bench/tracer.py`` wraps package attributes by name; a rename would
-    leave ``--trace 1`` counting nothing.  Its counters must see f, F and
-    Hopcroft-Karp, and uninstalling must restore every attribute."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
+    """``bench/tracer.py`` wraps package attributes by name; a rename, or a
+    call through a reference captured before the wrapper was installed,
+    would leave ``--trace 1`` counting nothing without an error.  Each run
+    must record a span for every entry point it passes through, the
+    counters must see f, F and Hopcroft-Karp, and uninstalling must
+    restore every attribute."""
+    tracer_mod = _bench_module("tracer")
     owners = (allocation, engine, harness, oracle, allocation.AllocationFunction,
               allocation.QuadratureTable, harness.EngineAlgorithm)
     before = [dict(vars(owner)) for owner in owners]
-    tracer = tracer_mod.Tracer()
-    try:
-        tracer_mod.install(tracer, allocation, engine, harness, oracle)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = harness.cli_main(
-                ["simulate", "--gen", "random:30,0.2", "--algo", "primal-dual"]
-            )
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    for name in ("allocation.F", "allocation.f", "oracle.hk"):
-        assert tracer.counted[name][0] > 0, name
-    for owner, snapshot in zip(owners, before):
-        changed = [k for k, v in snapshot.items() if vars(owner).get(k) is not v]
-        assert changed == [], owner
+    for argv, entry_points in TRACED_COMMANDS:
+        tracer = tracer_mod.Tracer()
+        try:
+            tracer_mod.install(tracer, allocation, engine, harness, oracle)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = harness.cli_main(argv)
+        finally:
+            tracer.uninstall()
+        assert code == 0, argv
+        recorded = {rec[0] for rec in tracer.spans}
+        assert [name for name in entry_points if name not in recorded] == [], argv
+        if argv[0] == "simulate" and "--prefix" not in argv:
+            for name in ("allocation.F", "allocation.f", "oracle.hk"):
+                assert tracer.counted[name][0] > 0, name
+        for owner, snapshot in zip(owners, before):
+            changed = [k for k, v in snapshot.items() if vars(owner).get(k) is not v]
+            assert changed == [], owner
+
+
+SUMMARY_KEYS = {
+    "simulate": ["algo", "f", "n", "edges", "opt_fractional", "cover_ratio", "matching_ratio",
+                 "max_inv1_slack", "max_inv2_slack", "feas_slack", "zero_weight_arrivals"],
+    "simulate --prefix": ["algo", "f", "n", "edges", "cover_ratio", "max_inv1_slack",
+                          "max_inv2_slack", "feas_slack", "zero_weight_arrivals"],
+    "adversary": ["ratio", "phases", "arrivals", "budget_exhausted"],
+    "ski-rental": ["worst_prefix_cover_ratio", "reduced_optimum", "strategy_optimum",
+                   "sentinel_potential", "zero_weight_arrivals"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [(argv, keys) for (argv, _), keys in zip(TRACED_COMMANDS, SUMMARY_KEYS.values())],
+    ids=list(SUMMARY_KEYS),
+)
+def test_summary_keys_are_pinned(argv, keys):
+    """Each run prints one ``#summary`` line with these keys in this order,
+    and ``bench/checks.py`` reads every key it can parse (those without a
+    digit) to the same value."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert harness.cli_main(argv) == 0
+    text = out.getvalue()
+    assert text.startswith("#summary,") and text.count("\n") == 1
+    fields = dict(re.findall(r"(\w+)=(\[[^\]]*\]|[^,]*)", text.rstrip("\n")[len("#summary,"):]))
+    assert list(fields) == keys
+    readable = {k: v for k, v in fields.items() if not any(c.isdigit() for c in k)}
+    assert readable.items() <= _bench_module("checks").parse_summary(text).items()
