@@ -26,6 +26,7 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,6 +43,7 @@ LEVEL_EPS = 1e-10  # level certificate, relative to the weight it sums
 FEAS_EPS = 1e-9
 INV_EPS = 1e-8
 ALGOS = ("waterfill", "primal-dual", "greedy")
+_LIST_DEGREE = 16  # below this many neighbors the level solve sorts and sums on lists
 
 
 @dataclass
@@ -74,16 +76,31 @@ def _solve_level(pots, ws, v_weight, func):
     (a heavy neighbor above the level does not loosen it); NumericError
     if it fails.
 
-    The sorted potentials and prefix sums become lists once per arrival,
-    so each step is float arithmetic, a ``bisect_left`` and one scalar f
-    call.
+    The sorted potentials and prefix sums are lists, so each step is
+    float arithmetic, a ``bisect_left`` and one scalar f call.  Below
+    ``_LIST_DEGREE`` neighbors they are built on lists too, bit for bit
+    as numpy builds them above it: ``sorted`` is stable like the stable
+    argsort, and a running sum adds in ``np.cumsum``'s order.
     """
-    order = np.argsort(pots, kind="stable")
-    sp = pots[order]
-    sw = ws[order]
-    csw = np.concatenate(([0.0], np.cumsum(sw)))
-    cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
-    sp_l, csw_l, cswp_l = sp.tolist(), csw.tolist(), cswp.tolist()
+    m = pots.size
+    small = m < _LIST_DEGREE
+    if small:
+        pairs = sorted(zip(pots.tolist(), ws.tolist()), key=itemgetter(0))
+        sp_l = [p for p, _ in pairs]
+        csw_l, cswp_l = [0.0], [0.0]
+        c = cp = 0.0
+        for p, w in pairs:
+            c += w
+            cp += w * p
+            csw_l.append(c)
+            cswp_l.append(cp)
+    else:
+        order = np.argsort(pots, kind="stable")
+        sp = pots[order]
+        sw = ws[order]
+        csw = np.concatenate(([0.0], np.cumsum(sw)))
+        cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
+        sp_l, csw_l, cswp_l = sp.tolist(), csw.tolist(), cswp.tolist()
 
     def gap(t: float) -> float:
         i = bisect_left(sp_l, t)
@@ -97,10 +114,17 @@ def _solve_level(pots, ws, v_weight, func):
         return 1.0, False
 
     lo, hi = 0.0, 1.0
-    if sp.size:
-        vals = csw[: sp.size] * sp - cswp[: sp.size] - v_weight * np.asarray(func(sp))
-        feas = np.flatnonzero(vals <= 0.0)
-        if feas.size:
+    if m:
+        if small:
+            fs = np.asarray(func(np.array(sp_l))).tolist()
+            feas = [
+                i for i, (c, p, cp, f) in enumerate(zip(csw_l, sp_l, cswp_l, fs))
+                if c * p - cp - v_weight * f <= 0.0
+            ]
+        else:
+            vals = csw[:m] * sp - cswp[:m] - v_weight * np.asarray(func(sp))
+            feas = np.flatnonzero(vals <= 0.0)
+        if len(feas):
             lo = sp_l[feas[-1]]
         j = bisect_right(sp_l, lo)
         if j < len(sp_l):  # an infeasible breakpoint: H(hi) = vals[j] > 0
@@ -192,11 +216,28 @@ class PrimalDualState(MatchingState):
 
     ``inv1_base[u]`` is f(1-z_u) - F(z_u), frozen when u arrives;
     ``inv1_slack[u]`` is the current slack of u's budget inequality, -inf
-    until u arrives.
+    until u arrives.  ``inv1_max`` is the largest slack (NaN if any is),
+    held by ``inv1_argmax``: a step changes only the slacks it touches,
+    so the maximum is rescanned over every vertex only when its holder's
+    slack moved, which ``inv1_rescans`` counts.
     """
 
     inv1_base: np.ndarray
     inv1_slack: np.ndarray
+    inv1_max: float = -math.inf
+    inv1_argmax: int = 0
+    inv1_rescans: int = 0
+
+    def track_max(self, vertex: int, value: float) -> None:
+        """Update the maximum after a step whose largest touched slack is
+        ``value`` at ``vertex`` (the first NaN, if any)."""
+        held = float(self.inv1_slack[self.inv1_argmax])
+        if held != self.inv1_max and not (math.isnan(held) and math.isnan(self.inv1_max)):
+            self.inv1_argmax = int(np.argmax(self.inv1_slack))
+            self.inv1_max = float(self.inv1_slack[self.inv1_argmax])
+            self.inv1_rescans += 1
+        elif value > self.inv1_max or (math.isnan(value) and not math.isnan(self.inv1_max)):
+            self.inv1_max, self.inv1_argmax = value, vertex
 
     @classmethod
     def fresh(cls, n: int) -> "PrimalDualState":
@@ -209,7 +250,7 @@ class PrimalDualState(MatchingState):
 
 
 def _arrive(cover: CoverState, event: VertexEvent):
-    if np.any(~cover.is_arrived[event.neighbors]):
+    if not cover.is_arrived[event.neighbors].all():
         raise ValidationError(f"event {event.id}: neighbor not yet arrived")
     if cover.is_arrived[event.id]:
         raise ValidationError(f"event {event.id} arrived twice")
@@ -228,9 +269,7 @@ def greedy_allocation_step(
     level, saturated = _solve_level(pots, cover.weights[nbrs], float(event.weight), func)
     raised_mask = pots < level
     ridx = nbrs[raised_mask]
-    cover.total_cost += float(
-        np.sum(cover.weights[ridx] * (level - pots[raised_mask]))
-    )
+    cover.total_cost += float((cover.weights[ridx] * (level - pots[raised_mask])).sum())
     cover.y[ridx] = level
     v = event.id
     cover.y[v] = 1.0 - level
@@ -254,7 +293,7 @@ def primal_dual_step(
     touched vertex; failure beyond tolerance raises InvariantViolation.
     """
     nbrs = event.neighbors
-    old_pots = cover.y[nbrs].copy()
+    old_pots = cover.y[nbrs]  # fancy indexing copies
     cover, outcome = greedy_allocation_step(cover, event, func)
     level = outcome.level
     v = event.id
@@ -265,34 +304,41 @@ def primal_dual_step(
     else:
         factor = 1.0  # (1-y)/f(y) vanishes as y -> 1
     raised_mask = old_pots < level
+    ridx = outcome.raised
     xvals = np.zeros(nbrs.size)
-    xvals[raised_mask] = (
-        cover.weights[nbrs[raised_mask]] * (level - old_pots[raised_mask]) / beta * factor
-    )
+    xvals[raised_mask] = cover.weights[ridx] * (level - old_pots[raised_mask]) / beta * factor
     matching.x_by_step[v] = (nbrs, xvals)
     matching.x_agg[nbrs] += xvals
     xv = float(xvals.sum())
     matching.x_agg[v] += xv
     matching.total_value += xv
 
-    # refresh budget slacks for touched vertices; all others are unchanged
+    # refresh budget slacks for touched vertices; all others are unchanged.
+    # The raised neighbors sit at the level and v at z_v = 1 - level, so F
+    # over their potentials takes two scalar calls.
     tbl = func.table()
-    zv = cover.z_arrival[v]
-    matching.inv1_base[v] = float(func(1.0 - zv)) - float(tbl.eval(zv))
-    touched = np.concatenate((nbrs[raised_mask], [v])).astype(np.int64)
+    zv = float(cover.z_arrival[v])
+    F_t = np.empty(ridx.size + 1)
+    F_t[-1] = F_zv = float(tbl.eval(zv))
+    if ridx.size:
+        F_t[:-1] = float(tbl.eval(level))
+    matching.inv1_base[v] = float(func(1.0 - zv)) - F_zv
+    touched = np.concatenate((ridx, [v]))
     w_t = cover.weights[touched]
     # the bracket is at most g(z) <= beta, so dividing it first keeps w * (...) <= w finite
-    rhs = w_t * ((cover.y[touched] + matching.inv1_base[touched] + tbl.eval(cover.y[touched])) / beta)
-    matching.inv1_slack[touched] = matching.x_agg[touched] - rhs
+    rhs = w_t * ((cover.y[touched] + matching.inv1_base[touched] + F_t) / beta)
+    slack_t = matching.x_agg[touched] - rhs
+    matching.inv1_slack[touched] = slack_t
 
-    worst = float(np.max(matching.inv1_slack[touched]))
-    if worst > INV_EPS * max(1.0, float(np.max(w_t))):
-        bad = int(touched[int(np.argmax(matching.inv1_slack[touched]))])
+    i = int(np.argmax(slack_t))
+    worst = float(slack_t[i])
+    if worst > INV_EPS * max(1.0, float(w_t.max())):
         raise InvariantViolation(
-            f"budget invariant failed at vertex {bad} (slack {worst:.3e})",
-            vertex=bad,
+            f"budget invariant failed at vertex {int(touched[i])} (slack {worst:.3e})",
+            vertex=int(touched[i]),
             slack=worst,
         )
+    matching.track_max(int(touched[i]), worst)
     inv2 = abs(cover.total_cost - beta * matching.total_value)
     if inv2 > INV_EPS * max(1.0, cover.total_cost):
         raise InvariantViolation(
@@ -421,8 +467,7 @@ class Algorithm:
             _, outcome = greedy_allocation_step(cover, event, self.func)
         elif self.algo == "primal-dual":
             _, _, outcome = primal_dual_step(cover, matching, event, self.func, self.beta)
-            # entries of vertices not yet arrived are -inf
-            inv1 = float(np.max(matching.inv1_slack))
+            inv1 = matching.inv1_max
             inv2 = abs(cover.total_cost - self.beta * matching.total_value) / max(
                 1.0, cover.total_cost
             )
@@ -431,7 +476,7 @@ class Algorithm:
             _, _, outcome = greedy_baseline_step(cover, matching, event)
             total_match = matching.total_value
         if event.neighbors.size:
-            edge_gap = float(np.min(cover.y[event.neighbors] + cover.y[event.id] - 1.0))
+            edge_gap = float((cover.y[event.neighbors] + cover.y[event.id] - 1.0).min())
             self.feas_slack = min(self.feas_slack, edge_gap)
             if edge_gap < -FEAS_EPS:
                 raise InvariantViolation(

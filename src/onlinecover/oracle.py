@@ -131,9 +131,11 @@ def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
 
     One sort of v * n + neighbour keys builds it, so each slice is
     ascending: v's earlier neighbours, then its later ones in arrival
-    order.  Keys and ``ptr`` are int32 while n * n fits.  The key buffer
-    is the only array as long as the edge list: its halves first hold each
-    edge's endpoints, then the keys, formed in place a block at a time.
+    order.  Keys and ``ptr`` are int32 while n * n fits, and ``idx`` is
+    int32 for every n.  The key buffer is the only array as long as the
+    edge list: its halves first hold each edge's endpoints, then the keys,
+    formed in place a block at a time; int64 keys are narrowed in place
+    into the first half of their buffer, which then shrinks to that half.
     """
     n = len(stream)
     off = stream.edge_offsets
@@ -157,6 +159,20 @@ def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
     # needles of the keys' own dtype: other needles make searchsorted copy the keys
     ptr[:n] = np.searchsorted(keys, np.arange(n, dtype=dtype) * n)
     keys %= n
+    if keys.dtype == np.int64:
+        # entry i moves to bytes 4i..4i+4, inside entry i // 2, so a block
+        # [start, stop) with stop <= 2 start overwrites only entries read
+        idx = keys.view(np.int32)
+        idx[:1] = keys[:1]
+        start = 1
+        while start < 2 * e:
+            stop = min(2 * start, start + _BLOCK, 2 * e)
+            idx[start:stop] = keys[start:stop]
+            start = stop
+        del idx
+        # no view of the buffer is read after this
+        keys.resize(e, refcheck=False)
+        keys = keys.view(np.int32)
     return ptr, keys
 
 

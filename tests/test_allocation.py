@@ -84,16 +84,26 @@ def bits(values):
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_FUNCS))
 def test_scalar_branch_is_bitwise_array_branch(kind):
+    """The level solve evaluates f on a whole array of breakpoints and on
+    scalars in between, so both branches must agree to the bit: on
+    1-element arrays, on the whole point array, and on slices of odd
+    length (a vector loop's tail included)."""
     f = BRANCH_FUNCS[kind]
     tbl = f.table()
+    arr = np.array(BRANCH_POINTS)
+    parts = [slice(None), slice(3, 10_006), slice(1, 8)]
     scalar_f = [f(x) for x in BRANCH_POINTS]
     assert all(type(v) is float for v in scalar_f)
     assert np.array_equal(bits(scalar_f), bits([f(np.array([x]))[0] for x in BRANCH_POINTS]))
+    for part in parts:
+        assert np.array_equal(bits(scalar_f)[part], bits(f(arr[part])))
     scalar_F = [tbl.eval(x) for x in BRANCH_POINTS]
     assert all(type(v) is float for v in scalar_F)
     assert np.array_equal(
         bits(scalar_F), bits([tbl.eval(np.array([x]))[0] for x in BRANCH_POINTS])
     )
+    for part in parts:
+        assert np.array_equal(bits(scalar_F)[part], bits(tbl.eval(arr[part])))
 
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_FUNCS))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onlinecover import engine
-from onlinecover.allocation import ALPHA, AllocationFunction, beta_of, optimal_k
+from onlinecover.allocation import ALPHA, AllocationFunction, QuadratureTable, beta_of, optimal_k
 from onlinecover.engine import (
     FEAS_EPS,
     INV_EPS,
@@ -226,6 +226,35 @@ def test_level_solve_certifies_where_bisection_does(star, v_weight, kind):
         assert slow == "uncertified"
 
 
+@given(
+    star=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+            WEIGHTS,
+        ),
+        max_size=40,
+    ),
+    v_weight=WEIGHTS,
+    kind=st.sampled_from(sorted(LEVEL_FUNCS)),
+)
+@settings(max_examples=300, deadline=None)
+def test_level_solve_list_branch_is_bitwise_numpy_branch(star, v_weight, kind):
+    """Below ``_LIST_DEGREE`` neighbors the level solve sorts and sums on
+    lists; forced to either branch at every degree it returns the same
+    level to the bit, on the same side of the dichotomy, or rejects the
+    star on both (tied potentials, zero and 1e12 weights included)."""
+    pots = np.array([p for p, _ in star])
+    ws = np.array([w for _, w in star])
+    func = LEVEL_FUNCS[kind]
+    results = []
+    for threshold in (0, len(star) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_LIST_DEGREE", threshold)
+            out = level_or_error(_solve_level, pots, ws, v_weight, func)
+        results.append(out if isinstance(out, str) else (out[0].hex(), out[1]))
+    assert results[0] == results[1]
+
+
 def run_or_error(stream, algo, func):
     try:
         return run_stream(stream, algo, func)
@@ -349,6 +378,49 @@ def test_primal_dual_invariants_random_run():
     assert trace.feas_slack > -1e-9
     # primal feasibility: capacities never exceeded
     assert float(np.max(trace.matching.x_agg - trace.cover.weights)) < 1e-9
+
+
+def same(a: float, b: float) -> bool:
+    return a == b or (a != a and b != b)
+
+
+def test_row_inv1_is_the_maximum_over_every_vertex():
+    """The row's inv1_slack is a running maximum, rescanned only when the
+    vertex holding it moves (four times here); it equals the
+    maximum over every vertex at every step."""
+    stream = gen_random(60, 0.2, seed=1)
+    alg = Algorithm("primal-dual", FK, len(stream))
+    for ev in stream.events:
+        assert alg.step(ev).inv1_slack == float(np.max(alg.matching.inv1_slack))
+    assert alg.matching.inv1_rescans > 0
+
+
+def test_row_inv1_carries_a_nan_slack_while_it_lasts(monkeypatch):
+    """F returns NaN once, at a different call per run.  The NaN slack
+    reaches the row, and the row is finite again once every NaN slack has
+    been overwritten, exactly as the maximum over every vertex is."""
+    stream = gen_random(60, 0.2, seed=1)
+    evaluate = QuadratureTable.eval
+    endings = set()
+    for target in range(20, 80, 4):
+        calls = 0
+
+        def nan_once(self, x):
+            nonlocal calls
+            calls += 1
+            return np.nan if calls == target else evaluate(self, x)
+
+        monkeypatch.setattr(QuadratureTable, "eval", nan_once)
+        alg = Algorithm("primal-dual", FK, len(stream))
+        seen = ""
+        for ev in stream.events:
+            row = alg.step(ev)
+            assert same(row.inv1_slack, float(np.max(alg.matching.inv1_slack)))
+            seen += "N" if np.isnan(row.inv1_slack) else "."
+        if "N" in seen:
+            endings.add(seen[-1])
+    # some NaN lasted to the end of its run, and some was overwritten before
+    assert endings == {"N", "."}
 
 
 def test_check_invariants_stepwise():

@@ -409,6 +409,36 @@ def test_adjacency_peak_memory_is_its_output():
     assert peak <= 1.25 * (ptr.nbytes + idx.nbytes)
 
 
+def test_int64_keys_give_the_values_of_the_relabelled_stream():
+    """From n = 46,341 the adjacency's keys v * n + u are int64, and
+    ``idx`` is narrowed back to int32 in their buffer.  Past that size, a
+    sparse stream has the adjacency, final optimum and prefix optima of
+    its edge-bearing vertices relabelled 0..k-1, which stay on the int32
+    path (arrivals without edges change no optimum)."""
+    n = 46_400
+    rng = np.random.default_rng(5)
+    active = np.unique(np.concatenate((rng.choice(n - 2, 300, replace=False), [n - 2, n - 1])))
+    k = active.size
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.01]
+    edges.append((k - 2, k - 1))  # the largest key, about 2.15e9
+    small = graph_stream(k, edges)
+    big = graph_stream(n, [(int(active[i]), int(active[j])) for i, j in edges])
+    ptr, idx = oracle._adjacency(big)
+    assert ptr.dtype == np.int64 and idx.dtype == np.int32
+    sptr, sidx = oracle._adjacency(small)
+    assert sptr.dtype == np.int32
+    for i, v in enumerate(active.tolist()):
+        assert idx[ptr[v] : ptr[v + 1]].tolist() == active[sidx[sptr[i] : sptr[i + 1]]].tolist()
+    assert (
+        fractional_optima_general(big).min_cover_value
+        == fractional_optima_general(small).min_cover_value
+    )
+    # an arrival's prefix value is that of the last edge-bearing arrival up to it
+    last = np.searchsorted(active, np.arange(n), "right")
+    expected = np.concatenate(([0.0], prefix_optimal_values(small)))[last]
+    assert np.array_equal(prefix_optimal_values(big), expected)
+
+
 def zigzag(m):
     """R_0..R_{m-1} offline, L_i (i >= 1) adjacent to R_{i-1} and R_i, then
     L_0 adjacent to R_0 alone, every weight 2: the last arrival's augmenting

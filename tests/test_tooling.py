@@ -148,28 +148,50 @@ TRACED_COMMANDS = [
 ]
 
 
-def test_bench_tracer_patch_points_exist_and_count():
+def test_bench_tracer_patch_points_exist_and_count(monkeypatch):
     """``bench/tracer.py`` wraps package attributes by name; a rename, or a
     call through a reference captured before the wrapper was installed,
     would leave ``--trace 1`` counting nothing without an error.  Each run
-    must record a span for every entry point it passes through, the
-    counters must see f, F and Hopcroft-Karp, and uninstalling must
-    restore every attribute."""
+    must record a span for every entry point it passes through and one
+    water-filling step span per arrival stepped (and one primal-dual step
+    span, for primal-dual), the counters must see f, F and Hopcroft-Karp,
+    ``bench/command.py``'s first-step probe must fire once and step aside,
+    and uninstalling must restore every attribute."""
     tracer_mod = _bench_module("tracer")
+    command = _bench_module("command")
     owners = (allocation, engine, harness, oracle, allocation.AllocationFunction,
               allocation.QuadratureTable, harness.EngineAlgorithm)
     before = [dict(vars(owner)) for owner in owners]
+    step = engine.Algorithm.step
+    stepped = 0
+
+    def counted_step(self, event):
+        nonlocal stepped
+        stepped += 1
+        return step(self, event)
+
+    monkeypatch.setattr(engine.Algorithm, "step", counted_step)
     for argv, entry_points in TRACED_COMMANDS:
         tracer = tracer_mod.Tracer()
+        stepped = 0
+        first_step = []
         try:
             tracer_mod.install(tracer, allocation, engine, harness, oracle)
+            traced_step = engine.greedy_allocation_step
+            command._first_step_probe(engine, first_step)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = harness.cli_main(argv)
+            probe_stayed = engine.greedy_allocation_step is not traced_step
         finally:
             tracer.uninstall()
         assert code == 0, argv
+        assert len(first_step) == 1 and not probe_stayed, argv
         recorded = {rec[0] for rec in tracer.spans}
         assert [name for name in entry_points if name not in recorded] == [], argv
+        counts = tracer.layer_figures(stepped)[1]
+        assert stepped > 0 and counts["spans.engine.greedy_allocation_step"] == stepped, argv
+        pd_steps = counts.get("spans.engine.primal_dual_step", 0)
+        assert pd_steps == (stepped if "primal-dual" in argv else 0), argv
         if argv[0] == "simulate" and "--prefix" not in argv:
             for name in ("allocation.F", "allocation.f", "oracle.hk"):
                 assert tracer.counted[name][0] > 0, name
