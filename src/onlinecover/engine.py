@@ -13,10 +13,13 @@ dispatches each arrival to the step function, runs the per-step monitors
 invariants) and records one row per arrival.  ``run_stream`` drives it
 over a whole stream and returns it; the adaptive adversary in ``harness``
 drives it one arrival at a time and reads its rows and potentials back.
-Monitor violations beyond tolerance raise (they indicate a bug, not an
-expected runtime condition).
+Every monitor goes through ``_check``, which raises ``InvariantViolation``
+unless the residual is within its bound, so a NaN residual fails too (a
+violation indicates a bug, not an expected runtime condition).
 
-States are owned by a single run and mutated in place; allocation
+States are owned by a single run and mutated in place; each holds only
+its algorithm's fields (the arrival potentials ``z_arrival`` that the
+budget invariant reads live on ``PrimalDualState``).  Allocation
 functions are shared read-only.
 """
 
@@ -168,25 +171,19 @@ def _solve_level(pots, ws, v_weight, func):
 
 @dataclass
 class CoverState:
-    """Monotone fractional cover potentials with arrival values.
+    """Monotone fractional cover potentials.
 
     Each vertex's weight is recorded from its event when it arrives.
     """
 
     weights: np.ndarray
     y: np.ndarray
-    z_arrival: np.ndarray
     is_arrived: np.ndarray
     total_cost: float = 0.0
 
     @classmethod
     def fresh(cls, n: int) -> "CoverState":
-        return cls(
-            weights=np.zeros(n),
-            y=np.zeros(n),
-            z_arrival=np.zeros(n),
-            is_arrived=np.zeros(n, dtype=bool),
-        )
+        return cls(weights=np.zeros(n), y=np.zeros(n), is_arrived=np.zeros(n, dtype=bool))
 
 
 @dataclass
@@ -212,31 +209,37 @@ class MatchingState:
 
 @dataclass(kw_only=True)
 class PrimalDualState(MatchingState):
-    """Matching plus the primal-dual budget monitor.
+    """Matching plus the primal-dual monitors' state.
 
-    ``inv1_base[u]`` is f(1-z_u) - F(z_u), frozen when u arrives;
-    ``inv1_slack[u]`` is the current slack of u's budget inequality, -inf
-    until u arrives.  ``inv1_max`` is the largest slack (NaN if any is),
-    held by ``inv1_argmax``: a step changes only the slacks it touches,
-    so the maximum is rescanned over every vertex only when its holder's
-    slack moved, which ``inv1_rescans`` counts.
+    ``z_arrival[u]`` is 1 - level at u's arrival, the potential u arrived
+    with; only the budget inequality reads it.  ``inv1_base[u]`` is
+    f(1-z_u) - F(z_u), frozen when u arrives; ``inv1_slack[u]`` is the
+    current slack of u's budget inequality, -inf until u arrives.
+    ``inv1_max`` is the largest slack, held by ``inv1_argmax``: a step
+    changes only the slacks it touches, so the maximum is rescanned over
+    every vertex only when its holder's slack moved, which
+    ``inv1_rescans`` counts.  ``inv2_slack`` is the last step's relative
+    cost-coupling residual |cost - beta * value| / max(1, cost).  The
+    monitors fail on a NaN slack or residual: a step that would leave one
+    raises instead.
     """
 
+    z_arrival: np.ndarray
     inv1_base: np.ndarray
     inv1_slack: np.ndarray
     inv1_max: float = -math.inf
     inv1_argmax: int = 0
     inv1_rescans: int = 0
+    inv2_slack: float = 0.0
 
     def track_max(self, vertex: int, value: float) -> None:
         """Update the maximum after a step whose largest touched slack is
-        ``value`` at ``vertex`` (the first NaN, if any)."""
-        held = float(self.inv1_slack[self.inv1_argmax])
-        if held != self.inv1_max and not (math.isnan(held) and math.isnan(self.inv1_max)):
+        ``value`` at ``vertex``."""
+        if self.inv1_slack[self.inv1_argmax] != self.inv1_max:
             self.inv1_argmax = int(np.argmax(self.inv1_slack))
             self.inv1_max = float(self.inv1_slack[self.inv1_argmax])
             self.inv1_rescans += 1
-        elif value > self.inv1_max or (math.isnan(value) and not math.isnan(self.inv1_max)):
+        elif value > self.inv1_max:
             self.inv1_max, self.inv1_argmax = value, vertex
 
     @classmethod
@@ -244,8 +247,19 @@ class PrimalDualState(MatchingState):
         return cls(
             x_agg=np.zeros(n),
             x_by_step={},
+            z_arrival=np.zeros(n),
             inv1_base=np.zeros(n),
             inv1_slack=np.full(n, -np.inf),
+        )
+
+
+def _check(residual: float, bound: float, what: str, vertex: int) -> None:
+    """Raise ``InvariantViolation`` unless ``residual <= bound``; NaN fails."""
+    if not residual <= bound:
+        raise InvariantViolation(
+            f"{what} failed at vertex {vertex} (residual {residual:.3e}, bound {bound:.3e})",
+            vertex=vertex,
+            slack=residual,
         )
 
 
@@ -273,7 +287,6 @@ def greedy_allocation_step(
     cover.y[ridx] = level
     v = event.id
     cover.y[v] = 1.0 - level
-    cover.z_arrival[v] = 1.0 - level
     cover.total_cost += event.weight * (1.0 - level)
     cover.is_arrived[v] = True
     return cover, WaterLevelOutcome(level=level, raised=ridx, saturated=saturated)
@@ -290,7 +303,8 @@ def primal_dual_step(
 
     Raised edge (u, v) gets w_u (y - y_u) / beta * (1 + (1-y)/f(y)); other
     new edges get 0.  Both maintained invariants are re-checked for every
-    touched vertex; failure beyond tolerance raises InvariantViolation.
+    touched vertex; failure beyond tolerance, or a NaN, raises
+    InvariantViolation.
     """
     nbrs = event.neighbors
     old_pots = cover.y[nbrs]  # fancy indexing copies
@@ -317,7 +331,8 @@ def primal_dual_step(
     # The raised neighbors sit at the level and v at z_v = 1 - level, so F
     # over their potentials takes two scalar calls.
     tbl = func.table()
-    zv = float(cover.z_arrival[v])
+    zv = 1.0 - level
+    matching.z_arrival[v] = zv
     F_t = np.empty(ridx.size + 1)
     F_t[-1] = F_zv = float(tbl.eval(zv))
     if ridx.size:
@@ -330,23 +345,14 @@ def primal_dual_step(
     slack_t = matching.x_agg[touched] - rhs
     matching.inv1_slack[touched] = slack_t
 
-    i = int(np.argmax(slack_t))
+    i = int(np.argmax(slack_t))  # the first NaN, if any
     worst = float(slack_t[i])
-    if worst > INV_EPS * max(1.0, float(w_t.max())):
-        raise InvariantViolation(
-            f"budget invariant failed at vertex {int(touched[i])} (slack {worst:.3e})",
-            vertex=int(touched[i]),
-            slack=worst,
-        )
+    _check(worst, INV_EPS * max(1.0, float(w_t.max())), "budget invariant", int(touched[i]))
     matching.track_max(int(touched[i]), worst)
-    inv2 = abs(cover.total_cost - beta * matching.total_value)
-    if inv2 > INV_EPS * max(1.0, cover.total_cost):
-        raise InvariantViolation(
-            f"cost-coupling invariant failed after vertex {v} "
-            f"(|dual - beta*primal| = {inv2:.3e})",
-            vertex=v,
-            slack=inv2,
-        )
+    matching.inv2_slack = abs(cover.total_cost - beta * matching.total_value) / max(
+        1.0, cover.total_cost
+    )
+    _check(matching.inv2_slack, INV_EPS, "cost-coupling invariant", v)
     return cover, matching, outcome
 
 
@@ -467,10 +473,7 @@ class Algorithm:
             _, outcome = greedy_allocation_step(cover, event, self.func)
         elif self.algo == "primal-dual":
             _, _, outcome = primal_dual_step(cover, matching, event, self.func, self.beta)
-            inv1 = matching.inv1_max
-            inv2 = abs(cover.total_cost - self.beta * matching.total_value) / max(
-                1.0, cover.total_cost
-            )
+            inv1, inv2 = matching.inv1_max, matching.inv2_slack
             total_match = matching.total_value
         else:
             _, _, outcome = greedy_baseline_step(cover, matching, event)
@@ -478,13 +481,7 @@ class Algorithm:
         if event.neighbors.size:
             edge_gap = float((cover.y[event.neighbors] + cover.y[event.id] - 1.0).min())
             self.feas_slack = min(self.feas_slack, edge_gap)
-            if edge_gap < -FEAS_EPS:
-                raise InvariantViolation(
-                    f"dual feasibility failed at vertex {event.id} "
-                    f"(gap {edge_gap:.3e})",
-                    vertex=event.id,
-                    slack=edge_gap,
-                )
+            _check(-edge_gap, FEAS_EPS, "dual feasibility", event.id)
         row = StepRow(
             step=len(self.rows),
             vertex=event.id,
@@ -534,7 +531,7 @@ class InvariantReport:
 
 def check_invariants(
     cover: CoverState,
-    matching: MatchingState,
+    matching: PrimalDualState,
     func: AllocationFunction,
     beta: float,
     stream: InstanceStream,
@@ -544,7 +541,8 @@ def check_invariants(
 
     Independent of the incremental bookkeeping the steps maintain: edge
     values are re-aggregated, totals re-summed, and the per-vertex budget
-    inequality re-derived from f and F.  Reports slacks, never raises.
+    inequality re-derived from f and F and ``matching.z_arrival``.  Reports
+    slacks, never raises; a NaN anywhere reaches the fields it feeds.
     """
     n = len(stream) if upto is None else upto
     arrived = np.flatnonzero(cover.is_arrived[:n])
@@ -556,22 +554,19 @@ def check_invariants(
             x_agg[nbrs] += vals
             x_agg[v] += vals.sum()
             total_x += float(vals.sum())
-    tbl = func.table()
-    max_inv1 = -np.inf
-    for u in arrived.tolist():
-        zu = cover.z_arrival[u]
-        rhs = cover.weights[u] * (
-            (cover.y[u] + float(func(1.0 - zu)) + float(tbl.eval(cover.y[u])) - float(tbl.eval(zu)))
-            / beta
-        )
-        max_inv1 = max(max_inv1, float(x_agg[u] - rhs))
+    max_inv1 = cap_excess = 0.0
+    if arrived.size:
+        w, y, z = cover.weights[arrived], cover.y[arrived], matching.z_arrival[arrived]
+        tbl = func.table()
+        rhs = w * ((y + func(1.0 - z) + tbl.eval(y) - tbl.eval(z)) / beta)
+        max_inv1 = float(np.max(x_agg[arrived] - rhs))
+        cap_excess = float(np.max(x_agg[arrived] - w))
     total_y = float(np.sum(cover.weights[arrived] * cover.y[arrived]))
     inv2 = abs(total_y - beta * total_x) / max(1.0, total_y)
     u, v = stream.edge_arrays(n)
     min_gap = float(np.min(cover.y[u] + cover.y[v] - 1.0)) if u.size else 0.0
-    cap_excess = float(np.max(x_agg[arrived] - cover.weights[arrived])) if arrived.size else 0.0
     return InvariantReport(
-        max_inv1_slack=max_inv1 if arrived.size else 0.0,
+        max_inv1_slack=max_inv1,
         inv2_rel_slack=inv2,
         min_edge_gap=min_gap,
         max_capacity_excess=cap_excess,

@@ -263,16 +263,18 @@ def adaptive_adversary_vc(
         attach_to = lefts if presenting_right else rights  # the side forced toward 1
         limit = min(fixed_sizes.get(phase, budget.per_phase_cap), budget.per_phase_cap)
         by_convergence = phase not in fixed_sizes and phase > 1
+        # a phase's arrivals attach to the same vertices, so they share one array
+        nbrs = np.asarray(attach_to, dtype=np.int64)
         count = 0
         for _ in range(limit):
             vid = len(events)
             side = Side.RIGHT if presenting_right else Side.LEFT
-            ev = VertexEvent(vid, 1.0, side, np.asarray(attach_to, dtype=np.int64))
+            ev = VertexEvent(vid, 1.0, side, nbrs)
             events.append(ev)
             alg.process(ev)
             (rights if presenting_right else lefts).append(vid)
             count += 1
-            if by_convergence and np.min(alg.cover.y[attach_to]) >= budget.convergence_threshold:
+            if by_convergence and np.min(alg.cover.y[nbrs]) >= budget.convergence_threshold:
                 break
         else:
             if by_convergence:

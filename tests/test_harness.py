@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import onlinecover
 from onlinecover import engine, oracle
-from onlinecover.allocation import ALPHA, AllocationFunction, optimal_k
+from onlinecover.allocation import ALPHA, AllocationFunction, beta_of, optimal_k
 from onlinecover.errors import LengthMismatch, ValidationError
 from onlinecover.harness import (
     AdversaryBudget,
@@ -201,6 +201,16 @@ def test_adversary_three_phase_runs():
     out = adaptive_adversary_vc(budget, "waterfill", FK)
     assert out.ratio >= 1.60
     assert len(out.phase_sizes) == 3
+
+
+@pytest.mark.parametrize("phases", [2, 3])
+def test_adversary_is_tight_against_primal_dual(phases):
+    """Against primal-dual with the optimal f, budgets 2,120 and 3,120
+    drive the ratio to within 0.01 of beta (1.8991 and 1.8930), so an
+    adversary that quietly weakens fails here."""
+    beta = beta_of(FK).beta
+    out = adaptive_adversary_vc(AdversaryBudget(phases=phases, offline_d=120), "primal-dual", FK)
+    assert beta - 0.01 <= out.ratio <= beta + 1e-6
 
 
 @pytest.mark.parametrize("algo", ["waterfill", "primal-dual"])

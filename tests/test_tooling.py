@@ -1,5 +1,5 @@
 """Source and script checks: no `assert` in the library, no scipy at
-runtime, scripts run."""
+runtime, no unused import, scripts run."""
 
 import ast
 import contextlib
@@ -46,6 +46,25 @@ def test_library_imports_no_scipy():
         if (isinstance(node, ast.Import) and any(_is_scipy(a.name) for a in node.names))
         or (isinstance(node, ast.ImportFrom) and _is_scipy(node.module or ""))
     ]
+    assert found == []
+
+
+def test_library_modules_use_every_name_they_import():
+    # no linter runs here; __init__.py imports names only to re-export them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
 
