@@ -10,6 +10,7 @@ Usage: python scripts/adversary_sweep.py --phases 2 --sizes 40,80,160,320
 
 import argparse
 
+from onlinecover.errors import ValidationError
 from onlinecover.harness import (
     AdversaryBudget,
     adaptive_adversary_vc,
@@ -23,12 +24,15 @@ def main():
     parser.add_argument("--sizes", default="40,80,160")
     parser.add_argument("--algo", default="waterfill", choices=["waterfill", "primal-dual"])
     parser.add_argument("--f", dest="f_spec", default="optimal",
-                        choices=["optimal", "linear-alpha", "greedy"])
+                        help="any allocation selector, e.g. optimal or family-k:2")
     parser.add_argument("--cap-factor", type=int, default=20)
     parser.add_argument("--threshold", type=float, default=0.999)
     args = parser.parse_args()
 
-    func = resolve_allocation(args.f_spec)
+    try:
+        func = resolve_allocation(args.f_spec)
+    except ValidationError as exc:
+        parser.error(str(exc))
     print(f"phases={args.phases} algo={args.algo} f={args.f_spec}")
     print("d,ratio,arrivals,phase_sizes,budget_exhausted")
     for d in (int(x) for x in args.sizes.split(",")):

@@ -56,6 +56,9 @@ class WaterLevelOutcome:
     level: float
     raised: np.ndarray  # int64 ids
     saturated: bool
+    # water-filling only: which neighbor entries it raised, and each one's w_u (level - y_u)
+    mask: np.ndarray | None = None
+    lift: np.ndarray | None = None
 
 
 def _solve_level(pots, ws, v_weight, func):
@@ -283,13 +286,16 @@ def greedy_allocation_step(
     level, saturated = _solve_level(pots, cover.weights[nbrs], float(event.weight), func)
     raised_mask = pots < level
     ridx = nbrs[raised_mask]
-    cover.total_cost += float((cover.weights[ridx] * (level - pots[raised_mask])).sum())
+    lift = cover.weights[ridx] * (level - pots[raised_mask])
+    cover.total_cost += float(lift.sum())
     cover.y[ridx] = level
     v = event.id
     cover.y[v] = 1.0 - level
     cover.total_cost += event.weight * (1.0 - level)
     cover.is_arrived[v] = True
-    return cover, WaterLevelOutcome(level=level, raised=ridx, saturated=saturated)
+    return cover, WaterLevelOutcome(
+        level=level, raised=ridx, saturated=saturated, mask=raised_mask, lift=lift
+    )
 
 
 def primal_dual_step(
@@ -301,13 +307,12 @@ def primal_dual_step(
 ) -> tuple[CoverState, PrimalDualState, WaterLevelOutcome]:
     """Cover update as in water-filling, plus edge values for raised neighbors.
 
-    Raised edge (u, v) gets w_u (y - y_u) / beta * (1 + (1-y)/f(y)); other
-    new edges get 0.  Both maintained invariants are re-checked for every
-    touched vertex; failure beyond tolerance, or a NaN, raises
-    InvariantViolation.
+    Raised edge (u, v) gets the water-filling step's lift w_u (y - y_u)
+    / beta * (1 + (1-y)/f(y)); other new edges get 0.  Both maintained
+    invariants are re-checked for every touched vertex; failure beyond
+    tolerance, or a NaN, raises InvariantViolation.
     """
     nbrs = event.neighbors
-    old_pots = cover.y[nbrs]  # fancy indexing copies
     cover, outcome = greedy_allocation_step(cover, event, func)
     level = outcome.level
     v = event.id
@@ -317,10 +322,9 @@ def primal_dual_step(
         factor = 1.0 + (1.0 - level) / fy if fy > 0.0 else 1.0
     else:
         factor = 1.0  # (1-y)/f(y) vanishes as y -> 1
-    raised_mask = old_pots < level
     ridx = outcome.raised
     xvals = np.zeros(nbrs.size)
-    xvals[raised_mask] = cover.weights[ridx] * (level - old_pots[raised_mask]) / beta * factor
+    xvals[outcome.mask] = outcome.lift / beta * factor
     matching.x_by_step[v] = (nbrs, xvals)
     matching.x_agg[nbrs] += xvals
     xv = float(xvals.sum())
@@ -415,11 +419,12 @@ def round_bipartite(final_y, sides, t: float) -> set[int]:
     return cover
 
 
-def check_rounding_covers(stream: InstanceStream, cover: set[int], upto: int | None = None) -> bool:
-    u, v = stream.edge_arrays(upto)
-    in_cover = np.zeros(len(stream), dtype=bool)
-    in_cover[list(cover)] = True
-    return bool(np.all(in_cover[u] | in_cover[v]))
+def check_rounding_covers(stream: InstanceStream, cover: set[int]) -> bool:
+    """Every edge of ``stream`` has an endpoint in ``cover``, which may name
+    vertices beyond a prefix."""
+    u, v = stream.edge_arrays()
+    marked = list(cover)
+    return bool(np.all(np.isin(u, marked) | np.isin(v, marked)))
 
 
 # -------------------------------------------------------------------- runs
@@ -535,17 +540,16 @@ def check_invariants(
     func: AllocationFunction,
     beta: float,
     stream: InstanceStream,
-    upto: int | None = None,
 ) -> InvariantReport:
-    """Recompute every invariant from scratch over an arrival prefix.
+    """Recompute every invariant from scratch over the arrivals of ``stream``.
 
     Independent of the incremental bookkeeping the steps maintain: edge
     values are re-aggregated, totals re-summed, and the per-vertex budget
     inequality re-derived from f and F and ``matching.z_arrival``.  Reports
-    slacks, never raises; a NaN anywhere reaches the fields it feeds.
+    slacks, never raises; a NaN anywhere reaches the fields it feeds.  A
+    prefix is checked by passing ``static_from_stream(stream, j)``.
     """
-    n = len(stream) if upto is None else upto
-    arrived = np.flatnonzero(cover.is_arrived[:n])
+    arrived = np.flatnonzero(cover.is_arrived[: len(stream)])
     x_agg = np.zeros(len(cover.y))
     total_x = 0.0
     for v in arrived.tolist():
@@ -563,7 +567,7 @@ def check_invariants(
         cap_excess = float(np.max(x_agg[arrived] - w))
     total_y = float(np.sum(cover.weights[arrived] * cover.y[arrived]))
     inv2 = abs(total_y - beta * total_x) / max(1.0, total_y)
-    u, v = stream.edge_arrays(n)
+    u, v = stream.edge_arrays()
     min_gap = float(np.min(cover.y[u] + cover.y[v] - 1.0)) if u.size else 0.0
     return InvariantReport(
         max_inv1_slack=max_inv1,

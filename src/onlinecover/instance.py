@@ -144,17 +144,13 @@ class InstanceStream:
     def is_unit_weight(self) -> bool:
         return bool(np.all(self._weights == 1.0))
 
-    def edge_arrays(self, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (earlier endpoint, arriving endpoint) arrays in reveal order.
-
-        Only the edges of the first ``upto`` arrivals (all by default).
-        """
-        n = len(self) if upto is None else upto
-        if not self.edge_offsets[n]:
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (earlier endpoint, arriving endpoint) arrays in reveal order."""
+        if not self.edge_offsets[-1]:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        us = np.concatenate([ev.neighbors for ev in self.events[:n]])
-        vs = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.edge_offsets[: n + 1]))
+        us = np.concatenate([ev.neighbors for ev in self.events])
+        vs = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.edge_offsets))
         return us, vs
 
     def edge_count(self) -> int:

@@ -2,8 +2,8 @@
 
 Every oracle takes an ``InstanceStream`` and solves the graph of all its
 arrivals; the first j arrivals are the stream ``static_from_stream(stream,
-j)``.  The stream is validated once when it is built, so the oracles check
-nothing about the graph again.
+j)``, the only prefix view the package has.  The stream is validated once
+when it is built, so the oracles check nothing about the graph again.
 
 There is one from-scratch solver per weight class.  Both solve the
 bipartite double cover of the graph, which turns the half-integral LP
@@ -23,12 +23,13 @@ independent check of both constructions.
 
 The optimum of every prefix of a stream, which worst-prefix ratios divide
 by, comes from one solver kept across the whole stream instead of one
-solve per prefix: for unit weights a maximum matching of the same
-biadjacency, one ``_adjacency`` with the same row and column numbers,
-grown by one augmenting-path search per added node; for weights the same
-``_CoverNetwork`` as the from-scratch solve, solved after each arrival
-with its flow continued.  The tests compare both with from-scratch
-solves of every prefix.
+solve per prefix, and one loop drives it: each arrival is ``add``-ed to
+the solver and its ``value`` read.  For unit weights the solver is a
+maximum matching of the same biadjacency, one ``_adjacency`` with the
+same row and column numbers, grown by one augmenting-path search per
+added node; for weights it is the same ``_CoverNetwork`` as the
+from-scratch solve, its flow continued after each arrival.  The tests
+compare both with from-scratch solves of every prefix.
 
 Everything here is numpy and Python only; the tests check the unit
 solver against scipy's Hopcroft-Karp.
@@ -46,16 +47,16 @@ from .errors import LengthMismatch, TooLarge, ValidationError
 from .instance import InstanceStream, Side, VertexEvent
 
 
-def static_from_stream(stream: InstanceStream, upto: int | None = None) -> InstanceStream:
-    """The first ``upto`` arrivals (all by default) as a stream of their own.
+def static_from_stream(stream: InstanceStream, length: int) -> InstanceStream:
+    """The first ``length`` arrivals as a stream of their own: the one prefix view.
 
     It shares the events, so no event is validated or sorted again.
     """
-    if upto is None or upto == len(stream):
+    if length == len(stream):
         return stream
-    if not (0 <= upto <= len(stream)):
+    if not (0 <= length <= len(stream)):
         raise ValidationError("prefix length out of range")
-    return InstanceStream(stream.events[:upto], min(stream.offline_count, upto))
+    return InstanceStream(stream.events[:length], min(stream.offline_count, length))
 
 
 @dataclass(frozen=True)
@@ -446,6 +447,10 @@ class _CoverNetwork:
             raise ValidationError(f"{k} arrivals: min cut does not match max flow")
         return cover_l.astype(np.int64) + cover_r, cut
 
+    def value(self) -> float:
+        """The minimum weighted fractional cover of the arrived graph."""
+        return _to_float(self.solve()[1], 2 * self.den)
+
     def edge_flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays u, v, flow over the crossing arcs u-left -> v-right with flow,
         read off each arc's reverse, whose head is its tail; flows are Python ints."""
@@ -500,10 +505,16 @@ class _GrowingMatching:
     list each vertex's earlier neighbours and then its later ones in
     arrival order, so a vertex's arrived neighbours are always the first
     ``count[v]`` entries of its slice; an arrival only updates counts.
+
+    A side-labeled stream's L vertex joins as its row and R vertex as its
+    column, a matching of the graph itself; otherwise each arrival adds
+    its row, then its column, and the value is half the double cover's
+    matching.  Each added node adds at most one augmenting path (Berge).
     """
 
     def __init__(self, stream: InstanceStream):
         self.n = n = len(stream)
+        self.labeled = stream.has_side_labels()
         self.ptr, self.idx = _adjacency(stream)
         self.count = np.zeros(n, dtype=self.ptr.dtype)
         self.mate = np.full(2 * n, -1, dtype=np.int32)
@@ -514,10 +525,19 @@ class _GrowingMatching:
         self.free = [0, 0]  # unmatched nodes that have joined: rows, columns
         self.size = 0
 
-    def arrive(self, v: int, nbrs: np.ndarray) -> None:
-        """Count v's back-edges, and v in each neighbour's slice, as arrived."""
-        self.count[v] = nbrs.size
-        self.count[nbrs] += 1
+    def add(self, ev: VertexEvent) -> None:
+        """Count the arrival's back-edges as arrived, then join its copies."""
+        v = ev.id
+        self.count[v] = ev.neighbors.size
+        self.count[ev.neighbors] += 1
+        if not self.labeled or ev.side is Side.LEFT:
+            self.join(v)
+        if not self.labeled or ev.side is Side.RIGHT:
+            self.join(self.n + v)
+
+    def value(self) -> float:
+        """The maximum fractional matching of the arrived graph."""
+        return self.size if self.labeled else self.size / 2.0
 
     def join(self, node: int) -> None:
         """Add a free node (its vertex has arrived) and keep the matching maximum.
@@ -583,53 +603,23 @@ class _GrowingMatching:
             b, a = prev, int(parent[prev])
 
 
-def _unit_prefix_values(stream: InstanceStream) -> np.ndarray:
-    """Maximum (fractional) matching size after each arrival, unit weights.
-
-    A side-labeled stream's L vertex joins as its row and R vertex as its
-    column, a matching of the graph itself; otherwise each arrival adds
-    its row, then its column, and the value is half the double cover's
-    matching.  Each added node adds at most one augmenting path (Berge).
-    """
-    labeled = stream.has_side_labels()
-    m = _GrowingMatching(stream)
-    vals = np.zeros(len(stream))
-    for ev in stream.events:
-        v = ev.id
-        m.arrive(v, ev.neighbors)
-        if not labeled or ev.side is Side.LEFT:
-            m.join(v)
-        if not labeled or ev.side is Side.RIGHT:
-            m.join(m.n + v)
-        vals[v] = m.size if labeled else m.size / 2.0
-    return vals
-
-
-def _weighted_prefix_values(stream: InstanceStream) -> np.ndarray:
-    """Minimum weighted fractional cover after each arrival: one
-    ``_CoverNetwork`` grows with the stream and is solved per arrival."""
-    net = _CoverNetwork(stream)
-    vals = np.zeros(len(stream))
-    for ev in stream.events:
-        net.add(ev)
-        vals[ev.id] = _to_float(net.solve()[1], 2 * net.den)
-    return vals
-
-
 def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     """Offline optimum after each arrival, from one solver kept across arrivals.
 
     The returned number is simultaneously the minimum fractional cover and
     the maximum fractional matching: the two coincide for bipartite
     instances (integrality plus duality) and for general ones (double
-    cover).  Unit weights keep one maximum matching and search one
-    augmenting path per added node; weights keep one max-flow residual
-    network and continue the flow.  At every prefix the value equals what
-    a from-scratch ``fractional_optima_general`` solve returns.
+    cover).  The weight class picks the solver, a ``_GrowingMatching`` or a
+    ``_CoverNetwork``; each arrival is ``add``-ed to it and its ``value``
+    read.  At every prefix the value equals what a from-scratch
+    ``fractional_optima_general`` solve returns.
     """
-    if stream.is_unit_weight():
-        return _unit_prefix_values(stream)
-    return _weighted_prefix_values(stream)
+    solver = _GrowingMatching(stream) if stream.is_unit_weight() else _CoverNetwork(stream)
+    vals = np.zeros(len(stream))
+    for ev in stream.events:
+        solver.add(ev)
+        vals[ev.id] = solver.value()
+    return vals
 
 
 # ------------------------------------------------------------ ratio helper

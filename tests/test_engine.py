@@ -40,6 +40,7 @@ from onlinecover.oracle import (
     fractional_optima_general,
     prefix_optimal_values,
     prefix_ratios,
+    static_from_stream,
 )
 
 K_STAR = 1.1996786402577338
@@ -447,7 +448,9 @@ def test_check_invariants_stepwise():
     matching = PrimalDualState.fresh(len(stream))
     for ev in stream.events:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
-        rep = check_invariants(cover, matching, FK, BETA_STAR, stream, upto=ev.id + 1)
+        rep = check_invariants(
+            cover, matching, FK, BETA_STAR, static_from_stream(stream, ev.id + 1)
+        )
         # the array form does the loop's arithmetic, to the bit
         assert rep.max_inv1_slack == budget_slack_by_loop(cover, matching, FK, BETA_STAR)
         assert rep.max_inv1_slack < 1e-8
@@ -480,6 +483,33 @@ def test_weighted_primal_dual_bounds_and_invariants():
         opt = fractional_optima_general(stream).min_cover_value
         assert trace.cover.total_cost <= BETA_STAR * opt + 1e-6
         assert trace.matching.total_value >= opt / BETA_STAR - 1e-6
+
+
+def test_edge_values_scale_the_water_filling_lift():
+    """The water-filling step reports each raised neighbour's lift
+    w_u (level - y_u), y_u before the step: the cost it adds on that
+    neighbour.  Primal-dual's edge values are lift / beta * (1 + (1-y)/f(y)),
+    to the bit, and 0 on every other new edge."""
+    for stream in (gen_random(50, 0.2, seed=3), weighted_stream(2)):
+        cover = CoverState.fresh(len(stream))
+        matching = PrimalDualState.fresh(len(stream))
+        raised = 0
+        for ev in stream.events:
+            before, cost = cover.y.copy(), cover.total_cost
+            cover, matching, out = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
+            nbrs, level = ev.neighbors, out.level
+            assert np.array_equal(out.mask, before[nbrs] < level)
+            assert np.array_equal(out.raised, nbrs[out.mask])
+            for u, lift in zip(out.raised.tolist(), out.lift.tolist()):
+                assert lift == cover.weights[u] * (level - before[u])
+                assert lift == cover.weights[u] * (cover.y[u] - before[u])
+            assert cover.total_cost == cost + float(out.lift.sum()) + ev.weight * (1.0 - level)
+            factor = 1.0 + (1.0 - level) / float(FK(level)) if level < 1.0 else 1.0
+            xvals = matching.x_by_step[ev.id][1]
+            assert xvals[out.mask].tolist() == [x / BETA_STAR * factor for x in out.lift.tolist()]
+            assert not xvals[~out.mask].any()
+            raised += out.raised.size
+        assert raised > 0
 
 
 def test_waterfill_cover_matches_primal_dual_cover():
@@ -518,7 +548,7 @@ def test_understated_beta_shows_up_as_capacity_excess():
 def test_check_invariants_fresh_state():
     stream = gen_random(5, 0.5, seed=1)
     rep = check_invariants(
-        CoverState.fresh(5), MatchingState.fresh(5), FK, BETA_STAR, stream, upto=0
+        CoverState.fresh(5), MatchingState.fresh(5), FK, BETA_STAR, static_from_stream(stream, 0)
     )
     assert rep.max_inv1_slack == 0.0
     assert rep.inv2_rel_slack == 0.0
@@ -610,13 +640,14 @@ def test_round_monotone_over_trace():
     stream = gen_complete_bipartite(6, 30)
     cover = CoverState.fresh(len(stream))
     sides = stream.sides()
-    prev_covers = {t: set() for t in (0.12, 0.5, 0.87)}
+    # at t = 1 every right vertex rounds into the cover, arrived or not
+    prev_covers = {t: set() for t in (0.12, 0.5, 0.87, 1.0)}
     for ev in stream.events:
         cover, _ = greedy_allocation_step(cover, ev, LIN)
         for t, prev in prev_covers.items():
             cur = round_bipartite(cover.y, sides, t)
             assert prev.issubset(cur)
-            assert check_rounding_covers(stream, cur, upto=ev.id + 1)
+            assert check_rounding_covers(static_from_stream(stream, ev.id + 1), cur)
             prev_covers[t] = cur
 
 
@@ -667,7 +698,7 @@ def test_stepping_by_hand_equals_run_stream(algo):
             for ev in stream.events:
                 row = alg.step(ev)
                 rep = check_invariants(
-                    alg.cover, alg.matching, FK, alg.beta, stream, upto=ev.id + 1
+                    alg.cover, alg.matching, FK, alg.beta, static_from_stream(stream, ev.id + 1)
                 )
                 assert row.inv1_slack == pytest.approx(rep.max_inv1_slack, abs=1e-12)
                 assert row.inv2_slack == pytest.approx(rep.inv2_rel_slack, abs=1e-12)

@@ -213,6 +213,22 @@ def test_adversary_is_tight_against_primal_dual(phases):
     assert beta - 0.01 <= out.ratio <= beta + 1e-6
 
 
+@pytest.mark.parametrize(
+    "f_spec",
+    ["optimal", "family-k:1", "family-k:1.5", "family-k:2", "family-k:3", "linear-alpha", "greedy"],
+)
+def test_adversary_respects_the_cover_lower_bound(f_spec):
+    """No online algorithm beats 1.753 for fractional cover, so no f may
+    hold the adversary below it.  The least ratio over these selectors is
+    1.8765 (optimal f at 3,40); family-k:1 and greedy reach 1.998 and
+    family-k:3 2.547.  Primal-dual builds the same covers as
+    water-filling, so one algorithm is swept."""
+    func = resolve_allocation(f_spec)
+    for phases in (2, 3):
+        out = adaptive_adversary_vc(AdversaryBudget(phases=phases, offline_d=40), "waterfill", func)
+        assert out.ratio >= 1.753
+
+
 @pytest.mark.parametrize("algo", ["waterfill", "primal-dual"])
 def test_adversary_transcript_replays(algo):
     budget = AdversaryBudget(phases=2, offline_d=25, per_phase_cap=250)

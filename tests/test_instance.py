@@ -28,6 +28,7 @@ from onlinecover.instance import (
     serialize_instance,
     ski_rental_strategy_optimum,
 )
+from onlinecover.oracle import static_from_stream
 
 
 def edges_of(stream):
@@ -213,8 +214,9 @@ def test_stream_arrays_and_prefix_edges():
     assert s.weights().tolist() == [1.0] * 6
     assert s.side_codes.tolist() == [0, 0, 0, 1, 1, 1]
     assert s.edge_offsets.tolist() == [0, 0, 0, 0, 3, 5, 6]
-    assert edges_of(s)[:5] == list(zip(*(a.tolist() for a in s.edge_arrays(5))))
-    assert s.edge_arrays(3)[0].size == 0
+    prefix = static_from_stream(s, 5).edge_arrays()
+    assert edges_of(s)[:5] == list(zip(*(a.tolist() for a in prefix)))
+    assert static_from_stream(s, 3).edge_arrays()[0].size == 0
 
 
 def test_stream_arrays_are_read_only():

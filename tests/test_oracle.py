@@ -329,7 +329,8 @@ def test_weighted_optima_are_the_correctly_rounded_exact_optimum(seed, n, p, mod
 def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
     """One warm-started solver per stream: the from-scratch entry points run
     at most once in total, where a per-prefix loop would call them per
-    arrival, and a weighted stream builds exactly one flow network."""
+    arrival; a unit stream builds exactly one growing matching and no flow
+    network, a weighted stream exactly one flow network and no matching."""
     calls = []
     for name in ("maximum_bipartite_matching", "fractional_optima_general"):
         fn = getattr(oracle, name)
@@ -339,22 +340,25 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(oracle, name, counted)
-    networks = []
+    built = []
+    for name in ("_CoverNetwork", "_GrowingMatching"):
+        base = getattr(oracle, name)
 
-    class CountedNetwork(oracle._CoverNetwork):
-        def __init__(self, stream):
-            networks.append(stream)
-            super().__init__(stream)
+        class Counted(base):
+            def __init__(self, stream, _name=name):
+                built.append(_name)
+                super().__init__(stream)
 
-    monkeypatch.setattr(oracle, "_CoverNetwork", CountedNetwork)
+        monkeypatch.setattr(oracle, name, Counted)
     spec = SkiRentalSpec(states=((0.0, 2.0), (5.0, 1.0), (9.0, 0.0)), epsilon=1.0, t_end=6.0)
-    for stream, built in ((gen_triangular(60), 0), (reduce_ski_rental(spec), 1)):
+    for stream, solver in ((gen_triangular(60), "_GrowingMatching"),
+                           (reduce_ski_rental(spec), "_CoverNetwork")):
         calls.clear()
-        networks.clear()
+        built.clear()
         vals = oracle.prefix_optimal_values(stream)
         assert vals[-1] > 0.0
         assert len(calls) <= 1
-        assert len(networks) == built
+        assert built == [solver]
 
 
 def shuffled(stream, rng):
@@ -385,7 +389,7 @@ def test_arrived_neighbours_lead_every_slice(seed, n, p, mode, shuffle):
     m = oracle._GrowingMatching(stream)
     arrived = [[] for _ in range(n)]
     for ev in stream.events:
-        m.arrive(ev.id, ev.neighbors)
+        m.add(ev)
         for u in ev.neighbors.tolist():
             arrived[u].append(ev.id)
             arrived[ev.id].append(u)

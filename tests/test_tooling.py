@@ -127,6 +127,8 @@ def test_no_cli_command_loads_scipy():
         ("adversary_sweep.py", ["--sizes", "5,10", "--algo", "primal-dual"],
          "d,ratio,arrivals,phase_sizes,budget_exhausted"),
         ("reproduce_constants.py", ["--tol", "1e-6"], "golden-section optimum: k = "),
+        ("adversary_sweep.py", ["--sizes", "5", "--f", "family-k:2"],
+         "d,ratio,arrivals,phase_sizes,budget_exhausted"),
     ],
 )
 def test_script_runs(script, args, header):
