@@ -20,7 +20,7 @@ def measure(spec, algo, f_spec="optimal", seed=0):
     stream = resolve_generator(spec, seed)
     _, summary = run_experiment(stream, algo, resolve_allocation(f_spec))
     return {
-        "instance": f"gen:{spec} seed={seed}",
+        "instance": f"--gen {spec} --seed {seed}",
         "algo": algo,
         "f": summary["f"],
         "cover_ratio": summary["cover_ratio"],

@@ -367,30 +367,29 @@ def smooth_to_constant(
     )
 
 
-def ode_residual(k: float, grid_size: int = 2001, h: float = 1e-5) -> float:
-    """Max grid residual of f(z) f'(1-z) - (z-1) for a family member.
+def ode_residual(k: float) -> float:
+    """Max residual of f(z) f'(1-z) - (z-1) for a family member on 2001 nodes.
 
-    f' is taken by central differences of step h; nodes within 2h of the
-    endpoints are excluded (the family's exponents make f' one-sidedly
-    steep there).
+    f' is taken by central differences of step h = 1e-5; nodes within 2h
+    of the endpoints are excluded (the family's exponents make f'
+    one-sidedly steep there).
     """
     if k < 1.0:
         raise DomainError("k must be >= 1")
-    if not (1e-7 <= h <= 1e-3):
-        raise DomainError("h must lie in [1e-7, 1e-3]")
     func = AllocationFunction.family(k)
-    z = np.linspace(0.0, 1.0, grid_size)
+    h = 1e-5
+    z = np.linspace(0.0, 1.0, 2001)
     z = z[(z >= 2.0 * h) & (z <= 1.0 - 2.0 * h)]
     w = 1.0 - z
     fprime = (func(w + h) - func(w - h)) / (2.0 * h)
     return float(np.max(np.abs(func(z) * fprime - (z - 1.0))))
 
 
-def product_identity_residual(k: float, grid_size: int = 10_000) -> float:
-    """Max grid residual of f(p) f(1-p) - (p - p^2 + (k^2-1)/4)."""
+def product_identity_residual(k: float) -> float:
+    """Max residual of f(p) f(1-p) - (p - p^2 + (k^2-1)/4) on 10,000 nodes."""
     if k < 1.0:
         raise DomainError("k must be >= 1")
     func = AllocationFunction.family(k)
-    p = np.linspace(0.0, 1.0, grid_size)
+    p = np.linspace(0.0, 1.0, 10_000)
     c = (k * k - 1.0) / 4.0
     return float(np.max(np.abs(func(p) * func(1.0 - p) - (p - p * p + c))))

@@ -176,17 +176,19 @@ def _solve_level(pots, ws, v_weight, func):
 class CoverState:
     """Monotone fractional cover potentials.
 
-    Each vertex's weight is recorded from its event when it arrives.
+    Vertices arrive in id order, so ``arrived`` counts them: ids below it
+    have arrived.  Each vertex's weight is recorded from its event when it
+    arrives.
     """
 
     weights: np.ndarray
     y: np.ndarray
-    is_arrived: np.ndarray
+    arrived: int = 0
     total_cost: float = 0.0
 
     @classmethod
     def fresh(cls, n: int) -> "CoverState":
-        return cls(weights=np.zeros(n), y=np.zeros(n), is_arrived=np.zeros(n, dtype=bool))
+        return cls(weights=np.zeros(n), y=np.zeros(n))
 
 
 @dataclass
@@ -267,10 +269,9 @@ def _check(residual: float, bound: float, what: str, vertex: int) -> None:
 
 
 def _arrive(cover: CoverState, event: VertexEvent):
-    if not cover.is_arrived[event.neighbors].all():
-        raise ValidationError(f"event {event.id}: neighbor not yet arrived")
-    if cover.is_arrived[event.id]:
-        raise ValidationError(f"event {event.id} arrived twice")
+    # an event's neighbours are below its id, so they have arrived if it is next
+    if event.id != cover.arrived:
+        raise ValidationError(f"event {event.id} arrived out of order: expected {cover.arrived}")
     cover.weights[event.id] = event.weight
 
 
@@ -292,7 +293,7 @@ def greedy_allocation_step(
     v = event.id
     cover.y[v] = 1.0 - level
     cover.total_cost += event.weight * (1.0 - level)
-    cover.is_arrived[v] = True
+    cover.arrived += 1
     return cover, WaterLevelOutcome(
         level=level, raised=ridx, saturated=saturated, mask=raised_mask, lift=lift
     )
@@ -388,7 +389,7 @@ def greedy_baseline_step(
                 cover.y[u] = 1.0
     else:
         matching.x_by_step[v] = (nbrs, np.zeros(nbrs.size))
-    cover.is_arrived[v] = True
+    cover.arrived += 1
     level = 1.0 - cover.y[v]
     return cover, matching, WaterLevelOutcome(
         level=float(level), raised=np.array(raised, dtype=np.int64), saturated=False
@@ -549,7 +550,7 @@ def check_invariants(
     slacks, never raises; a NaN anywhere reaches the fields it feeds.  A
     prefix is checked by passing ``static_from_stream(stream, j)``.
     """
-    arrived = np.flatnonzero(cover.is_arrived[: len(stream)])
+    arrived = np.arange(min(cover.arrived, len(stream)))
     x_agg = np.zeros(len(cover.y))
     total_x = 0.0
     for v in arrived.tolist():

@@ -166,11 +166,11 @@ class AdversaryBudget:
 
     phases: int
     offline_d: int
-    per_phase_cap: int = 0  # 0 means the default 20 * offline_d
+    per_phase_cap: int | None = None  # None means the default 20 * offline_d
     convergence_threshold: float = 0.999
 
     def __post_init__(self):
-        if self.per_phase_cap == 0:
+        if self.per_phase_cap is None:
             self.per_phase_cap = 20 * self.offline_d
         if self.phases < 1 or self.offline_d < 1 or self.per_phase_cap < 1:
             raise ValidationError("budget fields must be positive")
@@ -332,7 +332,7 @@ def verify_identities() -> bool:
         print(f"{name}: {value:.3e} (< {bound:.0e}) {'ok' if good else 'FAIL'}")
 
     for k in (1.0, 1.1997, 2.0):
-        report(f"ode-residual k={k}", allocation.ode_residual(k, 2001, 1e-5), 1e-5)
+        report(f"ode-residual k={k}", allocation.ode_residual(k), 1e-5)
     for k in (1.0, 1.1997, 3.0):
         report(f"product-identity k={k}", allocation.product_identity_residual(k), 1e-9)
     # the trapezoid in ratio_functional is independent of the closed-form F

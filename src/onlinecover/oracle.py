@@ -61,11 +61,11 @@ def static_from_stream(stream: InstanceStream, length: int) -> InstanceStream:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Optimal values plus witnesses; construction re-verifies both sides."""
+    """The two optimal values and a half-integral cover witness; construction
+    checks that the values coincide and that the witness is half-integral."""
 
     max_matching_value: float
     min_cover_value: float
-    matching_witness: dict[tuple[int, int], float]
     cover_witness: np.ndarray
 
     def __post_init__(self):
@@ -92,11 +92,13 @@ def _to_float(num: int, den: int) -> float:
 
 
 def _certified(stream: InstanceStream, cover2: np.ndarray, a, b, x) -> OracleResult:
-    """Check integer witnesses exactly, then convert them to floats once.
+    """Check integer witnesses exactly, then convert the values to floats once.
 
     ``cover2`` holds the potentials in halves; the matching is x[i] on the
     double-cover arc a[i] -> b[i] in units of 1/(2 den), x int64 or, for
-    Python-int flows, object.
+    Python-int flows, object.  The cover must cover every edge and the
+    matching respect every capacity; the result checks that their values
+    coincide.
     """
     n = len(stream)
     iw, den = _scaled_weights(stream)
@@ -110,15 +112,7 @@ def _certified(stream: InstanceStream, cover2: np.ndarray, a, b, x) -> OracleRes
         raise ValidationError("matching witness violates a vertex capacity")
     scale = 2 * den
     value = _to_float(int(x.sum()), scale)
-    # an edge's two arcs are one witness entry: sort by edge, sum each run
-    # (a stable sort: the default one maps more of numpy, 0.3 MiB of peak RSS)
-    key = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(key, kind="stable")
-    first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    key = key[order][first]
-    witness = dict(zip(zip((key // n).tolist(), (key % n).tolist()),
-                       (np.add.reduceat(x[order], first) / scale).tolist()))
-    return OracleResult(value, _to_float((cover2 * iw).sum(), scale), witness, cover2 / 2.0)
+    return OracleResult(value, _to_float((cover2 * iw).sum(), scale), cover2 / 2.0)
 
 
 # ------------------------------------------------------------ unit weights
@@ -133,10 +127,9 @@ def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
     One sort of v * n + neighbour keys builds it, so each slice is
     ascending: v's earlier neighbours, then its later ones in arrival
     order.  Keys and ``ptr`` are int32 while n * n fits, and ``idx`` is
-    int32 for every n.  The key buffer is the only array as long as the
-    edge list: its halves first hold each edge's endpoints, then the keys,
-    formed in place a block at a time; int64 keys are narrowed in place
-    into the first half of their buffer, which then shrinks to that half.
+    int32 for every n: the keys themselves below n = 46,341, an int32 copy
+    of them from there on.  The key buffer's halves first hold each edge's
+    endpoints, then the keys, formed in place a block at a time.
     """
     n = len(stream)
     off = stream.edge_offsets
@@ -160,21 +153,7 @@ def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
     # needles of the keys' own dtype: other needles make searchsorted copy the keys
     ptr[:n] = np.searchsorted(keys, np.arange(n, dtype=dtype) * n)
     keys %= n
-    if keys.dtype == np.int64:
-        # entry i moves to bytes 4i..4i+4, inside entry i // 2, so a block
-        # [start, stop) with stop <= 2 start overwrites only entries read
-        idx = keys.view(np.int32)
-        idx[:1] = keys[:1]
-        start = 1
-        while start < 2 * e:
-            stop = min(2 * start, start + _BLOCK, 2 * e)
-            idx[start:stop] = keys[start:stop]
-            start = stop
-        del idx
-        # no view of the buffer is read after this
-        keys.resize(e, refcheck=False)
-        keys = keys.view(np.int32)
-    return ptr, keys
+    return ptr, keys.astype(np.int32, copy=False)
 
 
 def _gather(ptr: np.ndarray, idx: np.ndarray, nodes, lens) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +306,7 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     they coincide by construction; the cover witness is half-integral.
     """
     if not len(stream):
-        return OracleResult(0.0, 0.0, {}, np.zeros(0))
+        return OracleResult(0.0, 0.0, np.zeros(0))
     if stream.is_unit_weight():
         return _unit_optimum(stream)
     net = _CoverNetwork(stream)

@@ -63,7 +63,7 @@ def test_criterion_1_optimal_constants(capsys):
 
 def test_criterion_2_identities():
     t0 = time.monotonic()
-    ode = {k: allocation.ode_residual(k, 2001, 1e-5) for k in (1.0, 1.1997, 2.0)}
+    ode = {k: allocation.ode_residual(k) for k in (1.0, 1.1997, 2.0)}
     prod = {k: allocation.product_identity_residual(k) for k in (1.0, 1.1997, 3.0)}
     # flatness from the trapezoid in ratio_functional, which does not use
     # the closed-form F that beta_of reads

@@ -66,7 +66,7 @@ def star_level(neighbors, v_weight, func):
     cover = CoverState.fresh(m + 1)
     cover.weights[:m] = [w for _, w in neighbors]
     cover.y[:m] = [p for p, _ in neighbors]
-    cover.is_arrived[:m] = True
+    cover.arrived = m
     center = VertexEvent(m, v_weight, Side.UNLABELED, np.arange(m, dtype=np.int64))
     _, out = greedy_allocation_step(cover, center, func)
     return out
@@ -362,6 +362,20 @@ def test_first_online_arrival_complete_bipartite():
     assert cover.total_cost == pytest.approx(1.0 + ALPHA, abs=1e-10)
 
 
+@pytest.mark.parametrize("algo", engine.ALGOS)
+def test_step_rejects_events_out_of_id_order(algo):
+    """Vertices arrive in id order: a step rejects an event that skips
+    ahead of the arrival count and an event that arrived before."""
+    first, second = single_edge_stream().events
+    alg = Algorithm(algo, FK, 2)
+    with pytest.raises(ValidationError, match="out of order"):
+        alg.step(second)
+    alg.step(first)
+    with pytest.raises(ValidationError, match="out of order"):
+        alg.step(first)
+    assert alg.cover.arrived == 1 and len(alg.rows) == 1
+
+
 def test_single_edge_primal_dual_closed_form():
     stream = single_edge_stream()
     trace = run_stream(stream, "primal-dual", FK)
@@ -433,7 +447,7 @@ def budget_slack_by_loop(cover, matching, func, beta):
     """The largest budget slack, one arrived vertex at a time on scalars."""
     tbl = func.table()
     worst = -np.inf
-    for u in np.flatnonzero(cover.is_arrived).tolist():
+    for u in range(cover.arrived):
         zu, yu = matching.z_arrival[u], cover.y[u]
         rhs = cover.weights[u] * (
             (yu + float(func(1.0 - zu)) + float(tbl.eval(yu)) - float(tbl.eval(zu))) / beta

@@ -149,6 +149,8 @@ def test_adversary_budget_validation():
     with pytest.raises(ValidationError):
         AdversaryBudget(phases=1, offline_d=5, convergence_threshold=1.5)
     assert AdversaryBudget(phases=1, offline_d=5).per_phase_cap == 100
+    with pytest.raises(ValidationError, match="budget fields must be positive"):
+        AdversaryBudget(phases=2, offline_d=5, per_phase_cap=0)
     AdversaryBudget(phases=3, offline_d=10, per_phase_cap=(MAX_ARRIVALS - 10) // 3)
     with pytest.raises(ValidationError):
         AdversaryBudget(phases=3, offline_d=11, per_phase_cap=(MAX_ARRIVALS - 10) // 3)
@@ -379,6 +381,7 @@ def test_cli_usage_errors():
         ["adversary", "--budget", "2,5", "--csv", "{missing_dir}/transcript.txt"],
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3",
          "--csv", "{missing_dir}/run.csv"],
+        ["adversary", "--budget", "2,5,0"],  # a zero cap, not the default one
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):

@@ -72,7 +72,6 @@ def test_single_edge():
     r = fractional_optima_general(graph_stream(2, [(0, 1)], sides=LR))
     assert r.max_matching_value == 1.0
     assert r.min_cover_value == 1.0
-    assert r.matching_witness == {(0, 1): 1.0}
 
 
 def test_path_of_three_edges():
@@ -192,7 +191,36 @@ def test_permutation_invariance():
 
 def test_weak_duality_enforced():
     with pytest.raises(ValidationError):
-        OracleResult(2.0, 1.0, {}, np.zeros(2))
+        OracleResult(2.0, 1.0, np.zeros(2))
+
+
+def test_cover_witness_must_be_half_integral():
+    with pytest.raises(ValidationError, match="half-integral"):
+        OracleResult(1.0, 1.0, np.array([0.25, 0.75]))
+
+
+def test_certificate_rejects_an_uncovered_edge():
+    g = graph_stream(3, [(0, 1), (1, 2)])
+    # potentials 1/2, 0, 1/2 in halves leave both edges at 1/2
+    with pytest.raises(ValidationError, match="uncovered"):
+        oracle._certified(g, np.array([1, 0, 1]), np.array([0]), np.array([1]), np.array([1]))
+
+
+def test_certificate_rejects_a_matching_over_capacity():
+    g = graph_stream(2, [(0, 1)])
+    # 3 halves on arc 0 -> 1 exceed each endpoint's 2: two copies of weight 1
+    with pytest.raises(ValidationError, match="capacity"):
+        oracle._certified(g, np.array([2, 0]), np.array([0]), np.array([1]), np.array([3]))
+
+
+def test_cover_network_rejects_a_tampered_flow():
+    g = graph_stream(3, [(0, 1), (1, 2)], weights=[1.0, 2.5, 0.5])
+    net = oracle._CoverNetwork(g)
+    for ev in g.events:
+        net.add(ev)
+    net.flow += 1
+    with pytest.raises(ValidationError, match="min cut does not match max flow"):
+        net.solve()
 
 
 def test_static_from_stream_prefix():
@@ -415,7 +443,7 @@ def test_adjacency_peak_memory_is_its_output():
 
 def test_int64_keys_give_the_values_of_the_relabelled_stream():
     """From n = 46,341 the adjacency's keys v * n + u are int64, and
-    ``idx`` is narrowed back to int32 in their buffer.  Past that size, a
+    ``idx`` is an int32 copy of them.  Past that size, a
     sparse stream has the adjacency, final optimum and prefix optima of
     its edge-bearing vertices relabelled 0..k-1, which stay on the int32
     path (arrivals without edges change no optimum)."""
