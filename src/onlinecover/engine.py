@@ -34,13 +34,8 @@ from operator import itemgetter
 import numpy as np
 
 from .allocation import AllocationFunction, beta_of
-from .errors import (
-    InvariantViolation,
-    NumericError,
-    SideError,
-    ValidationError,
-)
-from .instance import InstanceStream, Side, VertexEvent
+from .errors import InvariantViolation, NumericError, SideError, ValidationError
+from .instance import SIDE_CODES, InstanceStream, Side, VertexEvent
 
 LEVEL_EPS = 1e-10  # level certificate, relative to the weight it sums
 FEAS_EPS = 1e-9
@@ -54,7 +49,7 @@ class WaterLevelOutcome:
     """Solved level, the ids of the raised neighbors, and which side of the dichotomy."""
 
     level: float
-    raised: np.ndarray  # int64 ids
+    raised: np.ndarray  # vertex ids
     saturated: bool
     # water-filling only: which neighbor entries it raised, and each one's w_u (level - y_u)
     mask: np.ndarray | None = None
@@ -193,23 +188,19 @@ class CoverState:
 
 @dataclass
 class MatchingState:
-    """Edge values set once at creation, plus per-vertex aggregates."""
+    """Edge values set once at creation, plus per-vertex aggregates.
+
+    ``x[v]`` holds the values of arrival v's back-edges, aligned with its
+    neighbours, so ``x`` lists the edge values in the stream's edge order.
+    """
 
     x_agg: np.ndarray
-    x_by_step: dict[int, tuple[np.ndarray, np.ndarray]]
+    x: list[np.ndarray]
     total_value: float = 0.0
 
     @classmethod
     def fresh(cls, n: int) -> "MatchingState":
-        return cls(x_agg=np.zeros(n), x_by_step={})
-
-    def x_of(self, u: int, v: int) -> float:
-        """Value of edge (u, v) where v is the later arrival."""
-        nbrs, vals = self.x_by_step[v]
-        idx = np.flatnonzero(nbrs == u)
-        if idx.size == 0:
-            raise KeyError(f"no edge ({u}, {v})")
-        return float(vals[idx[0]])
+        return cls(x_agg=np.zeros(n), x=[])
 
 
 @dataclass(kw_only=True)
@@ -251,7 +242,7 @@ class PrimalDualState(MatchingState):
     def fresh(cls, n: int) -> "PrimalDualState":
         return cls(
             x_agg=np.zeros(n),
-            x_by_step={},
+            x=[],
             z_arrival=np.zeros(n),
             inv1_base=np.zeros(n),
             inv1_slack=np.full(n, -np.inf),
@@ -326,7 +317,7 @@ def primal_dual_step(
     ridx = outcome.raised
     xvals = np.zeros(nbrs.size)
     xvals[outcome.mask] = outcome.lift / beta * factor
-    matching.x_by_step[v] = (nbrs, xvals)
+    matching.x.append(xvals)
     matching.x_agg[nbrs] += xvals
     xv = float(xvals.sum())
     matching.x_agg[v] += xv
@@ -378,7 +369,7 @@ def greedy_baseline_step(
     raised: list[int] = []
     if free.size:
         partner = int(free.min())
-        matching.x_by_step[v] = (nbrs, np.where(nbrs == partner, 1.0, 0.0))
+        matching.x.append(np.where(nbrs == partner, 1.0, 0.0))
         matching.x_agg[partner] += 1.0
         matching.x_agg[v] += 1.0
         matching.total_value += 1.0
@@ -388,7 +379,7 @@ def greedy_baseline_step(
                 cover.total_cost += 1.0 - cover.y[u]
                 cover.y[u] = 1.0
     else:
-        matching.x_by_step[v] = (nbrs, np.zeros(nbrs.size))
+        matching.x.append(np.zeros(nbrs.size))
     cover.arrived += 1
     level = 1.0 - cover.y[v]
     return cover, matching, WaterLevelOutcome(
@@ -399,25 +390,21 @@ def greedy_baseline_step(
 # ----------------------------------------------------------------- rounding
 
 
-def round_bipartite(final_y, sides, t: float) -> set[int]:
+def round_bipartite(final_y, side_codes, t: float) -> set[int]:
     """Threshold rounding: lefts with y >= t, rights with y >= 1 - t.
 
-    With dual-feasible potentials every revealed edge ends up covered, and
-    because potentials only rise, a fixed t yields a monotone integral
-    cover across the run.
+    ``side_codes`` are a stream's (``SIDE_CODES``); every vertex needs a
+    side.  With dual-feasible potentials every revealed edge ends up
+    covered, and because potentials only rise, a fixed t yields a monotone
+    integral cover across the run.
     """
     y = np.asarray(final_y, dtype=float)
-    cover: set[int] = set()
-    for v, side in enumerate(sides):
-        if side is Side.LEFT:
-            if y[v] >= t:
-                cover.add(v)
-        elif side is Side.RIGHT:
-            if y[v] >= 1.0 - t:
-                cover.add(v)
-        else:
-            raise SideError(f"vertex {v} has no side label")
-    return cover
+    codes = np.asarray(side_codes)
+    unlabeled = np.flatnonzero(codes == SIDE_CODES[Side.UNLABELED])
+    if unlabeled.size:
+        raise SideError(f"vertex {unlabeled[0]} has no side label")
+    left = codes == SIDE_CODES[Side.LEFT]
+    return set(np.flatnonzero(np.where(left, y >= t, y >= 1.0 - t)).tolist())
 
 
 def check_rounding_covers(stream: InstanceStream, cover: set[int]) -> bool:
@@ -519,7 +506,7 @@ def run_stream(
     Fully deterministic: identical inputs give identical rows.
     """
     alg = Algorithm(algo, func, len(stream))
-    for event in stream.events:
+    for event in stream:
         alg.step(event)
     return alg
 
@@ -551,14 +538,14 @@ def check_invariants(
     prefix is checked by passing ``static_from_stream(stream, j)``.
     """
     arrived = np.arange(min(cover.arrived, len(stream)))
+    u, v = stream.edge_arrays()
+    m = int(stream.edge_offsets[arrived.size])  # the arrived vertices' edges
+    x = np.concatenate(matching.x[: arrived.size]) if arrived.size else np.zeros(0)
     x_agg = np.zeros(len(cover.y))
-    total_x = 0.0
-    for v in arrived.tolist():
-        if v in matching.x_by_step:
-            nbrs, vals = matching.x_by_step[v]
-            x_agg[nbrs] += vals
-            x_agg[v] += vals.sum()
-            total_x += float(vals.sum())
+    # in the steps' order: a vertex's own back-edges, then its later edges
+    np.add.at(x_agg, v[:m], x)
+    np.add.at(x_agg, u[:m], x)
+    total_x = float(x.sum())
     max_inv1 = cap_excess = 0.0
     if arrived.size:
         w, y, z = cover.weights[arrived], cover.y[arrived], matching.z_arrival[arrived]
@@ -568,7 +555,6 @@ def check_invariants(
         cap_excess = float(np.max(x_agg[arrived] - w))
     total_y = float(np.sum(cover.weights[arrived] * cover.y[arrived]))
     inv2 = abs(total_y - beta * total_x) / max(1.0, total_y)
-    u, v = stream.edge_arrays()
     min_gap = float(np.min(cover.y[u] + cover.y[v] - 1.0)) if u.size else 0.0
     return InvariantReport(
         max_inv1_slack=max_inv1,

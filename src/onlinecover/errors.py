@@ -16,8 +16,8 @@ class ParseError(OnlineCoverError):
 class ValidationError(OnlineCoverError):
     """A domain-type invariant was violated; the message names it.
 
-    A check on a whole stream sets ``event`` to the index of the event it
-    rejects (None for the stream's offline count).
+    A stream's validation sets ``event`` to the first arrival it rejects
+    (None for the offline count, or for columns that do not fit together).
     """
 
     def __init__(self, message: str, event: int | None = None):

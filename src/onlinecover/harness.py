@@ -114,7 +114,7 @@ def _summary_row(summary: dict) -> str:
 
 
 def _zero_weight_arrivals(stream: InstanceStream) -> int:
-    return int(np.count_nonzero(stream.weights()[stream.offline_count :] == 0.0))
+    return int(np.count_nonzero(stream.weights[stream.offline_count :] == 0.0))
 
 
 def run_experiment(
@@ -239,7 +239,7 @@ def adaptive_adversary_vc(
     lefts: list[int] = []
     rights: list[int] = []
     for i in range(d):
-        ev = VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int64))
+        ev = VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int32))
         events.append(ev)
         alg.process(ev)
         lefts.append(i)
@@ -264,7 +264,7 @@ def adaptive_adversary_vc(
         limit = min(fixed_sizes.get(phase, budget.per_phase_cap), budget.per_phase_cap)
         by_convergence = phase not in fixed_sizes and phase > 1
         # a phase's arrivals attach to the same vertices, so they share one array
-        nbrs = np.asarray(attach_to, dtype=np.int64)
+        nbrs = np.asarray(attach_to, dtype=np.int32)
         count = 0
         for _ in range(limit):
             vid = len(events)
@@ -281,7 +281,7 @@ def adaptive_adversary_vc(
                 budget_exhausted = True
         phase_sizes.append(count)
 
-    transcript = InstanceStream(tuple(events), d)
+    transcript = InstanceStream.from_events(events, d)
     opts = oracle.prefix_optimal_values(transcript)
     ratios = oracle.prefix_ratios([row.cover_cost for row in alg.rows], opts)
     return AdversaryOutcome(

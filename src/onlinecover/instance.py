@@ -1,33 +1,26 @@
 """Online-arrival instances: data model, line-based file format, generators.
 
-An instance is an ordered list of vertex events.  Each event reveals only
-edges to previously arrived vertices, so neighbor ids are always smaller
-than the event id.  The first ``offline_count`` events form the offline
-set and carry no edges among themselves.  Streams are immutable after
-construction and safe to share across concurrent runs; generators are
-pure functions of their parameters and seed.
+An instance is an ordered list of vertex arrivals.  Each arrival reveals
+only edges to previously arrived vertices, so neighbor ids are always
+smaller than the arrival's id.  The first ``offline_count`` arrivals form
+the offline set and carry no edges among themselves.  A stream is stored
+as columns (a CSR in arrival order) and validated in one vectorised pass
+when it is built; events are built from its columns on demand, with
+read-only neighbours.  Streams are immutable after construction and safe
+to share across concurrent runs; generators are pure functions of their
+parameters and seed.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-
-
-def has_repeats(values: np.ndarray) -> bool:
-    """Whether an integer array holds some value twice.
-
-    Sorts and compares neighbours: ``np.unique`` answers the same but, on
-    int64 under numpy 2.4, takes a hashing path many times slower.
-    """
-    s = np.sort(values)
-    return bool(np.any(s[1:] == s[:-1]))
 
 
 class Side(enum.Enum):
@@ -38,6 +31,8 @@ class Side(enum.Enum):
 
 # side code per vertex in ``InstanceStream.side_codes``
 SIDE_CODES = {Side.LEFT: 0, Side.RIGHT: 1, Side.UNLABELED: -1}
+_SIDE_OF = {code: side for side, code in SIDE_CODES.items()}
+_L, _R = SIDE_CODES[Side.LEFT], SIDE_CODES[Side.RIGHT]
 
 # largest stream a ski-rental spec may reduce to, and the largest an
 # adversary budget may emit
@@ -46,115 +41,162 @@ MAX_ARRIVALS = 1_000_000
 
 @dataclass(frozen=True)
 class VertexEvent:
-    """One arrival: id, weight, optional bipartite side, and back-edges."""
+    """One arrival: id, weight, optional bipartite side, and back-edges.
+
+    A plain record; ``InstanceStream.from_events`` checks hand-built ones.
+    """
 
     id: int
     weight: float
     side: Side
     neighbors: np.ndarray
 
-    def __post_init__(self):
-        # a read-only view: the stream cannot be written through, the
-        # caller's own array stays writeable
-        nbrs = np.asarray(self.neighbors, dtype=np.int64).view()
-        nbrs.flags.writeable = False
-        object.__setattr__(self, "neighbors", nbrs)
-        if self.weight < 0.0 or not math.isfinite(self.weight):
-            raise ValidationError(f"event {self.id}: weight must be finite and >= 0")
-        if nbrs.size:
-            if nbrs.min() < 0 or nbrs.max() >= self.id:
-                raise ValidationError(
-                    f"event {self.id}: neighbors must reference earlier arrivals"
-                )
-            if has_repeats(nbrs):
-                raise ValidationError(f"event {self.id}: duplicate neighbor")
 
-    def degree(self) -> int:
-        return int(self.neighbors.size)
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry, or the mask's length if there is none."""
+    return int(mask.argmax()) if mask.any() else mask.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceStream:
-    """Ordered arrival events plus the size of the offline prefix.
+    """The arrivals as read-only columns, plus the size of the offline prefix.
 
-    Construction validates the stream as a whole and builds its read-only
-    per-vertex arrays once: ``weights()``, ``side_codes`` (``SIDE_CODES``)
-    and ``edge_offsets``, where arrival v's back-edges are edges
-    ``edge_offsets[v]`` to ``edge_offsets[v + 1]`` in reveal order.  Edges
-    stay in their events; ``edge_arrays`` builds a flat cut on demand.
-    The codes are int64, not int8: numpy ops on a dtype the rest of a run
-    never touches add to its peak resident memory.
+    Arrival v has weight ``weights[v]``, side code ``side_codes[v]``
+    (``SIDE_CODES``) and the back-edges ``neighbors[edge_offsets[v]:
+    edge_offsets[v + 1]]`` in reveal order.  Construction validates the
+    columns in one vectorised pass, the package's only validator; each
+    check reports its first offending arrival in ``ValidationError.event``.
+    ``neighbors`` is int32; the side codes and offsets are int64, not
+    narrower: numpy ops on a dtype the rest of a run never touches add to
+    its peak resident memory.
     """
 
-    events: tuple[VertexEvent, ...]
+    weights: np.ndarray
+    side_codes: np.ndarray
+    edge_offsets: np.ndarray
+    neighbors: np.ndarray
     offline_count: int
-    side_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    edge_offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        n = len(events)
+        weights = np.asarray(self.weights, dtype=float)
+        codes = np.asarray(self.side_codes, dtype=np.int64)
+        off = np.asarray(self.edge_offsets, dtype=np.int64)
+        nbrs = np.asarray(self.neighbors)
+        n, e = weights.size, nbrs.size
+        deg = np.diff(off)
+        if not (codes.shape == (n,) and off.shape == (n + 1,) and off[0] == 0 and off[-1] == e
+                and np.all(deg >= 0) and np.all(np.abs(codes) <= 1)):
+            raise ValidationError("stream columns do not fit together")
+        # the temporaries are kept to a few bytes per edge: a stream's
+        # validation must not set its run's peak resident memory
+        ids = np.repeat(np.arange(n, dtype=np.int32), deg)  # each edge's arrival
+        # per arrival, in this order: its weight, its neighbours' range, a repeat
+        bad = [_first(~(np.isfinite(weights) & (weights >= 0.0)))]
+        i = _first(~((nbrs >= 0) & (nbrs < ids)))  # a NaN is out of range too
+        bad.append(int(ids[i]) if i < e else n)
+        nbrs = nbrs.astype(np.int32, copy=False)  # exact below the first arrival with a fault
+        # a repeat, among the arrivals before both faults, whose neighbours are
+        # in range: only an arrival whose neighbours do not ascend can have
+        # one, and then one sort of v * n + neighbour keys finds the first
+        k = int(off[min(bad)])
+        before, after = slice(0, max(k - 1, 0)), slice(1, k)
+        if np.all((nbrs[after] > nbrs[before]) | (ids[after] != ids[before])):
+            bad.append(n)
+        else:
+            keys = ids[:k].astype(np.int32 if n * n < 2**31 else np.int64) * n
+            keys = np.sort(keys + nbrs[:k])
+            i = _first(keys[1:] == keys[:-1])
+            bad.append(int(keys[i] // n) if i < k - 1 else n)
+        v = min(bad)
+        if v < n:
+            faults = ("weight must be finite and >= 0",
+                      "neighbors must reference earlier arrivals", "duplicate neighbor")
+            raise ValidationError(f"event {v}: {faults[bad.index(v)]}", event=v)
         if not (0 <= self.offline_count <= n):
             raise ValidationError("offline_count out of range")
-        codes = np.fromiter((SIDE_CODES[ev.side] for ev in events), np.int64, n)
+        if off[self.offline_count]:  # then the first arrival with an edge is offline
+            v = int(ids[0])
+            raise ValidationError(f"offline event {v} must have no neighbors", event=v)
+        left, right = codes == _L, codes == _R
+        i = _first((left[ids] & left[nbrs]) | (right[ids] & right[nbrs]))
+        if i < e:
+            v = int(ids[i])
+            raise ValidationError(
+                f"edge ({nbrs[i]}, {v}) joins two {_SIDE_OF[int(codes[v])].value}-side vertices",
+                event=v,
+            )
+        # the level solve sums neighbour weights, which must stay finite; the
+        # running sum finds the first arrival at which the total overflows
+        with np.errstate(over="ignore"):
+            v = _first(np.isinf(np.cumsum(weights)))
+        if v < n:
+            raise ValidationError(f"event {v}: total weight overflows the float range", event=v)
+        for name, a in zip(("weights", "side_codes", "edge_offsets", "neighbors"),
+                           (weights, codes, off, nbrs)):
+            a = a.view()  # the caller's own array stays writeable
+            a.flags.writeable = False  # shared by every run of the stream
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_events(cls, events: Iterable[VertexEvent], offline_count: int) -> "InstanceStream":
+        """The stream of hand-built events numbered 0, 1, 2, ...: one concatenation."""
+        events = list(events)
         for i, ev in enumerate(events):
             if ev.id != i:
                 raise ValidationError(
                     f"event ids must be consecutive from 0, got {ev.id} at {i}", event=i
                 )
-            if not ev.neighbors.size:
-                continue
-            if i < self.offline_count:
-                raise ValidationError(f"offline event {i} must have no neighbors", event=i)
-            if ev.side is not Side.UNLABELED:
-                same = codes[ev.neighbors] == codes[i]
-                if same.any():
-                    raise ValidationError(
-                        f"edge ({ev.neighbors[same.argmax()]}, {i}) joins two "
-                        f"{ev.side.value}-side vertices",
-                        event=i,
-                    )
-        sizes = (ev.neighbors.size for ev in events)
-        offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.int64, n + 1)
-        weights = np.fromiter((ev.weight for ev in events), float, n)
-        # the level solve sums neighbour weights, which must stay finite;
-        # a Python float sum overflows to inf without a numpy warning
-        if math.isinf(sum(weights.tolist())):
-            i = next(i for i, t in enumerate(itertools.accumulate(weights.tolist()))
-                     if math.isinf(t))
-            raise ValidationError(f"event {i}: total weight overflows the float range", event=i)
-        for name, a in (("side_codes", codes), ("edge_offsets", offsets), ("_weights", weights)):
-            a.flags.writeable = False  # shared by every run of the stream
-            object.__setattr__(self, name, a)
+        nbrs = [np.asarray(ev.neighbors) for ev in events]  # int32 ones stay int32
+        return cls(
+            np.fromiter((ev.weight for ev in events), float, len(events)),
+            np.fromiter((SIDE_CODES[ev.side] for ev in events), np.int64, len(events)),
+            _offsets([a.size for a in nbrs]),
+            np.concatenate(nbrs) if events else np.zeros(0, dtype=np.int64),
+            offline_count,
+        )
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.weights.size
 
-    def weights(self) -> np.ndarray:
-        return self._weights
+    def event(self, v: int) -> VertexEvent:
+        """Arrival v; its neighbours are a read-only intp copy of its slice
+        of ``neighbors``: numpy converts int32 indices on every use, which
+        costs a run's steps more than one copy per event."""
+        lo, hi = self.edge_offsets[v : v + 2]
+        nbrs = self.neighbors[lo:hi].astype(np.intp)
+        nbrs.flags.writeable = False
+        return VertexEvent(v, float(self.weights[v]), _SIDE_OF[int(self.side_codes[v])], nbrs)
 
-    def sides(self) -> list[Side]:
-        return [ev.side for ev in self.events]
+    def __iter__(self) -> Iterator[VertexEvent]:
+        """The arrivals in order."""
+        return map(self.event, range(len(self)))
 
     def has_side_labels(self) -> bool:
         return bool(np.all(self.side_codes >= 0))
 
     def is_unit_weight(self) -> bool:
-        return bool(np.all(self._weights == 1.0))
+        return bool(np.all(self.weights == 1.0))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat (earlier endpoint, arriving endpoint) arrays in reveal order."""
-        if not self.edge_offsets[-1]:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        us = np.concatenate([ev.neighbors for ev in self.events])
-        vs = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.edge_offsets))
-        return us, vs
+        vs = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.edge_offsets))
+        return self.neighbors, vs
 
     def edge_count(self) -> int:
         return int(self.edge_offsets[-1])
+
+
+def _offsets(degrees) -> np.ndarray:
+    """``edge_offsets`` of arrivals with the given degrees."""
+    return np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
+
+
+def _ranges(starts, off: np.ndarray) -> np.ndarray:
+    """The neighbour column in which arrival v's back-edges are ``starts[v]``,
+    ``starts[v] + 1``, ..., as many as ``off`` gives it."""
+    nbrs = np.arange(off[-1], dtype=np.int32)
+    nbrs += np.repeat((starts - off[:-1]).astype(np.int32), np.diff(off))
+    return nbrs
 
 
 # -------------------------------------------------------------- file format
@@ -167,24 +209,22 @@ def serialize_instance(stream: InstanceStream) -> str:
     serialized stream reproduces its floats bit-exactly.
     """
     lines = [f"offline {stream.offline_count}"]
-    for ev in stream.events:
-        nbrs = " ".join(str(int(u)) for u in ev.neighbors)
-        line = f"{ev.id} {ev.weight:.17g} {ev.side.value} {ev.degree()}"
-        lines.append(f"{line} {nbrs}" if nbrs else line)
+    for ev in stream:
+        line = f"{ev.id} {ev.weight:.17g} {ev.side.value} {ev.neighbors.size}"
+        lines.append(" ".join([line, *map(str, ev.neighbors.tolist())]))
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> InstanceStream:
     """Parse the line format; ParseError carries the offending line number.
 
-    A fault of the stream as a whole names the line of the event it
+    A fault the stream's validation finds names the line of the event it
     rejects, or the header line for an offline count beyond the events.
     """
     events: list[VertexEvent] = []
     event_lines: list[int] = []
     offline_count: int | None = None
     header_line = 1
-    expected_id = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -209,8 +249,8 @@ def parse_instance(text: str) -> InstanceStream:
             deg = int(tokens[3])
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-        if vid != expected_id:
-            raise ParseError(line_no, f"expected id {expected_id}, got {vid}")
+        if vid != len(events):
+            raise ParseError(line_no, f"expected id {len(events)}, got {vid}")
         try:
             side = Side(tokens[2])
         except ValueError:
@@ -222,16 +262,12 @@ def parse_instance(text: str) -> InstanceStream:
             nbrs = np.array([int(t) for t in nbr_tokens], dtype=np.int64)
         except (ValueError, OverflowError) as exc:  # not an integer, or beyond int64
             raise ParseError(line_no, str(exc)) from None
-        try:
-            events.append(VertexEvent(vid, weight, side, nbrs))
-        except ValidationError as exc:
-            raise ParseError(line_no, str(exc)) from None
+        events.append(VertexEvent(vid, weight, side, nbrs))
         event_lines.append(line_no)
-        expected_id += 1
     if offline_count is None:
         raise ParseError(1, "empty input: missing `offline <count>` header")
     try:
-        return InstanceStream(tuple(events), offline_count)
+        return InstanceStream.from_events(events, offline_count)
     except ValidationError as exc:
         line_no = header_line if exc.event is None else event_lines[exc.event]
         raise ParseError(line_no, str(exc)) from None
@@ -248,12 +284,8 @@ def gen_triangular(n: int) -> InstanceStream:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    events = [VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int64)) for i in range(n)]
-    for i in range(1, n + 1):
-        events.append(
-            VertexEvent(n + i - 1, 1.0, Side.RIGHT, np.arange(n + 1 - i, dtype=np.int64))
-        )
-    return InstanceStream(tuple(events), n)
+    off = _offsets(np.concatenate((np.zeros(n, dtype=np.int64), np.arange(n, 0, -1))))
+    return InstanceStream(np.ones(2 * n), np.repeat([_L, _R], n), off, _ranges(0, off), n)
 
 
 def gen_two_phase_matching_hard(n: int) -> InstanceStream:
@@ -265,35 +297,19 @@ def gen_two_phase_matching_hard(n: int) -> InstanceStream:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    events = [VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int64)) for i in range(n)]
-    for j in range(n):
-        events.append(
-            VertexEvent(n + j, 1.0, Side.RIGHT, np.arange(n, dtype=np.int64))
-        )
-    for i in range(1, n + 1):
-        events.append(
-            VertexEvent(2 * n + i - 1, 1.0, Side.RIGHT, np.arange(n + 1 - i, dtype=np.int64))
-        )
-    for i in range(1, n + 1):
-        events.append(
-            VertexEvent(
-                3 * n + i - 1,
-                1.0,
-                Side.LEFT,
-                np.arange(n, n + (n + 1 - i), dtype=np.int64),
-            )
-        )
-    return InstanceStream(tuple(events), n)
+    shrinking = np.arange(n, 0, -1)
+    off = _offsets(np.concatenate((np.zeros(n, dtype=np.int64), np.full(n, n), shrinking,
+                                   shrinking)))
+    nbrs = _ranges(np.repeat([0, n], [3 * n, n]), off)
+    return InstanceStream(np.ones(4 * n), np.repeat([_L, _R, _L], [n, 2 * n, n]), off, nbrs, n)
 
 
 def gen_complete_bipartite(d: int, m: int) -> InstanceStream:
     """d offline lefts; m online rights each adjacent to every left."""
     if d < 1 or m < 1:
         raise ValidationError("d and m must be >= 1")
-    events = [VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int64)) for i in range(d)]
-    for j in range(m):
-        events.append(VertexEvent(d + j, 1.0, Side.RIGHT, np.arange(d, dtype=np.int64)))
-    return InstanceStream(tuple(events), d)
+    off = _offsets(np.repeat([0, d], [d, m]))
+    return InstanceStream(np.ones(d + m), np.repeat([_L, _R], [d, m]), off, _ranges(0, off), d)
 
 
 RANDOM_MODES = ("general", "bipartite_one_sided", "bipartite_alternating")
@@ -315,25 +331,25 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    events: list[VertexEvent] = []
     offline_count = 0
     if mode == "general":
-        sides = [Side.UNLABELED] * n
+        codes = np.full(n, SIDE_CODES[Side.UNLABELED])
     elif mode == "bipartite_one_sided":
         offline_count = (n + 1) // 2
-        sides = [Side.LEFT] * offline_count + [Side.RIGHT] * (n - offline_count)
+        codes = np.repeat([_L, _R], [offline_count, n - offline_count])
     else:
-        sides = [Side.LEFT if i % 2 == 0 else Side.RIGHT for i in range(n)]
+        codes = np.where(np.arange(n) % 2 == 0, _L, _R)
+    chosen = []
     for i in range(n):  # each arrival's candidates only when it comes: O(n + E) memory
         if mode == "general":
-            cand = np.arange(i, dtype=np.int64)
+            cand = np.arange(i, dtype=np.int32)
         elif mode == "bipartite_one_sided":
-            cand = np.arange(offline_count if i >= offline_count else 0, dtype=np.int64)
+            cand = np.arange(offline_count if i >= offline_count else 0, dtype=np.int32)
         else:  # the earlier arrivals of the other parity
-            cand = np.arange((i + 1) % 2, i, 2, dtype=np.int64)
-        mask = rng.random(cand.size) < p
-        events.append(VertexEvent(i, 1.0, sides[i], cand[mask]))
-    return InstanceStream(tuple(events), offline_count)
+            cand = np.arange((i + 1) % 2, i, 2, dtype=np.int32)
+        chosen.append(cand[rng.random(cand.size) < p])
+    off = _offsets([a.size for a in chosen])
+    return InstanceStream(np.ones(n), codes, off, np.concatenate(chosen), offline_count)
 
 
 # -------------------------------------------------------------- ski rental
@@ -406,18 +422,12 @@ def reduce_ski_rental(spec: SkiRentalSpec) -> InstanceStream:
     sentinel = 1e12 * (max(finite) if finite else 1.0)
     left_w.append(sentinel)
 
-    events = [
-        VertexEvent(i, left_w[i], Side.LEFT, np.empty(0, np.int64)) for i in range(n)
-    ]
+    # each interval repeats one block of n arrivals
     q_total = spec.intervals()
-    vid = n
-    for _q in range(q_total):
-        for k in range(1, n + 1):
-            events.append(
-                VertexEvent(vid, online_w[k - 1], Side.RIGHT, np.arange(k, dtype=np.int64))
-            )
-            vid += 1
-    return InstanceStream(tuple(events), n)
+    degrees = np.tile(np.arange(1, n + 1), q_total)
+    off = _offsets(np.concatenate((np.zeros(n, dtype=np.int64), degrees)))
+    weights = np.concatenate((left_w, np.tile(online_w, q_total)))
+    return InstanceStream(weights, np.repeat([_L, _R], [n, n * q_total]), off, _ranges(0, off), n)
 
 
 def ski_rental_strategy_optimum(spec: SkiRentalSpec) -> float:

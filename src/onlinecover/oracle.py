@@ -1,9 +1,9 @@
 """Exact offline optima for measuring competitive ratios.
 
 Every oracle takes an ``InstanceStream`` and solves the graph of all its
-arrivals; the first j arrivals are the stream ``static_from_stream(stream,
-j)``, the only prefix view the package has.  The stream is validated once
-when it is built, so the oracles check nothing about the graph again.
+arrivals; the first j arrivals are ``static_from_stream(stream, j)``, the
+only prefix view, a stream over slices of the columns.  A stream is
+validated when it is built, so the oracles check nothing about it again.
 
 There is one from-scratch solver per weight class.  Both solve the
 bipartite double cover of the graph, which turns the half-integral LP
@@ -50,13 +50,15 @@ from .instance import InstanceStream, Side, VertexEvent
 def static_from_stream(stream: InstanceStream, length: int) -> InstanceStream:
     """The first ``length`` arrivals as a stream of their own: the one prefix view.
 
-    It shares the events, so no event is validated or sorted again.
+    Its columns are slices of the stream's, validated again as a whole.
     """
     if length == len(stream):
         return stream
     if not (0 <= length <= len(stream)):
         raise ValidationError("prefix length out of range")
-    return InstanceStream(stream.events[:length], min(stream.offline_count, length))
+    off = stream.edge_offsets[: length + 1]
+    return InstanceStream(stream.weights[:length], stream.side_codes[:length], off,
+                          stream.neighbors[: off[-1]], min(stream.offline_count, length))
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class OracleResult:
 
 def _scaled_weights(stream: InstanceStream) -> tuple[np.ndarray, int]:
     """The weights as Python ints over their largest power-of-two denominator, and it."""
-    ratios = [w.as_integer_ratio() for w in stream.weights().tolist()]
+    ratios = [w.as_integer_ratio() for w in stream.weights.tolist()]
     den = max((d for _, d in ratios), default=1)
     return np.array([a * (den // d) for a, d in ratios], dtype=object), den
 
@@ -138,7 +140,7 @@ def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
     keys = np.zeros(2 * e, dtype=dtype)
     if e:
         u, v = keys[:e], keys[e:]
-        np.concatenate([ev.neighbors for ev in stream.events], out=u, casting="same_kind")
+        u[:] = stream.neighbors
         # edge i's arrival is the number of events after 0 starting at or before i
         starts = off[1:-1]
         np.add.at(v, starts[starts < e], 1)
@@ -310,7 +312,7 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     if stream.is_unit_weight():
         return _unit_optimum(stream)
     net = _CoverNetwork(stream)
-    for ev in stream.events:
+    for ev in stream:
         net.add(ev)
     return _certified(stream, net.solve()[0], *net.edge_flows())
 
@@ -469,7 +471,7 @@ def brute_force_half_integral(stream: InstanceStream) -> float:
         for u, v in zip(e0.tolist(), e1.tolist()):
             ok &= y[:, u] + y[:, v] >= 1.0
         if ok.any():
-            best = min(best, float((y[ok] @ stream.weights()).min()))
+            best = min(best, float((y[ok] @ stream.weights).min()))
     return best
 
 
@@ -595,7 +597,7 @@ def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     """
     solver = _GrowingMatching(stream) if stream.is_unit_weight() else _CoverNetwork(stream)
     vals = np.zeros(len(stream))
-    for ev in stream.events:
+    for ev in stream:
         solver.add(ev)
         vals[ev.id] = solver.value()
     return vals

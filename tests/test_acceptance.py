@@ -197,7 +197,7 @@ def _unit_stream(n, edges):
     events = tuple(
         VertexEvent(j, 1.0, Side.UNLABELED, [i for i, k in edges if k == j]) for j in range(n)
     )
-    return InstanceStream(events, 0)
+    return InstanceStream.from_events(events, 0)
 
 
 def test_criterion_7_oracle_cross_validation():
@@ -230,7 +230,7 @@ def test_criterion_8_rounding():
     yu_at_reveal, yv_at_reveal = [], []
     prev = cover.y.copy()
     monotone = True
-    for ev in stream.events:
+    for ev in stream:
         cover, _ = engine.greedy_allocation_step(cover, ev, LIN)
         monotone &= bool(np.all(cover.y >= prev - 1e-15))
         prev = cover.y.copy()

@@ -1,5 +1,7 @@
 """Tests for the online engine: levels, steps, runs, rounding, monitors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,6 @@ from onlinecover.engine import (
 from onlinecover.errors import InvariantViolation, NumericError, SideError, ValidationError
 from onlinecover.instance import (
     RANDOM_MODES,
-    InstanceStream,
     Side,
     VertexEvent,
     gen_complete_bipartite,
@@ -278,10 +279,7 @@ def test_weighted_trajectories_match_bisection(n, p, seed, mode, weights, kind):
     recomputed from scratch, and the cover cost is that of a run whose level
     solve is the bisection reference (one-sided, as for a single level)."""
     base = gen_random(n, p, seed=seed, mode=mode)
-    stream = InstanceStream(
-        tuple(VertexEvent(e.id, weights[e.id], e.side, e.neighbors) for e in base.events),
-        base.offline_count,
-    )
+    stream = dataclasses.replace(base, weights=np.array(weights[:n]))
     func = LEVEL_FUNCS[kind]
     beta = beta_of(func).beta
     opt = brute_force_half_integral(stream)
@@ -345,7 +343,7 @@ def single_edge_stream():
 def test_isolated_arrival():
     stream = parse_instance("offline 0\n0 1.0 - 0\n")
     cover = CoverState.fresh(1)
-    cover, out = greedy_allocation_step(cover, stream.events[0], LIN)
+    cover, out = greedy_allocation_step(cover, stream.event(0), LIN)
     assert out.level == 1.0
     assert cover.y[0] == 0.0
     assert cover.total_cost == 0.0
@@ -355,7 +353,7 @@ def test_first_online_arrival_complete_bipartite():
     d = 10
     stream = gen_complete_bipartite(d, 1)
     cover = CoverState.fresh(d + 1)
-    for ev in stream.events:
+    for ev in stream:
         cover, out = greedy_allocation_step(cover, ev, LIN)
     assert out.level == pytest.approx(ALPHA / (d - 1), abs=1e-12)
     assert cover.y[d] == pytest.approx(1.0 - ALPHA / (d - 1), abs=1e-12)
@@ -366,7 +364,7 @@ def test_first_online_arrival_complete_bipartite():
 def test_step_rejects_events_out_of_id_order(algo):
     """Vertices arrive in id order: a step rejects an event that skips
     ahead of the arrival count and an event that arrived before."""
-    first, second = single_edge_stream().events
+    first, second = single_edge_stream()
     alg = Algorithm(algo, FK, 2)
     with pytest.raises(ValidationError, match="out of order"):
         alg.step(second)
@@ -380,7 +378,7 @@ def test_single_edge_primal_dual_closed_form():
     stream = single_edge_stream()
     trace = run_stream(stream, "primal-dual", FK)
     assert trace.rows[1].level == pytest.approx(SINGLE_EDGE_LEVEL, abs=1e-9)
-    assert trace.matching.x_of(0, 1) == pytest.approx(1.0 / BETA_STAR, abs=1e-9)
+    assert trace.matching.x[1][0] == pytest.approx(1.0 / BETA_STAR, abs=1e-9)  # edge (0, 1)
     # cover potentials split the edge exactly
     assert trace.cover.y[0] + trace.cover.y[1] == pytest.approx(1.0, abs=1e-12)
     assert trace.rows[1].inv2_slack < 1e-12
@@ -402,7 +400,7 @@ def test_row_inv1_is_the_maximum_over_every_vertex():
     maximum over every vertex at every step."""
     stream = gen_random(60, 0.2, seed=1)
     alg = Algorithm("primal-dual", FK, len(stream))
-    for ev in stream.events:
+    for ev in stream:
         assert alg.step(ev).inv1_slack == float(np.max(alg.matching.inv1_slack))
     assert alg.matching.inv1_rescans > 0
 
@@ -428,7 +426,7 @@ def test_a_nan_fails_the_monitors_and_reaches_the_report(monkeypatch, capsys):
         alg = Algorithm("primal-dual", FK, len(stream))
         monkeypatch.setattr(QuadratureTable, "eval", nan_once)
         with pytest.raises(InvariantViolation):
-            for ev in stream.events:
+            for ev in stream:
                 alg.step(ev)
         calls = 0
         assert cli_main(argv) == 1
@@ -436,7 +434,7 @@ def test_a_nan_fails_the_monitors_and_reaches_the_report(monkeypatch, capsys):
         monkeypatch.setattr(QuadratureTable, "eval", evaluate)
 
     trace = run_stream(stream, "primal-dual", FK)
-    trace.matching.x_by_step[30][1][0] = np.nan
+    trace.matching.x[30][0] = np.nan
     rep = check_invariants(trace.cover, trace.matching, FK, trace.beta, stream)
     assert np.isnan(rep.max_inv1_slack)
     assert np.isnan(rep.inv2_rel_slack)
@@ -460,7 +458,7 @@ def test_check_invariants_stepwise():
     stream = gen_random(40, 0.25, seed=8)
     cover = CoverState.fresh(len(stream))
     matching = PrimalDualState.fresh(len(stream))
-    for ev in stream.events:
+    for ev in stream:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
         rep = check_invariants(
             cover, matching, FK, BETA_STAR, static_from_stream(stream, ev.id + 1)
@@ -475,15 +473,10 @@ def test_check_invariants_stepwise():
 
 def weighted_stream(seed: int):
     """Random general-graph arrivals with integer weights in 1..5."""
-    from onlinecover.instance import InstanceStream, VertexEvent
-
     base = gen_random(70, 0.15, seed=seed)
     rng = np.random.default_rng(seed + 1000)
-    events = tuple(
-        VertexEvent(e.id, float(rng.integers(1, 6)), e.side, e.neighbors)
-        for e in base.events
-    )
-    return InstanceStream(events, base.offline_count)
+    weights = [float(rng.integers(1, 6)) for _ in range(len(base))]
+    return dataclasses.replace(base, weights=np.array(weights))
 
 
 def test_weighted_primal_dual_bounds_and_invariants():
@@ -508,7 +501,7 @@ def test_edge_values_scale_the_water_filling_lift():
         cover = CoverState.fresh(len(stream))
         matching = PrimalDualState.fresh(len(stream))
         raised = 0
-        for ev in stream.events:
+        for ev in stream:
             before, cost = cover.y.copy(), cover.total_cost
             cover, matching, out = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
             nbrs, level = ev.neighbors, out.level
@@ -519,7 +512,7 @@ def test_edge_values_scale_the_water_filling_lift():
                 assert lift == cover.weights[u] * (cover.y[u] - before[u])
             assert cover.total_cost == cost + float(out.lift.sum()) + ev.weight * (1.0 - level)
             factor = 1.0 + (1.0 - level) / float(FK(level)) if level < 1.0 else 1.0
-            xvals = matching.x_by_step[ev.id][1]
+            xvals = matching.x[ev.id]
             assert xvals[out.mask].tolist() == [x / BETA_STAR * factor for x in out.lift.tolist()]
             assert not xvals[~out.mask].any()
             raised += out.raised.size
@@ -540,10 +533,10 @@ def test_corrupted_state_triggers_violation():
     stream = single_edge_stream()
     cover = CoverState.fresh(2)
     matching = PrimalDualState.fresh(2)
-    cover, matching, _ = primal_dual_step(cover, matching, stream.events[0], FK, BETA_STAR)
+    cover, matching, _ = primal_dual_step(cover, matching, stream.event(0), FK, BETA_STAR)
     matching.x_agg[0] += 1.0  # simulate an out-of-band edge-value bug
     with pytest.raises(InvariantViolation):
-        primal_dual_step(cover, matching, stream.events[1], FK, BETA_STAR)
+        primal_dual_step(cover, matching, stream.event(1), FK, BETA_STAR)
 
 
 def test_understated_beta_shows_up_as_capacity_excess():
@@ -552,7 +545,7 @@ def test_understated_beta_shows_up_as_capacity_excess():
     stream = gen_complete_bipartite(2, 12)
     cover = CoverState.fresh(len(stream))
     matching = PrimalDualState.fresh(len(stream))
-    for ev in stream.events:
+    for ev in stream:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, beta=1.0)
     rep = check_invariants(cover, matching, FK, 1.0, stream)
     assert rep.max_capacity_excess > 0.1
@@ -572,7 +565,7 @@ def test_monotone_potentials():
     stream = gen_random(80, 0.2, seed=13)
     cover = CoverState.fresh(len(stream))
     prev = cover.y.copy()
-    for ev in stream.events:
+    for ev in stream:
         cover, _ = greedy_allocation_step(cover, ev, FK)
         assert np.all(cover.y >= prev - 1e-15)
         prev = cover.y.copy()
@@ -612,8 +605,9 @@ def test_baseline_matches_lowest_unmatched_neighbor():
         "offline 0\n0 1.0 - 0\n1 1.0 - 0\n2 1.0 - 2 1 0\n3 1.0 - 2 1 0\n"
     )
     trace = run_stream(stream, "greedy")
-    assert trace.matching.x_of(0, 2) == 1.0 and trace.matching.x_of(1, 2) == 0.0
-    assert trace.matching.x_of(1, 3) == 1.0 and trace.matching.x_of(0, 3) == 0.0
+    # each arrival's edge values are aligned with its neighbours [1, 0]
+    assert trace.matching.x[2].tolist() == [0.0, 1.0]
+    assert trace.matching.x[3].tolist() == [1.0, 0.0]
     assert trace.matching.total_value == 2.0
 
 
@@ -627,20 +621,21 @@ def test_baseline_requires_unit_weights():
 
 
 def test_round_threshold_cases():
-    sides = [Side.LEFT, Side.RIGHT]
+    sides = parse_instance("offline 1\n0 1 L 0\n1 1 R 0\n").side_codes
     assert round_bipartite([0.6, 0.4], sides, 0.5) == {0}
     assert round_bipartite([0.5, 0.5], sides, 0.5) == {0, 1}
     assert round_bipartite([0.5, 0.5], sides, 0.4) == {0}
     assert round_bipartite([0.5, 0.5], sides, 0.6) == {1}
-    with pytest.raises(SideError):
-        round_bipartite([0.5], [Side.UNLABELED], 0.5)
+    unlabeled = parse_instance("offline 0\n0 1 L 0\n1 1 - 0\n").side_codes
+    with pytest.raises(SideError, match="vertex 1 has no side label"):
+        round_bipartite([0.5, 0.5], unlabeled, 0.5)
 
 
 def test_round_monte_carlo_mean():
     stream = gen_complete_bipartite(20, 100)
     trace = run_stream(stream, "waterfill", LIN)
     y = trace.cover.y
-    sides = stream.sides()
+    sides = stream.side_codes
     rng = np.random.default_rng(17)
     sizes = []
     for t in rng.uniform(0.0, 1.0, 2000):
@@ -653,10 +648,10 @@ def test_round_monte_carlo_mean():
 def test_round_monotone_over_trace():
     stream = gen_complete_bipartite(6, 30)
     cover = CoverState.fresh(len(stream))
-    sides = stream.sides()
+    sides = stream.side_codes
     # at t = 1 every right vertex rounds into the cover, arrived or not
     prev_covers = {t: set() for t in (0.12, 0.5, 0.87, 1.0)}
-    for ev in stream.events:
+    for ev in stream:
         cover, _ = greedy_allocation_step(cover, ev, LIN)
         for t, prev in prev_covers.items():
             cur = round_bipartite(cover.y, sides, t)
@@ -700,16 +695,16 @@ def test_stepping_by_hand_equals_run_stream(algo):
         streams.append(weighted_stream(4))
     for stream in streams:
         alg = Algorithm(algo, func, len(stream))
-        rows = [alg.step(ev) for ev in stream.events]
+        rows = [alg.step(ev) for ev in stream]
         trace = run_stream(stream, algo, func)
         assert rows == alg.rows == trace.rows
         assert alg.feas_slack == trace.feas_slack
         assert np.array_equal(alg.cover.y, trace.cover.y)
-        assert np.array_equal(alg.cover.weights, stream.weights())
+        assert np.array_equal(alg.cover.weights, stream.weights)
         if algo == "primal-dual":
             # the row monitors agree with the from-scratch checker at every prefix
             alg = Algorithm(algo, func, len(stream))
-            for ev in stream.events:
+            for ev in stream:
                 row = alg.step(ev)
                 rep = check_invariants(
                     alg.cover, alg.matching, FK, alg.beta, static_from_stream(stream, ev.id + 1)
@@ -767,7 +762,7 @@ def test_zero_weight_arrivals_flagged():
     stream = reduce_ski_rental(spec)
     trace = run_stream(stream, "waterfill", LIN)
     # the zero rent-difference vertices arrive without raising any cost
-    zero = [ev.id for ev in stream.events[stream.offline_count :] if ev.weight == 0.0]
+    zero = [ev.id for ev in stream if ev.id >= stream.offline_count and ev.weight == 0.0]
     assert zero
     for v in zero:
         assert trace.rows[v].cover_cost == trace.rows[v - 1].cover_cost

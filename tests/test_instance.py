@@ -1,5 +1,8 @@
 """Tests for the instance model, file format, and generators."""
 
+import hashlib
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +15,10 @@ from hypothesis import strategies as st
 
 import onlinecover
 from onlinecover.errors import ParseError, ValidationError
+from onlinecover.harness import AdversaryBudget, adaptive_adversary_vc, resolve_allocation
 from onlinecover.instance import (
     MAX_ARRIVALS,
+    RANDOM_MODES,
     InstanceStream,
     Side,
     SkiRentalSpec,
@@ -22,7 +27,6 @@ from onlinecover.instance import (
     gen_random,
     gen_triangular,
     gen_two_phase_matching_hard,
-    has_repeats,
     parse_instance,
     reduce_ski_rental,
     serialize_instance,
@@ -49,8 +53,8 @@ def test_parse_minimal_graph():
 def test_parse_bipartite_with_offline():
     s = parse_instance("offline 1\n0 1.0 L 0\n1 1.0 R 1 0\n")
     assert s.offline_count == 1
-    assert s.events[0].side is Side.LEFT
-    assert s.events[1].side is Side.RIGHT
+    assert s.event(0).side is Side.LEFT
+    assert s.event(1).side is Side.RIGHT
 
 
 def test_parse_forward_edge_rejected():
@@ -106,10 +110,10 @@ def test_stream_fault_names_its_event():
     events = (VertexEvent(0, 1.0, Side.LEFT, []), VertexEvent(1, 1.0, Side.LEFT, [0]))
     for offline, event in ((0, 1), (2, 1), (3, None)):
         with pytest.raises(ValidationError) as exc:
-            InstanceStream(events, offline)
+            InstanceStream.from_events(events, offline)
         assert exc.value.event == event
     with pytest.raises(ValidationError) as exc:
-        InstanceStream(events[1:], 0)
+        InstanceStream.from_events(events[1:], 0)
     assert exc.value.event == 0
 
 
@@ -171,15 +175,86 @@ def test_parse_fuzz_round_trips_or_raises_own_error(offline, events, swap):
     s2 = parse_instance(text)
     assert serialize_instance(s2) == text
     assert s2.offline_count == s.offline_count
-    assert [e.side for e in s2.events] == [e.side for e in s.events]
-    assert np.array_equal(s2.weights().view(np.uint64), s.weights().view(np.uint64))
+    assert np.array_equal(s2.side_codes, s.side_codes)
+    assert np.array_equal(s2.weights.view(np.uint64), s.weights.view(np.uint64))
     assert edges_of(s2) == edges_of(s)
 
 
-@given(st.lists(st.integers(-3, 3), max_size=12))
-def test_has_repeats_agrees_with_unique(values):
-    arr = np.array(values, dtype=np.int64)
-    assert has_repeats(arr) == (np.unique(arr).size != arr.size)
+def reference_validate(events, offline_count):
+    """The rules streams were checked by before their columnar validation:
+    each event alone (weight, neighbour range, repeats), in order, then the
+    stream (offline count, ids, offline edges, same-side edges, total
+    weight).  Raises the ValidationError ``from_events`` must raise, naming
+    the position of the event at fault."""
+    for i, ev in enumerate(events):
+        nbrs = np.asarray(ev.neighbors, dtype=np.int64)
+        if ev.weight < 0.0 or not math.isfinite(ev.weight):
+            raise ValidationError(f"event {ev.id}: weight must be finite and >= 0", event=i)
+        if nbrs.size:
+            if nbrs.min() < 0 or nbrs.max() >= ev.id:
+                raise ValidationError(
+                    f"event {ev.id}: neighbors must reference earlier arrivals", event=i
+                )
+            if np.unique(nbrs).size != nbrs.size:
+                raise ValidationError(f"event {ev.id}: duplicate neighbor", event=i)
+    if not (0 <= offline_count <= len(events)):
+        raise ValidationError("offline_count out of range")
+    for i, ev in enumerate(events):
+        if ev.id != i:
+            raise ValidationError(
+                f"event ids must be consecutive from 0, got {ev.id} at {i}", event=i
+            )
+        if not len(ev.neighbors):
+            continue
+        if i < offline_count:
+            raise ValidationError(f"offline event {i} must have no neighbors", event=i)
+        for u in ev.neighbors:
+            if ev.side is not Side.UNLABELED and events[u].side is ev.side:
+                raise ValidationError(
+                    f"edge ({u}, {i}) joins two {ev.side.value}-side vertices", event=i
+                )
+    for i, total in enumerate(itertools.accumulate(ev.weight for ev in events)):
+        if math.isinf(total):
+            raise ValidationError(f"event {i}: total weight overflows the float range", event=i)
+
+
+@st.composite
+def _event_lists(draw):
+    """Consecutive ids, and every kind of fault: out-of-range, negative and
+    repeated neighbours, same-side and offline edges, NaN, infinite and
+    negative weights, and weights whose sum overflows."""
+    events = []
+    for i in range(draw(st.integers(0, 6))):
+        weight = draw(st.sampled_from(
+            [1.0, 1.0, 0.0, 2.5, 1e308, 1.7e308, -1.0, math.nan, math.inf, -math.inf]
+        ))
+        side = draw(st.sampled_from(list(Side)))
+        nbrs = draw(st.lists(st.integers(-1, i + 1), max_size=3))
+        events.append(VertexEvent(i, weight, side, nbrs))
+    return events, draw(st.integers(-1, len(events) + 1))
+
+
+@given(_event_lists())
+@settings(max_examples=500, deadline=None)
+def test_from_events_agrees_with_the_reference_validator(case):
+    """``from_events`` accepts exactly what the per-event rules accept, and
+    rejects with the same message and event."""
+    events, offline = case
+    try:
+        reference_validate(events, offline)
+        expected = None
+    except ValidationError as exc:
+        expected = (str(exc), exc.event)
+    try:
+        s = InstanceStream.from_events(events, offline)
+        got = None
+    except ValidationError as exc:
+        got = (str(exc), exc.event)
+    assert got == expected
+    if got is None:
+        for ev, mine in itertools.zip_longest(s, events):
+            assert (ev.id, ev.weight, ev.side) == (mine.id, mine.weight, mine.side)
+            assert ev.neighbors.tolist() == list(mine.neighbors)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -189,7 +264,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_same_side_edge_rejected():
     with pytest.raises(ValidationError):
-        InstanceStream(
+        InstanceStream.from_events(
             (
                 VertexEvent(0, 1.0, Side.LEFT, []),
                 VertexEvent(1, 1.0, Side.LEFT, [0]),
@@ -200,7 +275,7 @@ def test_same_side_edge_rejected():
 
 def test_offline_events_must_be_isolated():
     with pytest.raises(ValidationError):
-        InstanceStream(
+        InstanceStream.from_events(
             (
                 VertexEvent(0, 1.0, Side.LEFT, []),
                 VertexEvent(1, 1.0, Side.LEFT, [0]),
@@ -211,7 +286,7 @@ def test_offline_events_must_be_isolated():
 
 def test_stream_arrays_and_prefix_edges():
     s = gen_triangular(3)  # lefts 0-2; rights 3, 4, 5 see 3, 2, 1 lefts
-    assert s.weights().tolist() == [1.0] * 6
+    assert s.weights.tolist() == [1.0] * 6
     assert s.side_codes.tolist() == [0, 0, 0, 1, 1, 1]
     assert s.edge_offsets.tolist() == [0, 0, 0, 0, 3, 5, 6]
     prefix = static_from_stream(s, 5).edge_arrays()
@@ -223,7 +298,7 @@ def test_stream_arrays_are_read_only():
     """Runs share a stream, so the arrays it stores cannot be written
     through."""
     s = gen_triangular(3)
-    for stored in (s.weights(), s.side_codes, s.edge_offsets):
+    for stored in (s.weights, s.side_codes, s.edge_offsets, s.neighbors):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 7
 
@@ -232,7 +307,7 @@ def test_event_neighbors_are_a_read_only_view():
     """A validated stream cannot be written through its events, and the
     array a caller built an event from stays theirs to write."""
     mine = np.array([0, 1], dtype=np.int64)
-    s = InstanceStream(
+    s = InstanceStream.from_events(
         (
             VertexEvent(0, 1.0, Side.LEFT, []),
             VertexEvent(1, 1.0, Side.LEFT, []),
@@ -241,7 +316,9 @@ def test_event_neighbors_are_a_read_only_view():
         2,
     )
     with pytest.raises(ValueError, match="read-only"):
-        s.events[2].neighbors[0] = 1
+        s.event(2).neighbors[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        next(iter(s)).neighbors[:0] = 1
     assert edges_of(s) == [(0, 2), (1, 2)]
     mine[0] = 1  # raises if the caller's array was frozen too
 
@@ -251,7 +328,7 @@ def test_roundtrip_is_bit_exact():
     text = serialize_instance(s)
     s2 = parse_instance(text)
     assert serialize_instance(s2) == text
-    assert [e.weight for e in s2.events] == [e.weight for e in s.events]
+    assert s2.weights.tolist() == s.weights.tolist()
     assert edges_of(s2) == edges_of(s)
 
 
@@ -261,9 +338,9 @@ def test_roundtrip_preserves_ugly_weights():
         VertexEvent(1, 1e-17, Side.RIGHT, [0]),
         VertexEvent(2, 123456789.123456789, Side.RIGHT, [0]),
     )
-    s = InstanceStream(ev, 1)
+    s = InstanceStream.from_events(ev, 1)
     s2 = parse_instance(serialize_instance(s))
-    assert all(a.weight == b.weight for a, b in zip(s.events, s2.events))
+    assert s2.weights.tolist() == [e.weight for e in ev]
 
 
 @given(n=st.integers(1, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 999))
@@ -273,7 +350,7 @@ def test_roundtrip_property(n, p, seed):
     s2 = parse_instance(serialize_instance(s))
     assert edges_of(s2) == edges_of(s)
     assert s2.offline_count == s.offline_count
-    assert [e.side for e in s2.events] == [e.side for e in s.events]
+    assert np.array_equal(s2.side_codes, s.side_codes)
 
 
 def test_every_generator_roundtrips():
@@ -289,7 +366,7 @@ def test_every_generator_roundtrips():
     for s in streams:
         s2 = parse_instance(serialize_instance(s))
         assert edges_of(s2) == edges_of(s)
-        assert [e.weight for e in s2.events] == [e.weight for e in s.events]
+        assert s2.weights.tolist() == s.weights.tolist()
         assert s2.offline_count == s.offline_count
 
 
@@ -304,8 +381,7 @@ def test_triangular_smallest():
 
 def test_triangular_degrees_and_count():
     s = gen_triangular(3)
-    degs = [e.degree() for e in s.events[3:]]
-    assert degs == [3, 2, 1]
+    assert np.diff(s.edge_offsets)[3:].tolist() == [3, 2, 1]
     assert s.edge_count() == 6  # n(n+1)/2
 
 
@@ -313,7 +389,7 @@ def test_two_phase_n1_unrolled():
     s = gen_two_phase_matching_hard(1)
     assert len(s) == 4
     assert edges_of(s) == [(0, 1), (0, 2), (1, 3)]
-    assert [e.side for e in s.events] == [Side.LEFT, Side.RIGHT, Side.RIGHT, Side.LEFT]
+    assert [e.side for e in s] == [Side.LEFT, Side.RIGHT, Side.RIGHT, Side.LEFT]
 
 
 def test_two_phase_n2_degree_profile():
@@ -321,7 +397,7 @@ def test_two_phase_n2_degree_profile():
     assert len(s) == 8
     # rights: two complete (deg 2), two triangular (deg 2, 1);
     # phase-2 lefts triangular to the first two rights (deg 2, 1)
-    assert [e.degree() for e in s.events] == [0, 0, 2, 2, 2, 1, 2, 1]
+    assert [e.neighbors.size for e in s] == [0, 0, 2, 2, 2, 1, 2, 1]
     assert edges_of(s) == [
         (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (0, 5),
         (2, 6), (3, 6), (2, 7),
@@ -342,6 +418,45 @@ def test_random_p1_complete():
     assert s.edge_count() == 6
 
 
+# sha256 of the serialized streams of each group, pinned when every
+# generator still built one event at a time
+SERIALIZED_DIGESTS = {
+    "triangular:1..40": "b32f6f392873885752298862ea7fb614c429b706cf8a4cee3526f9588ba77dab",
+    "two-phase:1..20": "d11a8eab0d92a5864cfb617fe5448e23f77de715cf77c91b1d4dce848af93c03",
+    "complete:3,7": "b1ba8ed1867bb8cba55df64835d2b789d87c545ff84d79bbe59027ed7a6af493",
+    "random:60,0.2,general": "741484151441426180e9d328c7529012bafe3c8352f1518fa28a41aaaac3064a",
+    "random:60,0.2,bipartite_one_sided":
+        "26e8dfabea75bc99828a3ee6f4a0ac46a855ef0fd2e6f1a4d842de63360607b1",
+    "random:60,0.2,bipartite_alternating":
+        "3c8f4812607f5b1c2b26d60facaf4da271fe5cb39fb1557c3b410827a451e3d5",
+    "ski-rental": "0c9ecd5186a766e45279fc0c4b773a923dd6166f96ef4bb32c85372343ab9994",
+    "adversary:3,120": "764515091df4cef8d500174eeb35adb49ffde4121740f5a890bb2b856778da62",
+}
+
+
+def test_seeds_map_to_the_pinned_streams():
+    """Every generator, the ski-rental reduction and the adversary still
+    emit the same streams, byte for byte."""
+    groups = {
+        "triangular:1..40": [gen_triangular(n) for n in range(1, 41)],
+        "two-phase:1..20": [gen_two_phase_matching_hard(n) for n in range(1, 21)],
+        "complete:3,7": [gen_complete_bipartite(3, 7)],
+        **{
+            f"random:60,0.2,{mode}": [gen_random(60, 0.2, seed, mode) for seed in range(5)]
+            for mode in RANDOM_MODES
+        },
+        "ski-rental": [reduce_ski_rental(
+            SkiRentalSpec(states=((0.0, 2.0), (40.0, 1.0), (100.0, 0.0)), epsilon=1.0, t_end=200.0)
+        )],
+        "adversary:3,120": [adaptive_adversary_vc(
+            AdversaryBudget(3, 120), "primal-dual", resolve_allocation("optimal")
+        ).transcript],
+    }
+    for name, streams in groups.items():
+        text = "".join(serialize_instance(s) for s in streams)
+        assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_DIGESTS[name], name
+
+
 def test_random_deterministic():
     a = gen_random(30, 0.3, seed=42)
     b = gen_random(30, 0.3, seed=42)
@@ -350,24 +465,37 @@ def test_random_deterministic():
     assert serialize_instance(a) != serialize_instance(c)
 
 
-MEMORY_CAPPED = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from onlinecover.instance import gen_random
-print(gen_random(30_000, 1e-4, 0).edge_count())
-"""
+def run_capped(limit: int, code: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``limit`` bytes of address space."""
+    capped = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    src = str(Path(onlinecover.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", capped + code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_random_stream_fits_in_a_gigabyte():
     """30,000 arrivals have 4.5e8 candidate back-edges, 3.6 GB as int64: the
     generator never holds them all, so it runs with 1 GiB of address space."""
-    src = str(Path(onlinecover.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", MEMORY_CAPPED],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 0
+    out = run_capped(1 << 30, """
+from onlinecover.instance import gen_random
+print(gen_random(30_000, 1e-4, 0).edge_count())
+""")
+    assert int(out) > 0
+
+
+def test_large_ski_rental_reduces_in_384_mib():
+    """990,003 arrivals with 1,980,000 edges: the columns are built by
+    tiling one interval's block and validated in one pass."""
+    out = run_capped(384 << 20, """
+from onlinecover.instance import SkiRentalSpec, reduce_ski_rental
+s = reduce_ski_rental(SkiRentalSpec(((0, 2), (40, 1), (100, 0)), 1.0, 330_000.0))
+print(len(s), s.edge_count())
+""")
+    assert out.split() == ["990003", "1980000"]
 
 
 @pytest.mark.parametrize("mode", ["bipartite_one_sided", "bipartite_alternating"])
@@ -376,7 +504,7 @@ def test_random_bipartite_modes_validate(mode):
     assert s.has_side_labels()  # construction already rejects same-side edges
     if mode == "bipartite_one_sided":
         assert s.offline_count == 13
-        assert all(e.degree() == 0 for e in s.events[: s.offline_count])
+        assert s.edge_offsets[s.offline_count] == 0
 
 
 def test_generator_parameter_validation():
@@ -398,11 +526,11 @@ def classical_spec(B=100.0, eps=1.0, t_end=300.0):
 def test_ski_rental_classical_weights():
     s = reduce_ski_rental(classical_spec())
     assert s.offline_count == 2
-    assert s.events[0].weight == 100.0
-    assert s.events[1].weight == 1e14  # 1e12 * max finite weight (100)
+    assert s.weights[0] == 100.0
+    assert s.weights[1] == 1e14  # 1e12 * max finite weight (100)
     # per interval: one rent-difference vertex of weight eps, one of weight 0
-    assert s.events[2].weight == 1.0 and list(s.events[2].neighbors) == [0]
-    assert s.events[3].weight == 0.0 and list(s.events[3].neighbors) == [0, 1]
+    assert s.weights[2] == 1.0 and list(s.event(2).neighbors) == [0]
+    assert s.weights[3] == 0.0 and list(s.event(3).neighbors) == [0, 1]
 
 
 def test_ski_rental_event_count():
@@ -445,7 +573,7 @@ def test_every_valid_cover_dominates_a_rental_strategy():
     stream = reduce_ski_rental(spec)
     n, q_total = spec.n_states, spec.intervals()
     u, v = stream.edge_arrays()
-    weights = [e.weight for e in stream.events]
+    weights = stream.weights.tolist()
     bs = [b for b, _ in spec.states]
     rs = [r for _, r in spec.states]
     total = len(stream)
@@ -485,7 +613,7 @@ def test_ski_rental_strategy_cover_cost_matches():
                 for k in range(state, n):  # onlines k+1..n of this interval
                     vid = n + qq * n + k
                     cover.add(vid)
-                    cost += stream.events[vid].weight
+                    cost += stream.weights[vid]
             assert all(a in cover or b in cover for a, b in zip(u.tolist(), v.tolist()))
             expected = bs[f] + spec.epsilon * (q * rs[0] + (q_total - q) * rs[f])
             assert cost == pytest.approx(expected, abs=1e-9)

@@ -1,5 +1,6 @@
 """Tests for the offline oracles, cross-validated against enumeration."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -15,6 +16,7 @@ from onlinecover import oracle
 from onlinecover.errors import LengthMismatch, TooLarge, ValidationError
 from onlinecover.harness import cli_main
 from onlinecover.instance import (
+    SIDE_CODES,
     InstanceStream,
     Side,
     SkiRentalSpec,
@@ -48,7 +50,7 @@ def graph_stream(n, edges, sides=None, weights=None):
     w = np.ones(n) if weights is None else weights
     sides = sides or (Side.UNLABELED,) * n
     events = tuple(VertexEvent(j, float(w[j]), sides[j], back[j]) for j in range(n))
-    return InstanceStream(events, 0)
+    return InstanceStream.from_events(events, 0)
 
 
 def random_graph(rng, n, p, weights=None):
@@ -57,8 +59,8 @@ def random_graph(rng, n, p, weights=None):
 
 
 def unlabeled(stream):
-    events = tuple(VertexEvent(e.id, e.weight, Side.UNLABELED, e.neighbors) for e in stream.events)
-    return InstanceStream(events, stream.offline_count)
+    codes = np.full(len(stream), SIDE_CODES[Side.UNLABELED])
+    return dataclasses.replace(stream, side_codes=codes)
 
 
 # ----------------------------------------------------------- bipartite
@@ -216,7 +218,7 @@ def test_certificate_rejects_a_matching_over_capacity():
 def test_cover_network_rejects_a_tampered_flow():
     g = graph_stream(3, [(0, 1), (1, 2)], weights=[1.0, 2.5, 0.5])
     net = oracle._CoverNetwork(g)
-    for ev in g.events:
+    for ev in g:
         net.add(ev)
     net.flow += 1
     with pytest.raises(ValidationError, match="min cut does not match max flow"):
@@ -268,10 +270,8 @@ def test_prefix_values_weighted_path():
 
 
 def with_weights(stream, w):
-    events = tuple(
-        VertexEvent(ev.id, float(w[ev.id]), ev.side, ev.neighbors) for ev in stream.events
-    )
-    return InstanceStream(events, stream.offline_count)
+    """The same arrivals with the first len(stream) weights of ``w``."""
+    return dataclasses.replace(stream, weights=np.asarray(w[: len(stream)], dtype=float))
 
 
 def reweighted(stream, rng):
@@ -322,7 +322,7 @@ def test_warm_prefix_values_float_weights():
 
 def exact_cover(stream, j):
     """Minimum cover of the first j arrivals over {0, 1/2, 1}^j, as a Fraction."""
-    w = [Fraction(x) for x in stream.weights()[:j].tolist()]
+    w = [Fraction(x) for x in stream.weights[:j].tolist()]
     den = math.lcm(*(x.denominator for x in w))
     iw = [int(x * den) for x in w]
     edges = [(a, b) for a, b in zip(*(e.tolist() for e in stream.edge_arrays())) if max(a, b) < j]
@@ -416,7 +416,7 @@ def test_arrived_neighbours_lead_every_slice(seed, n, p, mode, shuffle):
         stream = shuffled(stream, np.random.default_rng(seed))
     m = oracle._GrowingMatching(stream)
     arrived = [[] for _ in range(n)]
-    for ev in stream.events:
+    for ev in stream:
         m.add(ev)
         for u in ev.neighbors.tolist():
             arrived[u].append(ev.id)
@@ -478,7 +478,7 @@ def zigzag(m):
     events = [VertexEvent(i, 2.0, Side.RIGHT, []) for i in range(m)]
     events += [VertexEvent(m - 1 + i, 2.0, Side.LEFT, [i - 1, i]) for i in range(1, m)]
     events.append(VertexEvent(2 * m - 1, 2.0, Side.LEFT, [0]))
-    return InstanceStream(tuple(events), m)
+    return InstanceStream.from_events(events, m)
 
 
 def test_augmenting_path_longer_than_the_recursion_limit(tmp_path, capsys):
@@ -547,7 +547,7 @@ def unit_zigzag(m):
     events = [VertexEvent(i, 1.0, Side.RIGHT, []) for i in range(m)]
     events += [VertexEvent(m + j, 1.0, Side.LEFT, [m - 2 - j, m - 1 - j]) for j in range(m - 1)]
     events.append(VertexEvent(2 * m - 1, 1.0, Side.LEFT, [0]))
-    return InstanceStream(tuple(events), m)
+    return InstanceStream.from_events(events, m)
 
 
 @pytest.mark.parametrize(
