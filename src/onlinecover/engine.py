@@ -260,10 +260,13 @@ def _check(residual: float, bound: float, what: str, vertex: int) -> None:
 
 
 def _arrive(cover: CoverState, event: VertexEvent):
-    # an event's neighbours are below its id, so they have arrived if it is next
-    if event.id != cover.arrived:
-        raise ValidationError(f"event {event.id} arrived out of order: expected {cover.arrived}")
-    cover.weights[event.id] = event.weight
+    # a validated stream's event, but its neighbours index the state: recheck their range
+    v, nbrs = event.id, event.neighbors
+    if v != cover.arrived:
+        raise ValidationError(f"event {v} arrived out of order: expected {cover.arrived}")
+    if nbrs.size and not (nbrs.min() >= 0 and nbrs.max() < v):
+        raise ValidationError(f"event {v}: neighbors must reference earlier arrivals", event=v)
+    cover.weights[v] = event.weight
 
 
 def greedy_allocation_step(
@@ -399,7 +402,7 @@ def round_bipartite(final_y, side_codes, t: float) -> set[int]:
     integral cover across the run.
     """
     y = np.asarray(final_y, dtype=float)
-    codes = np.asarray(side_codes)
+    codes = np.asarray(side_codes, dtype=np.int64)  # ``Side`` objects raise TypeError
     unlabeled = np.flatnonzero(codes == SIDE_CODES[Side.UNLABELED])
     if unlabeled.size:
         raise SideError(f"vertex {unlabeled[0]} has no side label")
@@ -439,6 +442,7 @@ class Algorithm:
     edges (earlier edges stay feasible because potentials never decrease),
     reads the primal-dual monitors, and appends one ``StepRow``;
     ``feas_slack`` is the most negative y_u + y_v - 1 seen on a revealed edge.
+    ``step`` takes the events of a validated stream, as the step functions do.
     """
 
     def __init__(self, algo: str, func: AllocationFunction | None, n: int):
@@ -537,23 +541,23 @@ def check_invariants(
     slacks, never raises; a NaN anywhere reaches the fields it feeds.  A
     prefix is checked by passing ``static_from_stream(stream, j)``.
     """
-    arrived = np.arange(min(cover.arrived, len(stream)))
+    a = min(cover.arrived, len(stream))
     u, v = stream.edge_arrays()
-    m = int(stream.edge_offsets[arrived.size])  # the arrived vertices' edges
-    x = np.concatenate(matching.x[: arrived.size]) if arrived.size else np.zeros(0)
-    x_agg = np.zeros(len(cover.y))
-    # in the steps' order: a vertex's own back-edges, then its later edges
-    np.add.at(x_agg, v[:m], x)
-    np.add.at(x_agg, u[:m], x)
-    total_x = float(x.sum())
-    max_inv1 = cap_excess = 0.0
-    if arrived.size:
-        w, y, z = cover.weights[arrived], cover.y[arrived], matching.z_arrival[arrived]
+    max_inv1 = cap_excess = total_x = 0.0
+    if a:
+        # the steps' arithmetic: each arrival's own edge values summed as one
+        # array into a running total, then its later edges one at a time
+        x_agg = np.zeros(len(cover.y))
+        x_agg[:a] = [xv.sum() for xv in matching.x[:a]]
+        total_x = float(np.cumsum(x_agg[:a])[-1])
+        m = int(stream.edge_offsets[a])  # the arrived vertices' edges
+        np.add.at(x_agg, u[:m], np.concatenate(matching.x[:a]))
+        w, y, z = cover.weights[:a], cover.y[:a], matching.z_arrival[:a]
         tbl = func.table()
         rhs = w * ((y + func(1.0 - z) + tbl.eval(y) - tbl.eval(z)) / beta)
-        max_inv1 = float(np.max(x_agg[arrived] - rhs))
-        cap_excess = float(np.max(x_agg[arrived] - w))
-    total_y = float(np.sum(cover.weights[arrived] * cover.y[arrived]))
+        max_inv1 = float(np.max(x_agg[:a] - rhs))
+        cap_excess = float(np.max(x_agg[:a] - w))
+    total_y = float(np.sum(cover.weights[:a] * cover.y[:a]))
     inv2 = abs(total_y - beta * total_x) / max(1.0, total_y)
     min_gap = float(np.min(cover.y[u] + cover.y[v] - 1.0)) if u.size else 0.0
     return InvariantReport(

@@ -96,17 +96,14 @@ class InstanceStream:
         bad.append(int(ids[i]) if i < e else n)
         nbrs = nbrs.astype(np.int32, copy=False)  # exact below the first arrival with a fault
         # a repeat, among the arrivals before both faults, whose neighbours are
-        # in range: only an arrival whose neighbours do not ascend can have
-        # one, and then one sort of v * n + neighbour keys finds the first
+        # in range: one sort of v * n + neighbour keys finds the first
         k = int(off[min(bad)])
-        before, after = slice(0, max(k - 1, 0)), slice(1, k)
-        if np.all((nbrs[after] > nbrs[before]) | (ids[after] != ids[before])):
-            bad.append(n)
-        else:
-            keys = ids[:k].astype(np.int32 if n * n < 2**31 else np.int64) * n
-            keys = np.sort(keys + nbrs[:k])
-            i = _first(keys[1:] == keys[:-1])
-            bad.append(int(keys[i] // n) if i < k - 1 else n)
+        keys = ids[:k].astype(np.int32 if n * n < 2**31 else np.int64)
+        keys *= n
+        keys += nbrs[:k]
+        keys.sort()
+        i = _first(keys[1:] == keys[:-1])
+        bad.append(int(keys[i] // n) if i < k - 1 else n)
         v = min(bad)
         if v < n:
             faults = ("weight must be finite and >= 0",

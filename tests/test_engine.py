@@ -374,6 +374,20 @@ def test_step_rejects_events_out_of_id_order(algo):
     assert alg.cover.arrived == 1 and len(alg.rows) == 1
 
 
+@pytest.mark.parametrize("algo", engine.ALGOS)
+def test_step_rejects_neighbours_that_have_not_arrived(algo):
+    """A bare event is checked for its neighbours' range before any state
+    changes: one at or above its own id, or a negative one, is rejected."""
+    alg = Algorithm(algo, FK, 3)
+    for nbrs in ([2], [0], [-1]):
+        event = VertexEvent(0, 1.0, Side.UNLABELED, np.array(nbrs))
+        with pytest.raises(ValidationError, match="earlier arrivals") as exc:
+            alg.step(event)
+        assert exc.value.event == 0
+    assert alg.cover.arrived == 0 and not alg.rows
+    assert not alg.cover.y.any() and alg.cover.total_cost == 0.0
+
+
 def test_single_edge_primal_dual_closed_form():
     stream = single_edge_stream()
     trace = run_stream(stream, "primal-dual", FK)
@@ -455,20 +469,22 @@ def budget_slack_by_loop(cover, matching, func, beta):
 
 
 def test_check_invariants_stepwise():
-    stream = gen_random(40, 0.25, seed=8)
-    cover = CoverState.fresh(len(stream))
-    matching = PrimalDualState.fresh(len(stream))
-    for ev in stream:
-        cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
-        rep = check_invariants(
-            cover, matching, FK, BETA_STAR, static_from_stream(stream, ev.id + 1)
-        )
-        # the array form does the loop's arithmetic, to the bit
-        assert rep.max_inv1_slack == budget_slack_by_loop(cover, matching, FK, BETA_STAR)
-        assert rep.max_inv1_slack < 1e-8
-        assert rep.inv2_rel_slack < 1e-8
-        assert rep.min_edge_gap > -1e-9
-        assert rep.max_capacity_excess < 1e-9
+    # the dense stream has arrivals with eight or more raised neighbours,
+    # whose edge values numpy sums pairwise rather than one at a time
+    for stream in (gen_random(40, 0.25, seed=8), gen_random(60, 0.5, seed=0)):
+        cover = CoverState.fresh(len(stream))
+        matching = PrimalDualState.fresh(len(stream))
+        for ev in stream:
+            cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
+            rep = check_invariants(
+                cover, matching, FK, BETA_STAR, static_from_stream(stream, ev.id + 1)
+            )
+            # the array form does the loop's arithmetic, to the bit
+            assert rep.max_inv1_slack == budget_slack_by_loop(cover, matching, FK, BETA_STAR)
+            assert rep.max_inv1_slack < 1e-8
+            assert rep.inv2_rel_slack < 1e-8
+            assert rep.min_edge_gap > -1e-9
+            assert rep.max_capacity_excess < 1e-9
 
 
 def weighted_stream(seed: int):
@@ -629,6 +645,8 @@ def test_round_threshold_cases():
     unlabeled = parse_instance("offline 0\n0 1 L 0\n1 1 - 0\n").side_codes
     with pytest.raises(SideError, match="vertex 1 has no side label"):
         round_bipartite([0.5, 0.5], unlabeled, 0.5)
+    with pytest.raises(TypeError):  # sides, not their codes
+        round_bipartite([0.5, 0.5], [Side.LEFT, Side.RIGHT], 0.5)
 
 
 def test_round_monte_carlo_mean():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import onlinecover
@@ -235,6 +235,10 @@ def _event_lists(draw):
 
 
 @given(_event_lists())
+@example(  # repeats apart in the reveal order, then side by side at a later arrival
+    ([VertexEvent(i, 1.0, Side.UNLABELED, nbrs) for i, nbrs in
+      enumerate([[], [0], [1, 0, 1], [0, 0]])], 0)
+)
 @settings(max_examples=500, deadline=None)
 def test_from_events_agrees_with_the_reference_validator(case):
     """``from_events`` accepts exactly what the per-event rules accept, and
