@@ -81,7 +81,7 @@ class InstanceStream:
         weights = np.asarray(self.weights, dtype=float)
         codes = np.asarray(self.side_codes, dtype=np.int64)
         off = np.asarray(self.edge_offsets, dtype=np.int64)
-        nbrs = np.asarray(self.neighbors)
+        nbrs = np.asarray(self.neighbors)  # an empty list is float64
         n, e = weights.size, nbrs.size
         deg = np.diff(off)
         if not (codes.shape == (n,) and off.shape == (n + 1,) and off[0] == 0 and off[-1] == e
@@ -92,7 +92,10 @@ class InstanceStream:
         ids = np.repeat(np.arange(n, dtype=np.int32), deg)  # each edge's arrival
         # per arrival, in this order: its weight, its neighbours' range, a repeat
         bad = [_first(~(np.isfinite(weights) & (weights >= 0.0)))]
-        i = _first(~((nbrs >= 0) & (nbrs < ids)))  # a NaN is out of range too
+        ok = (nbrs >= 0) & (nbrs < ids)  # a NaN is out of range too
+        if nbrs.dtype.kind == "f":
+            ok &= nbrs == np.trunc(nbrs)  # 0.7 is no arrival's id, not arrival 0
+        i = _first(~ok)
         bad.append(int(ids[i]) if i < e else n)
         nbrs = nbrs.astype(np.int32, copy=False)  # exact below the first arrival with a fault
         # a repeat, among the arrivals before both faults, whose neighbours are
@@ -160,13 +163,18 @@ class InstanceStream:
         of ``neighbors``: numpy converts int32 indices on every use, which
         costs a run's steps more than one copy per event."""
         lo, hi = self.edge_offsets[v : v + 2]
+        return self._event(v, float(self.weights[v]), int(self.side_codes[v]), lo, hi)
+
+    def _event(self, v: int, weight: float, code: int, lo: int, hi: int) -> VertexEvent:
         nbrs = self.neighbors[lo:hi].astype(np.intp)
         nbrs.flags.writeable = False
-        return VertexEvent(v, float(self.weights[v]), _SIDE_OF[int(self.side_codes[v])], nbrs)
+        return VertexEvent(v, weight, _SIDE_OF[code], nbrs)
 
     def __iter__(self) -> Iterator[VertexEvent]:
-        """The arrivals in order."""
-        return map(self.event, range(len(self)))
+        """The arrivals in order, their columns read as Python numbers once."""
+        off = self.edge_offsets.tolist()
+        return map(self._event, range(len(self)), self.weights.tolist(),
+                   self.side_codes.tolist(), off[:-1], off[1:])
 
     def has_side_labels(self) -> bool:
         return bool(np.all(self.side_codes >= 0))

@@ -24,12 +24,18 @@ independent check of both constructions.
 The optimum of every prefix of a stream, which worst-prefix ratios divide
 by, comes from one solver kept across the whole stream instead of one
 solve per prefix, and one loop drives it: each arrival is ``add``-ed to
-the solver and its ``value`` read.  For unit weights the solver is a
-maximum matching of the same biadjacency, one ``_adjacency`` with the
-same row and column numbers, grown by one augmenting-path search per
+the solver and its exact integer value read.  For unit weights the solver
+is a maximum matching of the same biadjacency, one ``_adjacency`` with
+the same row and column numbers, grown by one augmenting-path search per
 added node; for weights it is the same ``_CoverNetwork`` as the
-from-scratch solve, its flow continued after each arrival.  The tests
-compare both with from-scratch solves of every prefix.
+from-scratch solve, its flow continued after each arrival.  The optimum
+never falls, and an arrival raises it by at most its weight, so once one
+from-scratch solve of the whole stream (the anchor) is known, a prefix
+whose value is the anchor's, or whose value plus the most every later
+arrival may add is the anchor's, fixes every later value, and the loop
+stops stepping.  The anchor is bought, ski-rental style, once the warm
+solver's counted work reaches the size of one from-scratch solve.  The
+tests compare both with from-scratch solves of every prefix.
 
 Everything here is numpy and Python only; the tests check the unit
 solver against scipy's Hopcroft-Karp.
@@ -39,6 +45,7 @@ All public functions are pure functions of their inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +112,8 @@ def _certified(stream: InstanceStream, cover2: np.ndarray, a, b, x) -> OracleRes
     n = len(stream)
     iw, den = _scaled_weights(stream)
     u, v = stream.edge_arrays()
-    if u.size and np.min(cover2[u] + cover2[v]) < 2:
+    c8 = cover2.astype(np.int8)  # potentials 0, 1, 2: a byte per edge per temporary
+    if u.size and np.min(c8[u] + c8[v]) < 2:
         raise ValidationError("cover witness leaves an edge uncovered")
     load = np.zeros(n, dtype=x.dtype)
     np.add.at(load, a, x)
@@ -276,8 +284,10 @@ def _augment_layers(
             path.append(w)
 
 
-def _unit_optimum(stream: InstanceStream) -> OracleResult:
-    """Unit-weight optimum from one Hopcroft-Karp matching and its Konig cover.
+def _unit_optimum(stream: InstanceStream, ptr, idx) -> tuple[OracleResult, int]:
+    """Unit-weight optimum from one Hopcroft-Karp matching of the stream's
+    adjacency ``ptr``, ``idx`` and its Konig cover; also the matching's size,
+    the optimum in halves.
 
     The biadjacency is the n x n bipartite double cover: row u is u's
     left copy, column v is v's right copy, and each edge runs both ways,
@@ -287,7 +297,7 @@ def _unit_optimum(stream: InstanceStream) -> OracleResult:
     search, its column if its mate row was reached.
     """
     # through the module global, so a wrapper put there sees every solve
-    match, dist = maximum_bipartite_matching(*_adjacency(stream))
+    match, dist = maximum_bipartite_matching(ptr, idx)
     match = np.array(match, dtype=np.int64)
     rows = np.flatnonzero(match >= 0)
     cols = match[rows]
@@ -295,7 +305,17 @@ def _unit_optimum(stream: InstanceStream) -> OracleResult:
     cover2 = np.zeros(len(stream), dtype=np.int64)
     cover2[rows[~reached]] = 1
     cover2[cols[reached]] += 1
-    return _certified(stream, cover2, rows, cols, np.ones(rows.size, dtype=np.int64))
+    return _certified(stream, cover2, rows, cols, np.ones(rows.size, dtype=np.int64)), rows.size
+
+
+def _weighted_optimum(stream: InstanceStream) -> tuple[OracleResult, int]:
+    """Weighted optimum from one ``_CoverNetwork`` of the whole stream; also
+    its minimum cut, the optimum in units of 1/(2 den)."""
+    net = _CoverNetwork(stream)
+    for ev in stream:
+        net.add(ev)
+    cover2, cut = net.solve()
+    return _certified(stream, cover2, *net.edge_flows()), cut
 
 
 # ------------------------------------------------------ fractional general
@@ -310,11 +330,8 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     if not len(stream):
         return OracleResult(0.0, 0.0, np.zeros(0))
     if stream.is_unit_weight():
-        return _unit_optimum(stream)
-    net = _CoverNetwork(stream)
-    for ev in stream:
-        net.add(ev)
-    return _certified(stream, net.solve()[0], *net.edge_flows())
+        return _unit_optimum(stream, *_adjacency(stream))[0]
+    return _weighted_optimum(stream)[0]
 
 
 class _CoverNetwork:
@@ -330,6 +347,8 @@ class _CoverNetwork:
     Capacities and flows are exact Python ints: the weights are scaled by
     their common power-of-two denominator ``den``, and a crossing arc holds
     w_u + w_v + den.  The cover's value is rounded once, to cut / (2 den).
+    ``work`` counts the arcs the searches scan; one from-scratch solve
+    scans about ``scratch_work`` of them.
     """
 
     def __init__(self, stream: InstanceStream):
@@ -342,6 +361,8 @@ class _CoverNetwork:
         self.level: list[int] = []
         self.arrived = 0
         self.flow = 0
+        self.work = 0
+        self.scratch_work = 4 * stream.edge_count() + 4 * n
 
     def _arc(self, u: int, v: int, c: int) -> None:
         self.head[u].append(len(self.to))
@@ -368,6 +389,7 @@ class _CoverNetwork:
         level[self.s] = 0
         q = [self.s]
         for u in q:
+            self.work += len(head[u])
             for ei in head[u]:
                 v = to[ei]
                 if cap[ei] > 0 and level[v] < 0:
@@ -428,9 +450,13 @@ class _CoverNetwork:
             raise ValidationError(f"{k} arrivals: min cut does not match max flow")
         return cover_l.astype(np.int64) + cover_r, cut
 
-    def value(self) -> float:
-        """The minimum weighted fractional cover of the arrived graph."""
-        return _to_float(self.solve()[1], 2 * self.den)
+    def units(self) -> int:
+        """The minimum cover of the arrived graph, in units of 1/(2 den)."""
+        return self.solve()[1]
+
+    def whole(self, stream: InstanceStream) -> int:
+        """The whole stream's minimum cover in the same units, certified."""
+        return _weighted_optimum(stream)[1]
 
     def edge_flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays u, v, flow over the crossing arcs u-left -> v-right with flow,
@@ -491,7 +517,11 @@ class _GrowingMatching:
     column, a matching of the graph itself; otherwise each arrival adds
     its row, then its column, and the value is half the double cover's
     matching.  Each added node adds at most one augmenting path (Berge).
+    ``work`` counts the neighbours the searches gather; one from-scratch
+    solve gathers about ``scratch_work`` of them.
     """
+
+    den = 1  # values are counted in halves, as the weighted network's are in 1/(2 den)
 
     def __init__(self, stream: InstanceStream):
         self.n = n = len(stream)
@@ -505,6 +535,8 @@ class _GrowingMatching:
         self.searches = 0
         self.free = [0, 0]  # unmatched nodes that have joined: rows, columns
         self.size = 0
+        self.work = 0
+        self.scratch_work = 2 * stream.edge_count() + n
 
     def add(self, ev: VertexEvent) -> None:
         """Count the arrival's back-edges as arrived, then join its copies."""
@@ -516,9 +548,14 @@ class _GrowingMatching:
         if not self.labeled or ev.side is Side.RIGHT:
             self.join(self.n + v)
 
-    def value(self) -> float:
-        """The maximum fractional matching of the arrived graph."""
-        return self.size if self.labeled else self.size / 2.0
+    def units(self) -> int:
+        """The maximum fractional matching of the arrived graph, in halves."""
+        return 2 * self.size if self.labeled else self.size
+
+    def whole(self, stream: InstanceStream) -> int:
+        """The whole stream's optimum in halves, certified: one Hopcroft-Karp
+        solve of this matcher's own adjacency."""
+        return _unit_optimum(stream, self.ptr, self.idx)[1]
 
     def join(self, node: int) -> None:
         """Add a free node (its vertex has arrived) and keep the matching maximum.
@@ -552,6 +589,7 @@ class _GrowingMatching:
         while True:
             base = frontier % n
             cand, ends = _gather(self.ptr, self.idx, base, self.count[base])
+            self.work += cand.size
             cand += off
             pos = np.flatnonzero(seen[cand] != stamp)
             if not pos.size:
@@ -584,6 +622,9 @@ class _GrowingMatching:
             b, a = prev, int(parent[prev])
 
 
+_ANCHOR_AFTER = 1  # warm work, in from-scratch solves, that buys the anchor
+
+
 def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     """Offline optimum after each arrival, from one solver kept across arrivals.
 
@@ -591,15 +632,47 @@ def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     the maximum fractional matching: the two coincide for bipartite
     instances (integrality plus duality) and for general ones (double
     cover).  The weight class picks the solver, a ``_GrowingMatching`` or a
-    ``_CoverNetwork``; each arrival is ``add``-ed to it and its ``value``
-    read.  At every prefix the value equals what a from-scratch
+    ``_CoverNetwork``; each arrival is ``add``-ed to it and its exact
+    integer value U read, in units of 1/(2 den), and rounded once.
+
+    Arrival v raises U by at most 2 w_v (the old cover plus y_v = 1), so
+    once the whole stream's value A is known, a prefix with U = A or with
+    A - U equal to the most the later arrivals may add fixes every later
+    value: the same U, or U plus each later arrival's most.  A is bought,
+    one certified from-scratch solve, once the solver's work reaches
+    ``_ANCHOR_AFTER`` such solves; from then on each arrival checks the two
+    cases.  At every prefix the value equals what a from-scratch
     ``fractional_optima_general`` solve returns.
     """
-    solver = _GrowingMatching(stream) if stream.is_unit_weight() else _CoverNetwork(stream)
-    vals = np.zeros(len(stream))
+    n = len(stream)
+    unit = stream.is_unit_weight()
+    solver = _GrowingMatching(stream) if unit else _CoverNetwork(stream)
+    scale = 2 * solver.den
+    rise = [2] * n if unit else [2 * w for w in solver.w.tolist()]
+    rest = [0, *itertools.accumulate(reversed(rise))][::-1]  # rest[v]: the most v, v+1, ... add
+    budget = _ANCHOR_AFTER * solver.scratch_work
+    anchor = None
+    vals = np.zeros(n)
     for ev in stream:
+        v = ev.id
         solver.add(ev)
-        vals[ev.id] = solver.value()
+        units = solver.units()
+        vals[v] = _to_float(units, scale)
+        if anchor is None and solver.work >= budget:
+            anchor = solver.whole(stream)
+        if anchor is None:
+            continue
+        gap = anchor - units
+        if not 0 <= gap <= rest[v + 1]:
+            raise ValidationError(f"{v + 1} arrivals: prefix optimum out of the anchor's reach")
+        if gap == 0:
+            vals[v + 1 :] = vals[v]
+            break
+        if gap == rest[v + 1]:
+            for u in range(v + 1, n):
+                units += rise[u]
+                vals[u] = _to_float(units, scale)
+            break
     return vals
 
 

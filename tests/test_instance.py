@@ -117,6 +117,33 @@ def test_stream_fault_names_its_event():
     assert exc.value.event == 0
 
 
+def test_non_integer_neighbour_is_rejected():
+    """A float neighbour must be an integer id: 0.7 named no arrival, yet was
+    truncated into the edge (0, 1).  Integral floats and the float64 array
+    of an empty list still pass."""
+    head = [VertexEvent(0, 1.0, Side.UNLABELED, [])]
+    with pytest.raises(ValidationError, match="earlier arrivals") as exc:
+        InstanceStream.from_events(head + [VertexEvent(1, 1.0, Side.UNLABELED, [0.7])], 0)
+    assert exc.value.event == 1
+    s = InstanceStream.from_events(head + [VertexEvent(1, 1.0, Side.UNLABELED, [0.0])], 0)
+    assert edges_of(s) == [(0, 1)]
+    assert len(InstanceStream.from_events(head, 0)) == 1
+
+
+def test_iteration_builds_the_events_one_by_one_builds():
+    for s in (gen_random(40, 0.3, 1), gen_two_phase_matching_hard(3),
+              reduce_ski_rental(SkiRentalSpec(((0.0, 2.0), (5.0, 0.0)), 1.0, 3.0))):
+        events = list(s)
+        assert len(events) == len(s)
+        for a, b in zip(events, (s.event(v) for v in range(len(s)))):
+            assert a.id == b.id
+            assert type(a.weight) is float and a.weight == b.weight
+            assert a.side is b.side
+            assert a.neighbors.dtype == b.neighbors.dtype == np.intp
+            assert a.neighbors.tolist() == b.neighbors.tolist()
+            assert not a.neighbors.flags.writeable
+
+
 def test_parse_overflowing_neighbour_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_instance("offline 0\n0 1 - 0\n1 1 - 1 99999999999999999999\n")

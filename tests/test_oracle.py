@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -355,16 +356,18 @@ def test_weighted_optima_are_the_correctly_rounded_exact_optimum(seed, n, p, mod
 
 
 def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
-    """One warm-started solver per stream: the from-scratch entry points run
-    at most once in total, where a per-prefix loop would call them per
-    arrival; a unit stream builds exactly one growing matching and no flow
-    network, a weighted stream exactly one flow network and no matching."""
+    """One warm-started solver per stream and at most one whole-stream
+    anchor: the from-scratch entry points run at most once in total, where a
+    per-prefix loop would call them per arrival.  A unit stream builds
+    exactly one growing matching, one adjacency and no flow network (its
+    anchor solves that adjacency); a weighted stream builds one warm flow
+    network, at most one more for its anchor, and no matching."""
     calls = []
-    for name in ("maximum_bipartite_matching", "fractional_optima_general"):
+    for name in ("maximum_bipartite_matching", "fractional_optima_general", "_adjacency"):
         fn = getattr(oracle, name)
 
         def counted(*args, _fn=fn, **kwargs):
-            calls.append(_fn)
+            calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(oracle, name, counted)
@@ -380,13 +383,123 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
         monkeypatch.setattr(oracle, name, Counted)
     spec = SkiRentalSpec(states=((0.0, 2.0), (5.0, 1.0), (9.0, 0.0)), epsilon=1.0, t_end=6.0)
     for stream, solver in ((gen_triangular(60), "_GrowingMatching"),
+                           (gen_random(200, 0.05, 3), "_GrowingMatching"),
                            (reduce_ski_rental(spec), "_CoverNetwork")):
         calls.clear()
         built.clear()
         vals = oracle.prefix_optimal_values(stream)
         assert vals[-1] > 0.0
-        assert len(calls) <= 1
-        assert built == [solver]
+        solves = [c for c in calls if c != "_adjacency"]
+        assert len(solves) <= 1
+        if solver == "_GrowingMatching":
+            assert calls.count("_adjacency") == 1
+            assert built == [solver]
+        else:
+            assert "_adjacency" not in calls
+            assert built in ([solver], [solver, solver])
+
+
+def warm_run(monkeypatch, stream):
+    """The prefix values, how many arrivals the warm solver (the first one
+    built) was handed, and how many anchors it bought."""
+    solvers = []
+    for name in ("_CoverNetwork", "_GrowingMatching"):
+        base = getattr(oracle, name)
+
+        class Counted(base):
+            def __init__(self, stream):
+                super().__init__(stream)
+                self.adds = self.anchors = 0
+                solvers.append(self)
+
+            def add(self, ev):
+                self.adds += 1
+                super().add(ev)
+
+            def whole(self, stream):
+                self.anchors += 1
+                return super().whole(stream)
+
+        monkeypatch.setattr(oracle, name, Counted)
+    vals = oracle.prefix_optimal_values(stream)
+    monkeypatch.undo()
+    return vals, solvers[0].adds, solvers[0].anchors
+
+
+def assert_from_scratch(stream, vals):
+    for j in range(1, len(stream) + 1):
+        full = fractional_optima_general(static_from_stream(stream, j)).min_cover_value
+        assert vals[j - 1] == full
+
+
+@pytest.mark.parametrize("stream", [
+    gen_triangular(60),
+    gen_two_phase_matching_hard(15),
+    reduce_ski_rental(SkiRentalSpec(((0.0, 2.0), (40.0, 1.0), (100.0, 0.0)), 1.0, 60.0)),
+], ids=["triangular", "two-phase", "ski-rental"])
+def test_the_anchor_pins_the_rest_of_the_stream(monkeypatch, stream):
+    """On these streams the warm solver stops before the last arrival, and
+    every value it did not step to still equals a from-scratch solve."""
+    vals, adds, anchors = warm_run(monkeypatch, stream)
+    assert anchors == 1 and adds < len(stream)
+    assert_from_scratch(stream, vals)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 14),
+    p=st.sampled_from((0.15, 0.3, 0.6)),
+    mode=st.sampled_from(MODES),
+    weighted=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_an_anchor_bought_at_once_keeps_every_value(seed, n, p, mode, weighted):
+    """With the anchor bought after the first arrival, each later arrival
+    checks the pin; on unlabeled, labeled and weighted streams (zero weights
+    and the 1e12 sentinel among them) every value is still a from-scratch
+    solve's."""
+    stream = gen_random(n, p, seed, mode)
+    if weighted:
+        stream = reweighted(stream, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_ANCHOR_AFTER", 0)
+        vals = prefix_optimal_values(stream)
+    assert_from_scratch(stream, vals)
+
+
+def test_triangular_2000_prefix_values_are_fast():
+    """Triangular(n): n offline lefts, then every right raises the matching
+    by one, so prefix t's optimum is max(0, t - n); the anchor fixes most of
+    them at once."""
+    n = 2000
+    t0 = time.monotonic()
+    vals = prefix_optimal_values(gen_triangular(n))
+    elapsed = time.monotonic() - t0
+    assert vals.tolist() == [float(max(0, t - n)) for t in range(1, 2 * n + 1)]
+    assert elapsed < 2.0
+
+
+def test_the_adversary_transcript_buys_no_anchor(monkeypatch):
+    """The warm matcher's work on the 3-phase, d = 120 adversary stays below
+    one from-scratch solve: no anchor is bought and every arrival is added."""
+    from onlinecover.harness import AdversaryBudget, adaptive_adversary_vc, resolve_allocation
+
+    transcript = adaptive_adversary_vc(
+        AdversaryBudget(3, 120), "primal-dual", resolve_allocation("optimal")
+    ).transcript
+    _, adds, anchors = warm_run(monkeypatch, transcript)
+    assert anchors == 0 and adds == len(transcript)
+
+
+def test_an_anchor_out_of_reach_is_an_error(monkeypatch):
+    """An anchor below a prefix's optimum, or above what the later arrivals
+    can add to it, contradicts the warm solver: an error, not a fill."""
+    monkeypatch.setattr(oracle, "_ANCHOR_AFTER", 0)
+    for shift in (-1, 10**6):
+        monkeypatch.setattr(oracle._GrowingMatching, "whole",
+                            lambda self, stream, _s=shift: self.units() + _s)
+        with pytest.raises(ValidationError, match="out of the anchor's reach"):
+            prefix_optimal_values(gen_triangular(5))
 
 
 def shuffled(stream, rng):
