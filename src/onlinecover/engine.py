@@ -10,9 +10,10 @@ lowest-id unmatched neighbor.
 validates its arguments, builds only the state its algorithm needs,
 dispatches each arrival to the step function, runs the per-step monitors
 (dual feasibility of the revealed edges and the two primal-dual
-invariants) and records one row per arrival.  ``run_stream`` drives it
-over a whole stream and returns it; the adaptive adversary in ``harness``
-drives it one arrival at a time and reads its rows and potentials back.
+invariants) and writes one row of floats per arrival.  ``run_stream``
+drives it over a whole stream and returns it; the adaptive adversary in
+``harness`` drives it one arrival at a time and reads its rows and
+potentials back.
 Every monitor goes through ``_check``, which raises ``InvariantViolation``
 unless the residual is within its bound, so a NaN residual fails too (a
 violation indicates a bug, not an expected runtime condition).
@@ -25,10 +26,9 @@ functions are shared read-only.
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -41,6 +41,8 @@ LEVEL_EPS = 1e-10  # level certificate, relative to the weight it sums
 FEAS_EPS = 1e-9
 INV_EPS = 1e-8
 ALGOS = ("waterfill", "primal-dual", "greedy")
+# the run record's columns, one float64 each; to_csv prefixes step and vertex
+ROW_FIELDS = ("level", "cover_cost", "matching_value", "inv1_slack", "inv2_slack")
 _LIST_DEGREE = 16  # below this many neighbors the level solve sorts and sums on lists
 
 
@@ -190,17 +192,30 @@ class CoverState:
 class MatchingState:
     """Edge values set once at creation, plus per-vertex aggregates.
 
-    ``x[v]`` holds the values of arrival v's back-edges, aligned with its
-    neighbours, so ``x`` lists the edge values in the stream's edge order.
+    ``x[:edges]`` holds the revealed edges' values in the stream's edge
+    order, aligned with ``neighbors``.  Only ``new_edges`` grows ``x``,
+    doubling it from ``np.zeros``: unwritten capacity holds no resident
+    memory, and a run need not know its edge count in advance.
     """
 
     x_agg: np.ndarray
-    x: list[np.ndarray]
+    x: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    edges: int = 0
     total_value: float = 0.0
+
+    def new_edges(self, k: int) -> np.ndarray:
+        """A zeroed view of the next ``k`` edge values, valid until the next call."""
+        lo, hi = self.edges, self.edges + k
+        if hi > self.x.size:
+            x = np.zeros(max(hi, 2 * self.x.size))
+            x[:lo] = self.x[:lo]
+            self.x = x
+        self.edges = hi
+        return self.x[lo:hi]
 
     @classmethod
     def fresh(cls, n: int) -> "MatchingState":
-        return cls(x_agg=np.zeros(n), x=[])
+        return cls(x_agg=np.zeros(n))
 
 
 @dataclass(kw_only=True)
@@ -242,7 +257,6 @@ class PrimalDualState(MatchingState):
     def fresh(cls, n: int) -> "PrimalDualState":
         return cls(
             x_agg=np.zeros(n),
-            x=[],
             z_arrival=np.zeros(n),
             inv1_base=np.zeros(n),
             inv1_slack=np.full(n, -np.inf),
@@ -318,9 +332,8 @@ def primal_dual_step(
     else:
         factor = 1.0  # (1-y)/f(y) vanishes as y -> 1
     ridx = outcome.raised
-    xvals = np.zeros(nbrs.size)
+    xvals = matching.new_edges(nbrs.size)
     xvals[outcome.mask] = outcome.lift / beta * factor
-    matching.x.append(xvals)
     matching.x_agg[nbrs] += xvals
     xv = float(xvals.sum())
     matching.x_agg[v] += xv
@@ -369,10 +382,11 @@ def greedy_baseline_step(
     # an arrived vertex is matched iff its aggregate is nonzero: greedy
     # gives every edge it picks exactly 1.0 and every other edge 0.0
     free = nbrs[matching.x_agg[nbrs] == 0.0]
+    xvals = matching.new_edges(nbrs.size)
     raised: list[int] = []
     if free.size:
         partner = int(free.min())
-        matching.x.append(np.where(nbrs == partner, 1.0, 0.0))
+        xvals[nbrs == partner] = 1.0
         matching.x_agg[partner] += 1.0
         matching.x_agg[v] += 1.0
         matching.total_value += 1.0
@@ -381,8 +395,6 @@ def greedy_baseline_step(
                 raised.append(u)
                 cover.total_cost += 1.0 - cover.y[u]
                 cover.y[u] = 1.0
-    else:
-        matching.x.append(np.zeros(nbrs.size))
     cover.arrived += 1
     level = 1.0 - cover.y[v]
     return cover, matching, WaterLevelOutcome(
@@ -421,17 +433,6 @@ def check_rounding_covers(stream: InstanceStream, cover: set[int]) -> bool:
 # -------------------------------------------------------------------- runs
 
 
-@dataclass
-class StepRow:
-    step: int
-    vertex: int
-    level: float
-    cover_cost: float
-    matching_value: float
-    inv1_slack: float
-    inv2_slack: float
-
-
 class Algorithm:
     """One online run: owns its state, steps arrivals, monitors every step.
 
@@ -440,9 +441,12 @@ class Algorithm:
     water-filling) and computes beta for primal-dual.  ``step`` dispatches
     to the step function, checks dual feasibility of the newly revealed
     edges (earlier edges stay feasible because potentials never decrease),
-    reads the primal-dual monitors, and appends one ``StepRow``;
-    ``feas_slack`` is the most negative y_u + y_v - 1 seen on a revealed edge.
-    ``step`` takes the events of a validated stream, as the step functions do.
+    reads the primal-dual monitors, and writes the next row of a
+    structured array of ``ROW_FIELDS`` sized for n arrivals; ``rows`` is
+    its first ``steps`` rows, row v for vertex v.  A step that raises
+    writes no row, though its state may have advanced.  ``feas_slack`` is
+    the most negative y_u + y_v - 1 seen on a revealed edge.  ``step``
+    takes the events of a validated stream, as the step functions do.
     """
 
     def __init__(self, algo: str, func: AllocationFunction | None, n: int):
@@ -460,10 +464,16 @@ class Algorithm:
             self.beta = beta_of(func).beta
         elif algo == "greedy":
             self.matching = MatchingState.fresh(n)
-        self.rows: list[StepRow] = []
+        self._record = np.zeros(n, dtype=[(name, float) for name in ROW_FIELDS])
+        self.steps = 0
         self.feas_slack = 0.0
 
-    def step(self, event: VertexEvent) -> StepRow:
+    @property
+    def rows(self) -> np.ndarray:
+        """The completed steps' rows; row i is step i and vertex i."""
+        return self._record[: self.steps]
+
+    def step(self, event: VertexEvent) -> None:
         cover, matching = self.cover, self.matching
         inv1 = inv2 = total_match = 0.0
         if self.algo == "waterfill":
@@ -479,27 +489,14 @@ class Algorithm:
             edge_gap = float((cover.y[event.neighbors] + cover.y[event.id] - 1.0).min())
             self.feas_slack = min(self.feas_slack, edge_gap)
             _check(-edge_gap, FEAS_EPS, "dual feasibility", event.id)
-        row = StepRow(
-            step=len(self.rows),
-            vertex=event.id,
-            level=outcome.level,
-            cover_cost=cover.total_cost,
-            matching_value=total_match,
-            inv1_slack=inv1,
-            inv2_slack=inv2,
-        )
-        self.rows.append(row)
-        return row
+        self._record[self.steps] = (outcome.level, cover.total_cost, total_match, inv1, inv2)
+        self.steps += 1
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("step,vertex,level,cover_cost,matching_value,inv1_slack,inv2_slack\n")
-        for r in self.rows:
-            out.write(
-                f"{r.step},{r.vertex},{r.level:.17g},{r.cover_cost:.17g},"
-                f"{r.matching_value:.17g},{r.inv1_slack:.17g},{r.inv2_slack:.17g}\n"
-            )
-        return out.getvalue()
+        lines = [",".join(("step", "vertex", *ROW_FIELDS))]
+        for i, row in enumerate(self.rows.tolist()):
+            lines.append(f"{i},{i}," + ",".join(f"{x:.17g}" for x in row))
+        return "\n".join(lines) + "\n"
 
 
 def run_stream(
@@ -547,11 +544,12 @@ def check_invariants(
     if a:
         # the steps' arithmetic: each arrival's own edge values summed as one
         # array into a running total, then its later edges one at a time
+        off = stream.edge_offsets[: a + 1].tolist()
+        m = off[-1]  # the arrived vertices' edges
         x_agg = np.zeros(len(cover.y))
-        x_agg[:a] = [xv.sum() for xv in matching.x[:a]]
+        x_agg[:a] = [matching.x[lo:hi].sum() for lo, hi in zip(off, off[1:])]
         total_x = float(np.cumsum(x_agg[:a])[-1])
-        m = int(stream.edge_offsets[a])  # the arrived vertices' edges
-        np.add.at(x_agg, u[:m], np.concatenate(matching.x[:a]))
+        np.add.at(x_agg, u[:m], matching.x[:m])
         w, y, z = cover.weights[:a], cover.y[:a], matching.z_arrival[:a]
         tbl = func.table()
         rhs = w * ((y + func(1.0 - z) + tbl.eval(y) - tbl.eval(z)) / beta)

@@ -141,13 +141,13 @@ def run_experiment(
             opt = oracle.fractional_optima_general(stream).min_cover_value
             summary["opt_fractional"] = opt
             rows, opts = rows[-1:], [opt]  # the final prefix only
-        cover = oracle.prefix_ratios([r.cover_cost for r in rows], opts)
+        cover = oracle.prefix_ratios(rows["cover_cost"], opts)
         summary["cover_ratio"] = float(cover.max())
         if alg.matching is not None:
-            matching = oracle.prefix_ratios([r.matching_value for r in rows], opts)
+            matching = oracle.prefix_ratios(rows["matching_value"], opts)
             summary["matching_ratio"] = float(matching.min())
-        summary["max_inv1_slack"] = max(r.inv1_slack for r in alg.rows)
-        summary["max_inv2_slack"] = max(r.inv2_slack for r in alg.rows)
+        summary["max_inv1_slack"] = float(alg.rows["inv1_slack"].max())
+        summary["max_inv2_slack"] = float(alg.rows["inv2_slack"].max())
         summary["feas_slack"] = alg.feas_slack
         summary["zero_weight_arrivals"] = _zero_weight_arrivals(stream)
     return alg, summary
@@ -221,8 +221,9 @@ def adaptive_adversary_vc(
     (default 0.753; it must be finite and exceed 1/sqrt(2)).
 
     The algorithm under test is an ``EngineAlgorithm(algo, func)``; the
-    prefix costs are read from its rows and the driven side's potentials
-    from its cover, and it is returned with the outcome.  The reported
+    prefix costs are read from its rows' ``cover_cost`` column and the
+    driven side's potentials from its cover, and it is returned with the
+    outcome.  The reported
     ratio is the worst prefix cover ratio over the emitted transcript,
     which replays deterministically.
     """
@@ -283,7 +284,7 @@ def adaptive_adversary_vc(
 
     transcript = InstanceStream.from_events(events, d)
     opts = oracle.prefix_optimal_values(transcript)
-    ratios = oracle.prefix_ratios([row.cover_cost for row in alg.rows], opts)
+    ratios = oracle.prefix_ratios(alg.rows["cover_cost"], opts)
     return AdversaryOutcome(
         ratio=float(ratios.max()),
         transcript=transcript,
@@ -308,7 +309,7 @@ def run_ski_rental(
     stream = reduce_ski_rental(spec)
     alg = engine.run_stream(stream, algo, func)
     opts = oracle.prefix_optimal_values(stream)
-    ratios = oracle.prefix_ratios([row.cover_cost for row in alg.rows], opts)
+    ratios = oracle.prefix_ratios(alg.rows["cover_cost"], opts)
     return alg, {
         "worst_prefix_cover_ratio": float(ratios.max()),
         "reduced_optimum": float(opts[-1]),

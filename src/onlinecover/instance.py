@@ -17,6 +17,7 @@ import enum
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,7 @@ _L, _R = SIDE_CODES[Side.LEFT], SIDE_CODES[Side.RIGHT]
 MAX_ARRIVALS = 1_000_000
 
 
-@dataclass(frozen=True)
-class VertexEvent:
+class VertexEvent(NamedTuple):
     """One arrival: id, weight, optional bipartite side, and back-edges.
 
     A plain record; ``InstanceStream.from_events`` checks hand-built ones.

@@ -122,7 +122,7 @@ def test_criterion_4_bipartite_optimality():
     ):
         trace = engine.run_stream(stream, "waterfill", LIN)
         opts = oracle.prefix_optimal_values(stream)
-        ratios[name] = oracle.prefix_ratios([r.cover_cost for r in trace.rows], opts).max()
+        ratios[name] = oracle.prefix_ratios(trace.rows["cover_cost"], opts).max()
     elapsed = time.monotonic() - t0
     ok = (
         all(r <= 1.5820 for r in ratios.values())
@@ -177,8 +177,8 @@ def test_criterion_5_general_bounds(general_graph_runs):
 
 def test_criterion_6_invariants(general_graph_runs):
     runs, _ = general_graph_runs
-    inv1 = max(max(r.inv1_slack for r in trace.rows) for _, trace, _ in runs)
-    inv2 = max(max(r.inv2_slack for r in trace.rows) for _, trace, _ in runs)
+    inv1 = max(trace.rows["inv1_slack"].max() for _, trace, _ in runs)
+    inv2 = max(trace.rows["inv2_slack"].max() for _, trace, _ in runs)
     feas = min(trace.feas_slack for _, trace, _ in runs)
     ok = inv1 < 1e-8 and inv2 < 1e-8 and feas > -1e-9
     _report(

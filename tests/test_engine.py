@@ -1,6 +1,7 @@
 """Tests for the online engine: levels, steps, runs, rounding, monitors."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,25 +385,26 @@ def test_step_rejects_neighbours_that_have_not_arrived(algo):
         with pytest.raises(ValidationError, match="earlier arrivals") as exc:
             alg.step(event)
         assert exc.value.event == 0
-    assert alg.cover.arrived == 0 and not alg.rows
+    assert alg.cover.arrived == 0 and len(alg.rows) == 0
     assert not alg.cover.y.any() and alg.cover.total_cost == 0.0
 
 
 def test_single_edge_primal_dual_closed_form():
     stream = single_edge_stream()
     trace = run_stream(stream, "primal-dual", FK)
-    assert trace.rows[1].level == pytest.approx(SINGLE_EDGE_LEVEL, abs=1e-9)
-    assert trace.matching.x[1][0] == pytest.approx(1.0 / BETA_STAR, abs=1e-9)  # edge (0, 1)
+    assert trace.rows["level"][1] == pytest.approx(SINGLE_EDGE_LEVEL, abs=1e-9)
+    edge = stream.edge_offsets[1]  # edge (0, 1)
+    assert trace.matching.x[edge] == pytest.approx(1.0 / BETA_STAR, abs=1e-9)
     # cover potentials split the edge exactly
     assert trace.cover.y[0] + trace.cover.y[1] == pytest.approx(1.0, abs=1e-12)
-    assert trace.rows[1].inv2_slack < 1e-12
+    assert trace.rows["inv2_slack"][1] < 1e-12
 
 
 def test_primal_dual_invariants_random_run():
     stream = gen_random(120, 0.15, seed=5)
     trace = run_stream(stream, "primal-dual", FK)
-    assert max(r.inv1_slack for r in trace.rows) < 1e-8
-    assert max(r.inv2_slack for r in trace.rows) < 1e-8
+    assert trace.rows["inv1_slack"].max() < 1e-8
+    assert trace.rows["inv2_slack"].max() < 1e-8
     assert trace.feas_slack > -1e-9
     # primal feasibility: capacities never exceeded
     assert float(np.max(trace.matching.x_agg - trace.cover.weights)) < 1e-9
@@ -415,7 +417,8 @@ def test_row_inv1_is_the_maximum_over_every_vertex():
     stream = gen_random(60, 0.2, seed=1)
     alg = Algorithm("primal-dual", FK, len(stream))
     for ev in stream:
-        assert alg.step(ev).inv1_slack == float(np.max(alg.matching.inv1_slack))
+        alg.step(ev)
+        assert alg.rows["inv1_slack"][-1] == float(np.max(alg.matching.inv1_slack))
     assert alg.matching.inv1_rescans > 0
 
 
@@ -442,13 +445,16 @@ def test_a_nan_fails_the_monitors_and_reaches_the_report(monkeypatch, capsys):
         with pytest.raises(InvariantViolation):
             for ev in stream:
                 alg.step(ev)
+        # the raising step advanced the cover but wrote no row
+        assert len(alg.rows) == alg.cover.arrived - 1
+        assert len(alg.to_csv().splitlines()) == 1 + len(alg.rows)
         calls = 0
         assert cli_main(argv) == 1
         assert "failed at vertex" in capsys.readouterr().err
         monkeypatch.setattr(QuadratureTable, "eval", evaluate)
 
     trace = run_stream(stream, "primal-dual", FK)
-    trace.matching.x[30][0] = np.nan
+    trace.matching.x[stream.edge_offsets[30]] = np.nan
     rep = check_invariants(trace.cover, trace.matching, FK, trace.beta, stream)
     assert np.isnan(rep.max_inv1_slack)
     assert np.isnan(rep.inv2_rel_slack)
@@ -499,8 +505,8 @@ def test_weighted_primal_dual_bounds_and_invariants():
     for seed in (0, 1):
         stream = weighted_stream(seed)
         trace = run_stream(stream, "primal-dual", FK)
-        assert max(r.inv1_slack for r in trace.rows) < 1e-8
-        assert max(r.inv2_slack for r in trace.rows) < 1e-8
+        assert trace.rows["inv1_slack"].max() < 1e-8
+        assert trace.rows["inv2_slack"].max() < 1e-8
         assert trace.feas_slack > -1e-9
         assert float(np.max(trace.matching.x_agg - trace.cover.weights)) < 1e-9
         opt = fractional_optima_general(stream).min_cover_value
@@ -528,7 +534,7 @@ def test_edge_values_scale_the_water_filling_lift():
                 assert lift == cover.weights[u] * (cover.y[u] - before[u])
             assert cover.total_cost == cost + float(out.lift.sum()) + ev.weight * (1.0 - level)
             factor = 1.0 + (1.0 - level) / float(FK(level)) if level < 1.0 else 1.0
-            xvals = matching.x[ev.id]
+            xvals = matching.x[stream.edge_offsets[ev.id] : stream.edge_offsets[ev.id + 1]]
             assert xvals[out.mask].tolist() == [x / BETA_STAR * factor for x in out.lift.tolist()]
             assert not xvals[~out.mask].any()
             raised += out.raised.size
@@ -622,8 +628,9 @@ def test_baseline_matches_lowest_unmatched_neighbor():
     )
     trace = run_stream(stream, "greedy")
     # each arrival's edge values are aligned with its neighbours [1, 0]
-    assert trace.matching.x[2].tolist() == [0.0, 1.0]
-    assert trace.matching.x[3].tolist() == [1.0, 0.0]
+    off = stream.edge_offsets
+    assert trace.matching.x[off[2] : off[3]].tolist() == [0.0, 1.0]
+    assert trace.matching.x[off[3] : off[4]].tolist() == [1.0, 0.0]
     assert trace.matching.total_value == 2.0
 
 
@@ -684,8 +691,28 @@ def test_round_monotone_over_trace():
 def test_run_empty_stream():
     stream = parse_instance("offline 0\n")
     trace = run_stream(stream, "waterfill", LIN)
-    assert trace.rows == []
+    assert len(trace.rows) == 0
     assert trace.cover.total_cost == 0.0
+
+
+@pytest.mark.parametrize("algo", engine.ALGOS)
+def test_run_record_footprint(algo):
+    """A finished run keeps its state and its columnar record: a row of
+    five floats per arrival and one float per revealed edge, with the
+    edge-value array at most twice the edge count.  Per-arrival objects
+    would cost hundreds of bytes per arrival."""
+    func = None if algo == "greedy" else FK
+    stream = gen_random(1000, 0.01, seed=3)  # about 5 edges per arrival
+    run_stream(gen_random(20, 0.3, seed=3), algo, func)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_stream(stream, algo, func)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rows) == len(stream)
+    assert kept <= 100 * len(stream) + 16 * stream.edge_count()
 
 
 def test_run_is_deterministic():
@@ -713,9 +740,10 @@ def test_stepping_by_hand_equals_run_stream(algo):
         streams.append(weighted_stream(4))
     for stream in streams:
         alg = Algorithm(algo, func, len(stream))
-        rows = [alg.step(ev) for ev in stream]
+        for ev in stream:
+            alg.step(ev)
         trace = run_stream(stream, algo, func)
-        assert rows == alg.rows == trace.rows
+        assert alg.rows.tolist() == trace.rows.tolist()
         assert alg.feas_slack == trace.feas_slack
         assert np.array_equal(alg.cover.y, trace.cover.y)
         assert np.array_equal(alg.cover.weights, stream.weights)
@@ -723,12 +751,13 @@ def test_stepping_by_hand_equals_run_stream(algo):
             # the row monitors agree with the from-scratch checker at every prefix
             alg = Algorithm(algo, func, len(stream))
             for ev in stream:
-                row = alg.step(ev)
+                alg.step(ev)
+                row = alg.rows[-1]
                 rep = check_invariants(
                     alg.cover, alg.matching, FK, alg.beta, static_from_stream(stream, ev.id + 1)
                 )
-                assert row.inv1_slack == pytest.approx(rep.max_inv1_slack, abs=1e-12)
-                assert row.inv2_slack == pytest.approx(rep.inv2_rel_slack, abs=1e-12)
+                assert row["inv1_slack"] == pytest.approx(rep.max_inv1_slack, abs=1e-12)
+                assert row["inv2_slack"] == pytest.approx(rep.inv2_rel_slack, abs=1e-12)
     # each algorithm builds only its own state
     expected = {"waterfill": type(None), "primal-dual": PrimalDualState, "greedy": MatchingState}
     assert type(alg.matching) is expected[algo]
@@ -736,22 +765,23 @@ def test_stepping_by_hand_equals_run_stream(algo):
 
 def test_csv_schema_and_reparse():
     stream = gen_random(15, 0.4, seed=2)
-    trace = run_stream(stream, "primal-dual", FK)
-    text = trace.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "step,vertex,level,cover_cost,matching_value,inv1_slack,inv2_slack"
-    parsed = [line.split(",") for line in lines[1:]]
-    assert len(parsed) == len(stream)
-    for row, rec in zip(trace.rows, parsed):
-        assert float(rec[2]) == row.level  # 17 digits round-trip exactly
-        assert float(rec[3]) == row.cover_cost
+    for algo in engine.ALGOS:
+        trace = run_stream(stream, algo, None if algo == "greedy" else FK)
+        lines = trace.to_csv().strip().split("\n")
+        assert lines[0] == "step,vertex,level,cover_cost,matching_value,inv1_slack,inv2_slack"
+        parsed = [line.split(",") for line in lines[1:]]
+        assert len(parsed) == len(stream)
+        for i, (row, rec) in enumerate(zip(trace.rows.tolist(), parsed)):
+            assert int(rec[0]) == int(rec[1]) == i
+            # 17 digits round-trip exactly, in every float column
+            assert [float(x) for x in rec[2:]] == list(row)
 
 
 def test_waterfill_prefix_ratio_bound():
     stream = gen_complete_bipartite(10, 80)
     trace = run_stream(stream, "waterfill", LIN)
     opts = prefix_optimal_values(stream)
-    ratio = prefix_ratios([r.cover_cost for r in trace.rows], opts).max()
+    ratio = prefix_ratios(trace.rows["cover_cost"], opts).max()
     assert ratio <= 1.0 + ALPHA + 1e-6
 
 
@@ -759,7 +789,7 @@ def test_triangular_prefix_ratio_bound():
     stream = gen_triangular(60)
     trace = run_stream(stream, "waterfill", LIN)
     opts = prefix_optimal_values(stream)
-    ratio = prefix_ratios([r.cover_cost for r in trace.rows], opts).max()
+    ratio = prefix_ratios(trace.rows["cover_cost"], opts).max()
     assert ratio <= 1.0 + ALPHA + 1e-6
 
 
@@ -783,7 +813,7 @@ def test_zero_weight_arrivals_flagged():
     zero = [ev.id for ev in stream if ev.id >= stream.offline_count and ev.weight == 0.0]
     assert zero
     for v in zero:
-        assert trace.rows[v].cover_cost == trace.rows[v - 1].cover_cost
+        assert trace.rows["cover_cost"][v] == trace.rows["cover_cost"][v - 1]
     # the sentinel left vertex is never charged
     assert trace.cover.y[1] == 0.0
 

@@ -117,14 +117,14 @@ def test_run_experiment_csv_reparses(tmp_path, capsys):
     data = [ln.split(",") for ln in lines[1:-1]]
     assert len(data) == 25
     costs = [float(r[3]) for r in data]
-    assert costs == [row.cover_cost for row in alg.rows]
+    assert costs == alg.rows["cover_cost"].tolist()
 
 
 def test_worst_prefix_ratio_semantics():
     stream = resolve_generator("complete:10,1000")
     trace = engine.run_stream(stream, "waterfill", LIN)
     opts = oracle.prefix_optimal_values(stream)
-    ratios = oracle.prefix_ratios([r.cover_cost for r in trace.rows], opts)
+    ratios = oracle.prefix_ratios(trace.rows["cover_cost"], opts)
     worst, final = ratios.max(), ratios[-1]
     assert worst > final  # long tails of free arrivals dilute the final ratio
     assert worst <= 1.0 + ALPHA + 1e-6
@@ -133,11 +133,11 @@ def test_worst_prefix_ratio_semantics():
 def test_worst_prefix_ratio_constant_and_empty():
     stream = resolve_generator("complete:2,3")
     trace = engine.run_stream(stream, "waterfill", LIN)
-    costs = [r.cover_cost for r in trace.rows]
+    costs = trace.rows["cover_cost"].tolist()
     assert oracle.prefix_ratios(costs, [1.0] * 5).max() == max(costs)
     empty = engine.run_stream(parse_instance("offline 0\n"), "waterfill", LIN)
     with pytest.raises(LengthMismatch):
-        oracle.prefix_ratios([r.cover_cost for r in empty.rows], [])
+        oracle.prefix_ratios(empty.rows["cover_cost"], [])
 
 
 # ---------------------------------------------------------------- adversary
@@ -239,10 +239,10 @@ def test_adversary_transcript_replays(algo):
     replayed = parse_instance(text)
     trace = engine.run_stream(replayed, algo, FK)
     opts = oracle.prefix_optimal_values(replayed)
-    ratio = oracle.prefix_ratios([r.cover_cost for r in trace.rows], opts).max()
+    ratio = oracle.prefix_ratios(trace.rows["cover_cost"], opts).max()
     assert ratio == pytest.approx(out.ratio, abs=1e-12)
     # the adversary's steps carry the same monitored rows as a replay
-    assert out.algorithm.rows == trace.rows
+    assert out.algorithm.rows.tolist() == trace.rows.tolist()
 
 
 def test_adversary_four_phases_default_sizing():
