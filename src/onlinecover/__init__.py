@@ -22,6 +22,7 @@ from .engine import (
     CoverState,
     MatchingState,
     PrimalDualState,
+    WaterCoverState,
     WaterLevelOutcome,
     check_invariants,
     greedy_allocation_step,

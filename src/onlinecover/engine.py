@@ -19,9 +19,10 @@ unless the residual is within its bound, so a NaN residual fails too (a
 violation indicates a bug, not an expected runtime condition).
 
 States are owned by a single run and mutated in place; each holds only
-its algorithm's fields (the arrival potentials ``z_arrival`` that the
-budget invariant reads live on ``PrimalDualState``).  Allocation
-functions are shared read-only.
+its algorithm's fields (f at the potentials, which the level solve
+reads, lives on ``WaterCoverState``, and the arrival potentials
+``z_arrival`` that the budget invariant reads on ``PrimalDualState``).
+Allocation functions are shared read-only.
 """
 
 from __future__ import annotations
@@ -53,46 +54,52 @@ class WaterLevelOutcome:
     level: float
     raised: np.ndarray  # vertex ids
     saturated: bool
-    # water-filling only: which neighbor entries it raised, and each one's w_u (level - y_u)
+    # water-filling only: which neighbor entries it raised, each one's w_u (level - y_u),
+    # and f(level)
     mask: np.ndarray | None = None
     lift: np.ndarray | None = None
+    f_level: float | None = None
 
 
-def _solve_level(pots, ws, v_weight, func):
+def _solve_level(pots, fs, ws, v_weight, func, f1):
     """Maximal y <= 1 with sum_u w_u max(y - y_u, 0) <= v_weight * f(y).
 
-    Returns (level, saturated): (1.0, False) when the gap H(t) = C(t) t -
-    P(t) - v_weight f(t) at 1 is within LEVEL_EPS of feasible, else the
-    crossing of H, certified.  Breakpoints are the sorted neighbor
-    potentials; one array call of f finds the last one with H <= 0, which
-    brackets the crossing with the next breakpoint above it (or 1).  On
-    that segment C and P are constant and H is convex (f is concave), so
-    the root is found by regula falsi with the Illinois weight halving,
+    ``fs`` holds f at each neighbor potential and ``f1`` is f(1): every
+    breakpoint is an earlier level or 1 - level, where f was evaluated
+    already, so H is evaluated there from these values and f is called only
+    at points inside a segment.  Returns (level, saturated, f(level)):
+    (1.0, False, f1) when the gap H(t) = C(t) t - P(t) - v_weight f(t) at 1
+    is within LEVEL_EPS of feasible, else the crossing of H, certified.
+    Breakpoints are the sorted neighbor potentials; the last one with
+    H <= 0 brackets the crossing with the next breakpoint above it (or 1).
+    On that segment C and P are constant and H is convex (f is concave),
+    so the root is found by regula falsi with the Illinois weight halving,
     keeping H(lo) <= 0 < H(hi).  Each point is clamped 4e-16 inside the
     bracket: the root often sits on a breakpoint, where the unclamped
     secant would only creep towards it.
 
     The loop stops when the bracket is at most 1e-15 wide and the
     certificate holds at lo, or when lo and hi are adjacent floats; lo is
-    returned.  The certificate is |H(lo)| <= LEVEL_EPS times the largest
-    weight H sums at lo: the arrival's, or that of the neighbors below lo
-    (a heavy neighbor above the level does not loosen it); NumericError
-    if it fails.
+    returned, with the f value H was evaluated with there.  The
+    certificate is |H(lo)| <= LEVEL_EPS times the largest weight H sums at
+    lo: the arrival's, or that of the neighbors below lo (a heavy neighbor
+    above the level does not loosen it); NumericError if it fails.
 
-    The sorted potentials and prefix sums are lists, so each step is
-    float arithmetic, a ``bisect_left`` and one scalar f call.  Below
-    ``_LIST_DEGREE`` neighbors they are built on lists too, bit for bit
-    as numpy builds them above it: ``sorted`` is stable like the stable
+    The sorted potentials, f values and prefix sums are lists, so each
+    step is float arithmetic, a ``bisect_left`` and one scalar f call.
+    Below ``_LIST_DEGREE`` neighbors they are built on lists too, bit for
+    bit as numpy builds them above it: ``sorted`` is stable like the stable
     argsort, and a running sum adds in ``np.cumsum``'s order.
     """
     m = pots.size
     small = m < _LIST_DEGREE
     if small:
-        pairs = sorted(zip(pots.tolist(), ws.tolist()), key=itemgetter(0))
-        sp_l = [p for p, _ in pairs]
+        triples = sorted(zip(pots.tolist(), fs.tolist(), ws.tolist()), key=itemgetter(0))
+        sp_l = [p for p, _, _ in triples]
+        sf_l = [f for _, f, _ in triples]
         csw_l, cswp_l = [0.0], [0.0]
         c = cp = 0.0
-        for p, w in pairs:
+        for p, _, w in triples:
             c += w
             cp += w * p
             csw_l.append(c)
@@ -100,43 +107,45 @@ def _solve_level(pots, ws, v_weight, func):
     else:
         order = np.argsort(pots, kind="stable")
         sp = pots[order]
+        sf = fs[order]
         sw = ws[order]
         csw = np.concatenate(([0.0], np.cumsum(sw)))
         cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
-        sp_l, csw_l, cswp_l = sp.tolist(), csw.tolist(), cswp.tolist()
+        sp_l, sf_l, csw_l, cswp_l = sp.tolist(), sf.tolist(), csw.tolist(), cswp.tolist()
 
-    def gap(t: float) -> float:
+    def gap(t: float, ft: float) -> float:
         i = bisect_left(sp_l, t)
-        return csw_l[i] * t - cswp_l[i] - v_weight * float(func(t))
+        return csw_l[i] * t - cswp_l[i] - v_weight * ft
 
     def bound(t: float) -> float:
         return LEVEL_EPS * max(1.0, csw_l[bisect_left(sp_l, t)], v_weight)
 
-    g_hi = gap(1.0)
+    g_hi = gap(1.0, f1)
     if g_hi <= LEVEL_EPS:
-        return 1.0, False
+        return 1.0, False, f1
 
-    lo, hi = 0.0, 1.0
+    lo, hi, f_lo = 0.0, 1.0, None
     if m:
         if small:
-            fs = np.asarray(func(np.array(sp_l))).tolist()
             feas = [
-                i for i, (c, p, cp, f) in enumerate(zip(csw_l, sp_l, cswp_l, fs))
+                i for i, (c, p, cp, f) in enumerate(zip(csw_l, sp_l, cswp_l, sf_l))
                 if c * p - cp - v_weight * f <= 0.0
             ]
         else:
-            vals = csw[:m] * sp - cswp[:m] - v_weight * np.asarray(func(sp))
+            vals = csw[:m] * sp - cswp[:m] - v_weight * sf
             feas = np.flatnonzero(vals <= 0.0)
         if len(feas):
-            lo = sp_l[feas[-1]]
+            lo, f_lo = sp_l[feas[-1]], sf_l[feas[-1]]
         j = bisect_right(sp_l, lo)
-        if j < len(sp_l):  # an infeasible breakpoint: H(hi) = vals[j] > 0
+        if j < m:  # an infeasible breakpoint: H(hi) = vals[j] > 0
             hi = sp_l[j]
-            g_hi = gap(hi)
-    g_lo = gap(lo)
+            g_hi = gap(hi, sf_l[j])
+    if f_lo is None:  # no feasible breakpoint, so lo = 0 is not one
+        f_lo = float(func(0.0))
+    g_lo = gap(lo, f_lo)
     if g_lo > 0.0:
-        lo = 0.0
-        g_lo = gap(lo)
+        lo, f_lo = 0.0, float(func(0.0))
+        g_lo = gap(lo, f_lo)
     a, b = g_lo, g_hi  # interpolation weights; Illinois halves a stale one
     side = 0
     for _ in range(200):
@@ -147,9 +156,10 @@ def _solve_level(pots, ws, v_weight, func):
             t = min(max(lo - a * w / (b - a), lo + 4e-16), hi - 4e-16)
         else:
             t = 0.5 * (lo + hi)
-        g = gap(t)
+        ft = float(func(t))
+        g = gap(t, ft)
         if g <= 0.0:
-            lo, g_lo, a = t, g, g
+            lo, f_lo, g_lo, a = t, ft, g, g
             if side < 0:
                 b *= 0.5
             side = -1
@@ -163,7 +173,7 @@ def _solve_level(pots, ws, v_weight, func):
             f"water level not certified: |gap({lo})| = {abs(g_lo):.3e} "
             f"exceeds {bound(lo):.3e}"
         )
-    return lo, True
+    return lo, True, f_lo
 
 
 # ------------------------------------------------------------------- states
@@ -186,6 +196,24 @@ class CoverState:
     @classmethod
     def fresh(cls, n: int) -> "CoverState":
         return cls(weights=np.zeros(n), y=np.zeros(n))
+
+
+@dataclass(kw_only=True)
+class WaterCoverState(CoverState):
+    """Cover potentials plus f at each of them, for the level solve.
+
+    ``fy[u]`` is f(y_u) for every arrived u, written wherever ``y`` is: a
+    raised neighbor gets f(level) as the level solve evaluated it, an
+    arrival f(1 - level).  ``f1`` is f(1), evaluated once.  The steps keep
+    them to the bit of ``func(y)``; a state built by hand must too.
+    """
+
+    fy: np.ndarray
+    f1: float
+
+    @classmethod
+    def fresh(cls, n: int, func) -> "WaterCoverState":
+        return cls(weights=np.zeros(n), y=np.zeros(n), fy=np.zeros(n), f1=float(func(1.0)))
 
 
 @dataclass
@@ -284,36 +312,41 @@ def _arrive(cover: CoverState, event: VertexEvent):
 
 
 def greedy_allocation_step(
-    cover: CoverState,
+    cover: WaterCoverState,
     event: VertexEvent,
     func: AllocationFunction,
-) -> tuple[CoverState, WaterLevelOutcome]:
+) -> tuple[WaterCoverState, WaterLevelOutcome]:
     """Water-filling cover update for one arrival (state is mutated)."""
     _arrive(cover, event)
     nbrs = event.neighbors
     pots = cover.y[nbrs]
-    level, saturated = _solve_level(pots, cover.weights[nbrs], float(event.weight), func)
+    level, saturated, f_level = _solve_level(
+        pots, cover.fy[nbrs], cover.weights[nbrs], float(event.weight), func, cover.f1
+    )
     raised_mask = pots < level
     ridx = nbrs[raised_mask]
     lift = cover.weights[ridx] * (level - pots[raised_mask])
     cover.total_cost += float(lift.sum())
     cover.y[ridx] = level
+    cover.fy[ridx] = f_level
     v = event.id
     cover.y[v] = 1.0 - level
+    cover.fy[v] = float(func(1.0 - level))
     cover.total_cost += event.weight * (1.0 - level)
     cover.arrived += 1
     return cover, WaterLevelOutcome(
-        level=level, raised=ridx, saturated=saturated, mask=raised_mask, lift=lift
+        level=level, raised=ridx, saturated=saturated, mask=raised_mask, lift=lift,
+        f_level=f_level,
     )
 
 
 def primal_dual_step(
-    cover: CoverState,
+    cover: WaterCoverState,
     matching: PrimalDualState,
     event: VertexEvent,
     func: AllocationFunction,
     beta: float,
-) -> tuple[CoverState, PrimalDualState, WaterLevelOutcome]:
+) -> tuple[WaterCoverState, PrimalDualState, WaterLevelOutcome]:
     """Cover update as in water-filling, plus edge values for raised neighbors.
 
     Raised edge (u, v) gets the water-filling step's lift w_u (y - y_u)
@@ -327,7 +360,7 @@ def primal_dual_step(
     v = event.id
 
     if level < 1.0:
-        fy = float(func(level))
+        fy = outcome.f_level
         factor = 1.0 + (1.0 - level) / fy if fy > 0.0 else 1.0
     else:
         factor = 1.0  # (1-y)/f(y) vanishes as y -> 1
@@ -436,14 +469,16 @@ def check_rounding_covers(stream: InstanceStream, cover: set[int]) -> bool:
 class Algorithm:
     """One online run: owns its state, steps arrivals, monitors every step.
 
-    Builds only the state its algorithm needs (a ``MatchingState`` for the
-    greedy baseline, a ``PrimalDualState`` for primal-dual, none for
-    water-filling) and computes beta for primal-dual.  ``step`` dispatches
-    to the step function, checks dual feasibility of the newly revealed
-    edges (earlier edges stay feasible because potentials never decrease),
-    reads the primal-dual monitors, and writes the next row of a
-    structured array of ``ROW_FIELDS`` sized for n arrivals; ``rows`` is
-    its first ``steps`` rows, row v for vertex v.  A step that raises
+    Builds only the state its algorithm needs (for water-filling a
+    ``WaterCoverState``, which keeps f at the potentials; for primal-dual
+    that and a ``PrimalDualState``; for the greedy baseline a plain
+    ``CoverState`` and a ``MatchingState``) and computes beta for
+    primal-dual.  ``step`` dispatches to the step function, checks dual
+    feasibility of the newly revealed edges (earlier edges stay feasible
+    because potentials never decrease), reads the primal-dual monitors,
+    and writes the next row of a structured array of ``ROW_FIELDS`` sized
+    for n arrivals; ``rows`` is its first ``steps`` rows, row v for vertex
+    v.  A step that raises
     writes no row, though its state may have advanced.  ``feas_slack`` is
     the most negative y_u + y_v - 1 seen on a revealed edge.  ``step``
     takes the events of a validated stream, as the step functions do.
@@ -456,7 +491,7 @@ class Algorithm:
             raise ValidationError(f"{algo} requires an allocation function")
         self.algo = algo
         self.func = None if algo == "greedy" else func  # greedy reads no f
-        self.cover = CoverState.fresh(n)
+        self.cover = CoverState.fresh(n) if algo == "greedy" else WaterCoverState.fresh(n, func)
         self.matching: MatchingState | None = None
         self.beta = 0.0
         if algo == "primal-dual":

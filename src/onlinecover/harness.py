@@ -239,10 +239,11 @@ def adaptive_adversary_vc(
     events: list[VertexEvent] = []
     lefts: list[int] = []
     rights: list[int] = []
+    # the transcript's events carry int32 neighbours; the algorithm steps
+    # copies with intp ones, which numpy indexes with no conversion
     for i in range(d):
-        ev = VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int32))
-        events.append(ev)
-        alg.process(ev)
+        events.append(VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int32)))
+        alg.process(VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.intp)))
         lefts.append(i)
 
     # proof-style sizing for the first phase(s)
@@ -266,16 +267,16 @@ def adaptive_adversary_vc(
         by_convergence = phase not in fixed_sizes and phase > 1
         # a phase's arrivals attach to the same vertices, so they share one array
         nbrs = np.asarray(attach_to, dtype=np.int32)
+        nbrs_ip = nbrs.astype(np.intp)
         count = 0
         for _ in range(limit):
             vid = len(events)
             side = Side.RIGHT if presenting_right else Side.LEFT
-            ev = VertexEvent(vid, 1.0, side, nbrs)
-            events.append(ev)
-            alg.process(ev)
+            events.append(VertexEvent(vid, 1.0, side, nbrs))
+            alg.process(VertexEvent(vid, 1.0, side, nbrs_ip))
             (rights if presenting_right else lefts).append(vid)
             count += 1
-            if by_convergence and np.min(alg.cover.y[nbrs]) >= budget.convergence_threshold:
+            if by_convergence and np.min(alg.cover.y[nbrs_ip]) >= budget.convergence_threshold:
                 break
         else:
             if by_convergence:

@@ -364,8 +364,8 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
 class SkiRentalSpec:
     """Multislope rent-or-buy: states with buy cost b_i and rent rate r_i.
 
-    A spec whose reduction exceeds ``MAX_ARRIVALS`` arrivals is
-    rejected with a ValidationError.
+    Costs must be finite, and a spec whose reduction exceeds
+    ``MAX_ARRIVALS`` arrivals is rejected, both with a ValidationError.
     """
 
     states: tuple[tuple[float, float], ...]
@@ -378,6 +378,9 @@ class SkiRentalSpec:
             raise ValidationError("at least one state required")
         bs = [b for b, _ in self.states]
         rs = [r for _, r in self.states]
+        # NaN passes every comparison below as false, so it is caught here
+        if not all(map(math.isfinite, bs + rs)):
+            raise ValidationError(f"buy costs and rent rates must be finite, got {bs} and {rs}")
         if bs[0] != 0.0:
             raise ValidationError("first buy cost must be 0")
         if any(b2 < b1 for b1, b2 in zip(bs, bs[1:])):

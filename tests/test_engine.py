@@ -18,6 +18,7 @@ from onlinecover.engine import (
     CoverState,
     MatchingState,
     PrimalDualState,
+    WaterCoverState,
     _solve_level,
     check_invariants,
     check_rounding_covers,
@@ -61,13 +62,16 @@ def star_level(neighbors, v_weight, func):
     """One arrival's level, from greedy_allocation_step on a star.
 
     The leaves have already arrived with the given (potential, weight)
-    pairs; the center arrives adjacent to all of them, so the raised
-    vertex ids are the input indices.
+    pairs, and f at their potentials from one array call, as a run would
+    have left it; the center arrives adjacent to all of them, so the
+    raised vertex ids are the input indices.
     """
     m = len(neighbors)
-    cover = CoverState.fresh(m + 1)
+    cover = WaterCoverState.fresh(m + 1, func)
     cover.weights[:m] = [w for _, w in neighbors]
     cover.y[:m] = [p for p, _ in neighbors]
+    if m:
+        cover.fy[:m] = func(cover.y[:m])
     cover.arrived = m
     center = VertexEvent(m, v_weight, Side.UNLABELED, np.arange(m, dtype=np.int64))
     _, out = greedy_allocation_step(cover, center, func)
@@ -136,9 +140,11 @@ def test_level_certificate_ignores_heavy_neighbor_above_level():
         star_level([(1.0, 1e12), (0.0, 1.0)], 1.0, jump)
 
 
-def numpy_per_call_level(pots, ws, v_weight, func):
+def numpy_per_call_level(pots, fs, ws, v_weight, func, f1):
     """The level solve by bisection, as it stood before its secant steps:
-    one ``np.searchsorted`` and one f call on a 0-d array per step."""
+    one ``np.searchsorted`` and one f call on a 0-d array per step.  It
+    takes the solve's arguments but ignores the f values ``fs`` and
+    ``f1``: f is evaluated afresh everywhere, at the level it returns too."""
     order = np.argsort(pots, kind="stable")
     sp = pots[order]
     sw = ws[order]
@@ -150,7 +156,7 @@ def numpy_per_call_level(pots, ws, v_weight, func):
         return csw[i] * t - cswp[i] - v_weight * float(func(np.asarray(t)))
 
     if gap(1.0) <= LEVEL_EPS:
-        return 1.0, False
+        return 1.0, False, float(func(np.asarray(1.0)))
     lo = 0.0
     if sp.size:
         vals = csw[: sp.size] * sp - cswp[: sp.size] - v_weight * np.asarray(func(sp))
@@ -172,12 +178,13 @@ def numpy_per_call_level(pots, ws, v_weight, func):
     scale = max(1.0, float(csw[np.searchsorted(sp, lo, side="left")]), v_weight)
     if residual > LEVEL_EPS * scale:
         raise NumericError("water level not certified")
-    return lo, True
+    return lo, True, float(func(np.asarray(lo)))
 
 
 def level_or_error(solve, pots, ws, v_weight, func):
+    """``solve`` on a star whose f values come from one array call of f."""
     try:
-        return solve(pots, ws, v_weight, func)
+        return solve(pots, func(pots), ws, v_weight, func, float(func(1.0)))
     except NumericError:
         return "uncertified"
 
@@ -215,7 +222,8 @@ WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 1e12]), st.floats(0.01, 5.0))
 def test_level_solve_certifies_where_bisection_does(star, v_weight, kind):
     """One-sided contract against the bisection reference: every level it
     certifies is certified too, on the same side of the dichotomy and within
-    1e-12, and every star the secant solve rejects the reference rejects."""
+    1e-12, and every star the secant solve rejects the reference rejects.
+    The f value returned with a level is f's own there, to the bit."""
     pots = np.array([p for p, _ in star])
     ws = np.array([w for _, w in star])
     func = LEVEL_FUNCS[kind]
@@ -225,6 +233,8 @@ def test_level_solve_certifies_where_bisection_does(star, v_weight, kind):
         assert fast != "uncertified"
         assert fast[1] == slow[1]
         assert abs(fast[0] - slow[0]) <= 1e-12
+    if fast != "uncertified":
+        assert fast[2] == float(func(np.asarray(fast[0])))
     if fast == "uncertified":
         assert slow == "uncertified"
 
@@ -244,8 +254,9 @@ def test_level_solve_certifies_where_bisection_does(star, v_weight, kind):
 def test_level_solve_list_branch_is_bitwise_numpy_branch(star, v_weight, kind):
     """Below ``_LIST_DEGREE`` neighbors the level solve sorts and sums on
     lists; forced to either branch at every degree it returns the same
-    level to the bit, on the same side of the dichotomy, or rejects the
-    star on both (tied potentials, zero and 1e12 weights included)."""
+    level and f value to the bit, on the same side of the dichotomy, or
+    rejects the star on both (tied potentials, zero and 1e12 weights
+    included)."""
     pots = np.array([p for p, _ in star])
     ws = np.array([w for _, w in star])
     func = LEVEL_FUNCS[kind]
@@ -254,7 +265,7 @@ def test_level_solve_list_branch_is_bitwise_numpy_branch(star, v_weight, kind):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_LIST_DEGREE", threshold)
             out = level_or_error(_solve_level, pots, ws, v_weight, func)
-        results.append(out if isinstance(out, str) else (out[0].hex(), out[1]))
+        results.append(out if isinstance(out, str) else (out[0].hex(), out[1], out[2].hex()))
     assert results[0] == results[1]
 
 
@@ -317,21 +328,52 @@ def test_weighted_trajectories_match_bisection(n, p, seed, mode, weights, kind):
 
 
 def test_level_solve_f_calls_per_arrival(monkeypatch):
-    # bisection took 49 calls per arrival here; with the secant steps
-    # primal-dual makes 12.6 (8.8 in the level solve, as waterfill shows)
+    # bisection took 49 calls per arrival here; the secant steps brought
+    # primal-dual to 11.7 scalar calls and 0.9 array calls (the breakpoint
+    # pass); reading f at the breakpoints and at 1 from the cover state, it
+    # makes 9.3 scalar calls (6.4 in the water-filling step) and none on arrays
     func = optimal_k().func()
     stream = gen_random(1000, 0.01, seed=7)
-    calls = 0
+    calls = {"scalar": 0, "array": 0}
     call = AllocationFunction.__call__
 
     def counted(self, z):
-        nonlocal calls
-        calls += 1
+        calls["scalar" if isinstance(z, float) else "array"] += 1
         return call(self, z)
 
     monkeypatch.setattr(AllocationFunction, "__call__", counted)
     run_stream(stream, "primal-dual", func)
-    assert calls <= 14 * len(stream)
+    assert calls["array"] == 0
+    assert calls["scalar"] <= 10 * len(stream)
+
+
+@given(
+    n=st.integers(1, 40),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(RANDOM_MODES),
+    weights=st.lists(WEIGHTS, min_size=40, max_size=40),
+    kind=st.sampled_from(sorted(LEVEL_FUNCS)),
+    algo=st.sampled_from(["waterfill", "primal-dual"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_cached_f_column_is_f_at_the_potentials(n, p, seed, mode, weights, kind, algo):
+    """The steps keep f(y_u) for every arrived u beside y_u: after a run,
+    or after the step that raised, the column equals one array call of f
+    on the potentials, bit for bit."""
+    base = gen_random(n, p, seed=seed, mode=mode)
+    stream = dataclasses.replace(base, weights=np.array(weights[:n]))
+    func = LEVEL_FUNCS[kind]
+    alg = Algorithm(algo, func, n)
+    try:
+        for ev in stream:
+            alg.step(ev)
+    except (NumericError, InvariantViolation):
+        pass
+    a = alg.cover.arrived
+    assert a >= len(alg.rows)
+    assert alg.cover.fy[:a].tobytes() == func(alg.cover.y[:a]).tobytes()
+    assert alg.cover.f1 == float(func(np.ones(1))[0])
 
 
 # -------------------------------------------------------------------- steps
@@ -343,7 +385,7 @@ def single_edge_stream():
 
 def test_isolated_arrival():
     stream = parse_instance("offline 0\n0 1.0 - 0\n")
-    cover = CoverState.fresh(1)
+    cover = WaterCoverState.fresh(1, LIN)
     cover, out = greedy_allocation_step(cover, stream.event(0), LIN)
     assert out.level == 1.0
     assert cover.y[0] == 0.0
@@ -353,7 +395,7 @@ def test_isolated_arrival():
 def test_first_online_arrival_complete_bipartite():
     d = 10
     stream = gen_complete_bipartite(d, 1)
-    cover = CoverState.fresh(d + 1)
+    cover = WaterCoverState.fresh(d + 1, LIN)
     for ev in stream:
         cover, out = greedy_allocation_step(cover, ev, LIN)
     assert out.level == pytest.approx(ALPHA / (d - 1), abs=1e-12)
@@ -478,7 +520,7 @@ def test_check_invariants_stepwise():
     # the dense stream has arrivals with eight or more raised neighbours,
     # whose edge values numpy sums pairwise rather than one at a time
     for stream in (gen_random(40, 0.25, seed=8), gen_random(60, 0.5, seed=0)):
-        cover = CoverState.fresh(len(stream))
+        cover = WaterCoverState.fresh(len(stream), FK)
         matching = PrimalDualState.fresh(len(stream))
         for ev in stream:
             cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
@@ -520,7 +562,7 @@ def test_edge_values_scale_the_water_filling_lift():
     neighbour.  Primal-dual's edge values are lift / beta * (1 + (1-y)/f(y)),
     to the bit, and 0 on every other new edge."""
     for stream in (gen_random(50, 0.2, seed=3), weighted_stream(2)):
-        cover = CoverState.fresh(len(stream))
+        cover = WaterCoverState.fresh(len(stream), FK)
         matching = PrimalDualState.fresh(len(stream))
         raised = 0
         for ev in stream:
@@ -553,7 +595,7 @@ def test_waterfill_cover_matches_primal_dual_cover():
 
 def test_corrupted_state_triggers_violation():
     stream = single_edge_stream()
-    cover = CoverState.fresh(2)
+    cover = WaterCoverState.fresh(2, FK)
     matching = PrimalDualState.fresh(2)
     cover, matching, _ = primal_dual_step(cover, matching, stream.event(0), FK, BETA_STAR)
     matching.x_agg[0] += 1.0  # simulate an out-of-band edge-value bug
@@ -565,7 +607,7 @@ def test_understated_beta_shows_up_as_capacity_excess():
     # the two maintained invariants are scale-invariant in beta, so an
     # understated beta must surface in the capacity check instead
     stream = gen_complete_bipartite(2, 12)
-    cover = CoverState.fresh(len(stream))
+    cover = WaterCoverState.fresh(len(stream), FK)
     matching = PrimalDualState.fresh(len(stream))
     for ev in stream:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, beta=1.0)
@@ -585,7 +627,7 @@ def test_check_invariants_fresh_state():
 
 def test_monotone_potentials():
     stream = gen_random(80, 0.2, seed=13)
-    cover = CoverState.fresh(len(stream))
+    cover = WaterCoverState.fresh(len(stream), FK)
     prev = cover.y.copy()
     for ev in stream:
         cover, _ = greedy_allocation_step(cover, ev, FK)
@@ -672,7 +714,7 @@ def test_round_monte_carlo_mean():
 
 def test_round_monotone_over_trace():
     stream = gen_complete_bipartite(6, 30)
-    cover = CoverState.fresh(len(stream))
+    cover = WaterCoverState.fresh(len(stream), LIN)
     sides = stream.side_codes
     # at t = 1 every right vertex rounds into the cover, arrived or not
     prev_covers = {t: set() for t in (0.12, 0.5, 0.87, 1.0)}
@@ -699,8 +741,9 @@ def test_run_empty_stream():
 def test_run_record_footprint(algo):
     """A finished run keeps its state and its columnar record: a row of
     five floats per arrival and one float per revealed edge, with the
-    edge-value array at most twice the edge count.  Per-arrival objects
-    would cost hundreds of bytes per arrival."""
+    edge-value array at most twice the edge count; water-filling and
+    primal-dual keep one more float per arrival, f at its potential.
+    Per-arrival objects would cost hundreds of bytes per arrival."""
     func = None if algo == "greedy" else FK
     stream = gen_random(1000, 0.01, seed=3)  # about 5 edges per arrival
     run_stream(gen_random(20, 0.3, seed=3), algo, func)  # numpy's first-call allocations

@@ -18,6 +18,7 @@ from onlinecover.allocation import ALPHA, AllocationFunction, beta_of, optimal_k
 from onlinecover.errors import LengthMismatch, ValidationError
 from onlinecover.harness import (
     AdversaryBudget,
+    EngineAlgorithm,
     adaptive_adversary_vc,
     cli_main,
     resolve_allocation,
@@ -245,6 +246,22 @@ def test_adversary_transcript_replays(algo):
     assert out.algorithm.rows.tolist() == trace.rows.tolist()
 
 
+def test_adversary_steps_intp_neighbours(monkeypatch):
+    """The transcript keeps the int32 neighbour arrays; the algorithm steps
+    events whose neighbours are intp, which numpy indexes unconverted."""
+    dtypes = []
+    process = EngineAlgorithm.process
+
+    def recording(self, event):
+        dtypes.append(event.neighbors.dtype)
+        process(self, event)
+
+    monkeypatch.setattr(EngineAlgorithm, "process", recording)
+    out = adaptive_adversary_vc(AdversaryBudget(phases=3, offline_d=10), "primal-dual", FK)
+    assert len(dtypes) == len(out.transcript) == out.algorithm.steps
+    assert set(dtypes) == {np.dtype(np.intp)}
+
+
 def test_adversary_four_phases_default_sizing():
     budget = AdversaryBudget(phases=4, offline_d=10, per_phase_cap=100)
     out = adaptive_adversary_vc(budget, "primal-dual", FK)
@@ -401,6 +418,19 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "buy,rent", [("0,nan", "2,1"), ("0,inf", "2,1"), ("0,4", "nan,1"), ("0,4", "2,inf")]
+)
+def test_cli_ski_rental_rejects_non_finite_costs(buy, rent, capsys):
+    """A non-finite cost is reported as a cost, not as a weight of the
+    reduced stream."""
+    assert cli_main(["ski-rental", "--buy", buy, "--rent", rent, "--t-end", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: buy costs and rent rates must be finite")
     assert err.count("\n") == 1
 
 

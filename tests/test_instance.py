@@ -585,6 +585,20 @@ def test_ski_rental_spec_validation():
             SkiRentalSpec(states=states, epsilon=eps, t_end=t_end)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["buy", "rent first", "rent last"])
+def test_ski_rental_spec_rejects_non_finite_costs(bad, where):
+    """A NaN cost passes every ordering and sign check, and an infinite one
+    only reaches the reduction's weights: the spec names the costs."""
+    states = {
+        "buy": ((0.0, 2.0), (bad, 1.0)),
+        "rent first": ((0.0, bad), (4.0, 1.0)),
+        "rent last": ((0.0, 2.0), (4.0, bad)),
+    }[where]
+    with pytest.raises(ValidationError, match="buy costs and rent rates must be finite"):
+        SkiRentalSpec(states=states, epsilon=1.0, t_end=5.0)
+
+
 def test_ski_rental_strategy_optimum_small():
     # two states, B = 3, 5 intervals of length 1: rent always costs 5,
     # buying at once costs 3
