@@ -113,8 +113,9 @@ class AllocationFunction:
         if kind not in ("linear-alpha", "family-k", "greedy"):
             raise ValidationError(f"unknown allocation kind {kind!r}")
         if kind == "family-k":
-            if k is None or not (1.0 <= k < math.inf):
-                raise ValidationError("family-k requires a finite k >= 1")
+            # 2k appears in both exponents: k above float max / 2 would make f = 1
+            if k is None or not (1.0 <= k and 2.0 * k < math.inf):
+                raise ValidationError("family-k requires k >= 1 with 2k finite")
         elif k is not None:
             raise ValidationError(f"kind {kind!r} takes no parameter k")
         self.kind = kind

@@ -28,9 +28,10 @@ Allocation functions are shared read-only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,18 +48,17 @@ ROW_FIELDS = ("level", "cover_cost", "matching_value", "inv1_slack", "inv2_slack
 _LIST_DEGREE = 16  # below this many neighbors the level solve sorts and sums on lists
 
 
-@dataclass
-class WaterLevelOutcome:
-    """Solved level, the ids of the raised neighbors, and which side of the dichotomy."""
+class WaterLevelOutcome(NamedTuple):
+    """One water-filling step: the solved level, the ids of the raised
+    neighbors, which side of the dichotomy the level is on, which neighbor
+    entries were raised, each one's lift w_u (level - y_u), and f(level)."""
 
     level: float
-    raised: np.ndarray  # vertex ids
+    raised: np.ndarray
     saturated: bool
-    # water-filling only: which neighbor entries it raised, each one's w_u (level - y_u),
-    # and f(level)
-    mask: np.ndarray | None = None
-    lift: np.ndarray | None = None
-    f_level: float | None = None
+    mask: np.ndarray
+    lift: np.ndarray
+    f_level: float
 
 
 def _solve_level(pots, fs, ws, v_weight, func, f1):
@@ -70,10 +70,15 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     at points inside a segment.  Returns (level, saturated, f(level)):
     (1.0, False, f1) when the gap H(t) = C(t) t - P(t) - v_weight f(t) at 1
     is within LEVEL_EPS of feasible, else the crossing of H, certified.
-    Breakpoints are the sorted neighbor potentials; the last one with
-    H <= 0 brackets the crossing with the next breakpoint above it (or 1).
-    On that segment C and P are constant and H is convex (f is concave),
-    so the root is found by regula falsi with the Illinois weight halving,
+    Breakpoints are the sorted neighbor potentials.  H is convex on [0, 1]
+    (C t - P is convex and piecewise linear, and every f kind is concave)
+    and H(0) = -v_weight f(0) <= 0, so the breakpoints with H <= 0 are a
+    prefix of the sorted ones.  One bisection over their indices, through
+    ``gap`` (whose ``bisect_left`` judges a tie group as one), finds the
+    last feasible one, lo (0 if none is), and the first infeasible one, hi
+    (or 1), with H at both: O(log m) evaluations of H and no call of f but
+    f(0) when lo is 0.  On [lo, hi] C and P are constant, so the root is
+    found by regula falsi with the Illinois weight halving,
     keeping H(lo) <= 0 < H(hi).  Each point is clamped 4e-16 inside the
     bracket: the root often sits on a breakpoint, where the unclamped
     secant would only creep towards it.
@@ -92,8 +97,7 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     argsort, and a running sum adds in ``np.cumsum``'s order.
     """
     m = pots.size
-    small = m < _LIST_DEGREE
-    if small:
+    if m < _LIST_DEGREE:
         triples = sorted(zip(pots.tolist(), fs.tolist(), ws.tolist()), key=itemgetter(0))
         sp_l = [p for p, _, _ in triples]
         sf_l = [f for _, f, _ in triples]
@@ -106,12 +110,10 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
             cswp_l.append(cp)
     else:
         order = np.argsort(pots, kind="stable")
-        sp = pots[order]
-        sf = fs[order]
-        sw = ws[order]
-        csw = np.concatenate(([0.0], np.cumsum(sw)))
-        cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
-        sp_l, sf_l, csw_l, cswp_l = sp.tolist(), sf.tolist(), csw.tolist(), cswp.tolist()
+        sp, sw = pots[order], ws[order]
+        sp_l, sf_l = sp.tolist(), fs[order].tolist()
+        csw_l = [0.0, *np.cumsum(sw).tolist()]
+        cswp_l = [0.0, *np.cumsum(sw * sp).tolist()]
 
     def gap(t: float, ft: float) -> float:
         i = bisect_left(sp_l, t)
@@ -123,29 +125,21 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     g_hi = gap(1.0, f1)
     if g_hi <= LEVEL_EPS:
         return 1.0, False, f1
-
-    lo, hi, f_lo = 0.0, 1.0, None
-    if m:
-        if small:
-            feas = [
-                i for i, (c, p, cp, f) in enumerate(zip(csw_l, sp_l, cswp_l, sf_l))
-                if c * p - cp - v_weight * f <= 0.0
-            ]
+    # the feasible breakpoints are a prefix: i ends on the last, j on the first infeasible
+    i, j = -1, m
+    while j - i > 1:
+        k = (i + j) // 2
+        g = gap(sp_l[k], sf_l[k])
+        if g <= 0.0:
+            i, g_lo = k, g
         else:
-            vals = csw[:m] * sp - cswp[:m] - v_weight * sf
-            feas = np.flatnonzero(vals <= 0.0)
-        if len(feas):
-            lo, f_lo = sp_l[feas[-1]], sf_l[feas[-1]]
-        j = bisect_right(sp_l, lo)
-        if j < m:  # an infeasible breakpoint: H(hi) = vals[j] > 0
-            hi = sp_l[j]
-            g_hi = gap(hi, sf_l[j])
-    if f_lo is None:  # no feasible breakpoint, so lo = 0 is not one
-        f_lo = float(func(0.0))
-    g_lo = gap(lo, f_lo)
-    if g_lo > 0.0:
+            j, g_hi = k, g
+    hi = sp_l[j] if j < m else 1.0
+    if i < 0:
         lo, f_lo = 0.0, float(func(0.0))
         g_lo = gap(lo, f_lo)
+    else:
+        lo, f_lo = sp_l[i], sf_l[i]
     a, b = g_lo, g_hi  # interpolation weights; Illinois halves a stale one
     side = 0
     for _ in range(200):
@@ -334,10 +328,7 @@ def greedy_allocation_step(
     cover.fy[v] = float(func(1.0 - level))
     cover.total_cost += event.weight * (1.0 - level)
     cover.arrived += 1
-    return cover, WaterLevelOutcome(
-        level=level, raised=ridx, saturated=saturated, mask=raised_mask, lift=lift,
-        f_level=f_level,
-    )
+    return cover, WaterLevelOutcome(level, ridx, saturated, raised_mask, lift, f_level)
 
 
 def primal_dual_step(
@@ -405,8 +396,12 @@ def greedy_baseline_step(
     cover: CoverState,
     matching: MatchingState,
     event: VertexEvent,
-) -> tuple[CoverState, MatchingState, WaterLevelOutcome]:
-    """Match to the lowest-id unmatched arrived neighbor; cover both ends."""
+) -> tuple[CoverState, MatchingState, float]:
+    """Match to the lowest-id unmatched arrived neighbor; cover both ends.
+
+    Returns the states and the arrival's level 1 - y_v: 0 if it was
+    matched, else 1.  It solves no water level.
+    """
     if event.weight != 1.0:
         raise ValidationError("greedy baseline requires unit weights")
     _arrive(cover, event)
@@ -416,23 +411,17 @@ def greedy_baseline_step(
     # gives every edge it picks exactly 1.0 and every other edge 0.0
     free = nbrs[matching.x_agg[nbrs] == 0.0]
     xvals = matching.new_edges(nbrs.size)
-    raised: list[int] = []
     if free.size:
         partner = int(free.min())
         xvals[nbrs == partner] = 1.0
         matching.x_agg[partner] += 1.0
         matching.x_agg[v] += 1.0
         matching.total_value += 1.0
-        for u in (partner, v):
-            if cover.y[u] < 1.0:
-                raised.append(u)
-                cover.total_cost += 1.0 - cover.y[u]
-                cover.y[u] = 1.0
+        # both ends are unmatched, so at 0: only a match raises a potential
+        cover.y[[partner, v]] = 1.0
+        cover.total_cost += 2.0
     cover.arrived += 1
-    level = 1.0 - cover.y[v]
-    return cover, matching, WaterLevelOutcome(
-        level=float(level), raised=np.array(raised, dtype=np.int64), saturated=False
-    )
+    return cover, matching, float(1.0 - cover.y[v])
 
 
 # ----------------------------------------------------------------- rounding
@@ -512,19 +501,19 @@ class Algorithm:
         cover, matching = self.cover, self.matching
         inv1 = inv2 = total_match = 0.0
         if self.algo == "waterfill":
-            _, outcome = greedy_allocation_step(cover, event, self.func)
+            level = greedy_allocation_step(cover, event, self.func)[1].level
         elif self.algo == "primal-dual":
-            _, _, outcome = primal_dual_step(cover, matching, event, self.func, self.beta)
+            level = primal_dual_step(cover, matching, event, self.func, self.beta)[2].level
             inv1, inv2 = matching.inv1_max, matching.inv2_slack
             total_match = matching.total_value
         else:
-            _, _, outcome = greedy_baseline_step(cover, matching, event)
+            _, _, level = greedy_baseline_step(cover, matching, event)
             total_match = matching.total_value
         if event.neighbors.size:
             edge_gap = float((cover.y[event.neighbors] + cover.y[event.id] - 1.0).min())
             self.feas_slack = min(self.feas_slack, edge_gap)
             _check(-edge_gap, FEAS_EPS, "dual feasibility", event.id)
-        self._record[self.steps] = (outcome.level, cover.total_cost, total_match, inv1, inv2)
+        self._record[self.steps] = (level, cover.total_cost, total_match, inv1, inv2)
         self.steps += 1
 
     def to_csv(self) -> str:

@@ -387,7 +387,8 @@ class SkiRentalSpec:
             raise ValidationError("buy costs must be nondecreasing")
         if any(r2 > r1 for r1, r2 in zip(rs, rs[1:])):
             raise ValidationError("rent rates must be nonincreasing")
-        if rs[-1] < 0.0 or any(r < 0.0 for r in rs) or any(b < 0.0 for b in bs):
+        # buy costs start at 0 and never fall; rents never rise, so the last is the least
+        if rs[-1] < 0.0:
             raise ValidationError("costs must be >= 0")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValidationError("epsilon must be finite and > 0")
@@ -417,17 +418,22 @@ def reduce_ski_rental(spec: SkiRentalSpec) -> InstanceStream:
 
     Left vertex i carries the marginal buy cost between consecutive
     states; the last left stands in for the never-buyable top state and
-    carries a large sentinel weight (1e12 times the largest finite weight
+    carries a large sentinel weight (1e12 times the largest positive weight
     in the instance).  Interval q contributes n online vertices: the k-th
-    has weight (r_k - r_{k+1}) * eps and neighbors the first k lefts.
+    has weight (r_k - r_{k+1}) * eps and neighbors the first k lefts.  A
+    reduced weight or sentinel that overflows is a ValidationError.
     """
     n = spec.n_states
     bs = [b for b, _ in spec.states]
     rs = [r for _, r in spec.states] + [0.0]
     left_w = [bs[i + 1] - bs[i] for i in range(n - 1)]
     online_w = [(rs[k] - rs[k + 1]) * spec.epsilon for k in range(n)]
-    finite = [w for w in left_w + online_w if w > 0.0]
-    sentinel = 1e12 * (max(finite) if finite else 1.0)
+    if not all(map(math.isfinite, online_w)):
+        raise ValidationError(f"reduced weight (r_k - r_k+1) * epsilon overflows: {online_w}")
+    positive = [w for w in left_w + online_w if w > 0.0]
+    sentinel = 1e12 * (max(positive) if positive else 1.0)
+    if not math.isfinite(sentinel):
+        raise ValidationError(f"sentinel weight 1e12 * {max(positive):g} overflows")
     left_w.append(sentinel)
 
     # each interval repeats one block of n arrivals

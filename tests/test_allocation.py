@@ -133,6 +133,10 @@ def test_nan_is_a_domain_error():
 def test_construction_rejects_bad_k():
     with pytest.raises(ValidationError):
         AllocationFunction.family(0.8)
+    # 2k = inf would make both exponents 0 and f = 1; just below, f is built
+    with pytest.raises(ValidationError, match="2k finite"):
+        AllocationFunction.family(1e308)
+    assert AllocationFunction.family(8e307)(0.5) > 1e307
     with pytest.raises(ValidationError):
         AllocationFunction("no-such-kind")
 

@@ -269,6 +269,37 @@ def test_level_solve_list_branch_is_bitwise_numpy_branch(star, v_weight, kind):
     assert results[0] == results[1]
 
 
+@given(
+    star=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+            WEIGHTS,
+        ),
+        max_size=40,
+    ),
+    v_weight=WEIGHTS,
+    kind=st.sampled_from(sorted(LEVEL_FUNCS)),
+)
+@example(star=[(0.25, 1.0), (0.25, 0.0), (0.5, 1e12)], v_weight=0.0, kind="greedy")
+@settings(max_examples=300, deadline=None)
+def test_feasible_breakpoints_are_a_prefix(star, v_weight, kind):
+    """The level solve bisects for its bracket because H(t) = C(t) t - P(t)
+    - v_weight f(t) is convex with H(0) <= 0: the sorted breakpoints with
+    H <= 0 come first.  H is taken in the solve's own arithmetic: prefix
+    sums in ``np.cumsum``'s order, a tie group judged at its first entry,
+    f from one array call."""
+    pots = np.array([p for p, _ in star])
+    ws = np.array([w for _, w in star])
+    func = LEVEL_FUNCS[kind]
+    order = np.argsort(pots, kind="stable")
+    sp, sw = pots[order], ws[order]
+    csw = np.concatenate(([0.0], np.cumsum(sw)))
+    cswp = np.concatenate(([0.0], np.cumsum(sw * sp)))
+    first = np.searchsorted(sp, sp, side="left")
+    feasible = (csw[first] * sp - cswp[first] - v_weight * func(sp) <= 0.0).tolist()
+    assert feasible == sorted(feasible, reverse=True)
+
+
 def run_or_error(stream, algo, func):
     try:
         return run_stream(stream, algo, func)

@@ -399,6 +399,7 @@ def test_cli_usage_errors():
         ["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "3",
          "--csv", "{missing_dir}/run.csv"],
         ["adversary", "--budget", "2,5,0"],  # a zero cap, not the default one
+        ["simulate", "--gen", "triangular:3", "--f", "family-k:1e308"],  # 2k = inf
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
@@ -431,6 +432,24 @@ def test_cli_ski_rental_rejects_non_finite_costs(buy, rent, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: buy costs and rent rates must be finite")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["--buy", "0,1e300", "--rent", "1,0", "--t-end", "3"], "sentinel weight 1e12 * 1e+300"),
+        (["--buy", "0,1", "--rent", "1e308,0", "--step", "10", "--t-end", "30"],
+         "(r_k - r_k+1) * epsilon overflow"),
+    ],
+)
+def test_cli_ski_rental_names_an_overflowing_reduced_weight(argv, cause, capsys):
+    """Finite costs whose reduced weight or sentinel overflows are reported
+    as that, not as an event weight of the reduced stream."""
+    assert cli_main(["ski-rental", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and cause in err
     assert err.count("\n") == 1
 
 

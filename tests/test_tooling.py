@@ -1,5 +1,5 @@
 """Source and script checks: no `assert` in the library, no scipy at
-runtime, no unused import, scripts run."""
+runtime, no unused import, no private name without a caller, scripts run."""
 
 import ast
 import contextlib
@@ -65,6 +65,38 @@ def test_library_modules_use_every_name_they_import():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_every_private_module_name_has_a_caller():
+    # no helper without a caller: each module-level _name (a def, a class or
+    # an assignment target, tuple targets included) is read or imported
+    # somewhere in the package outside the statement that defines it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    refs = []  # (module, name, line) of every name read or imported
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(module, a.name, node.lineno) for a in node.names]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and not any(
+                    r == name and not (m == module and node.lineno <= line <= node.end_lineno)
+                    for m, r, line in refs
+                ):
+                    found.append(f"{module}:{node.lineno} {name}")
     assert found == []
 
 
