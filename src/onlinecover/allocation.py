@@ -45,8 +45,11 @@ class QuadratureTable:
     Every family member, greedy included, solves f(z) f'(1-z) = z - 1, so
     (1-t)/f(t) = d/dt f(1-t) and F(x) = f(1-x) - f(1), computed by calling
     f; linear-alpha integrates to (1+alpha) log1p(x/alpha) - x.  Nothing is
-    tabulated; the name is kept because the benchmark's tracer counts F
-    calls by patching ``QuadratureTable.eval``.
+    tabulated.  The engine's steps evaluate F only under linear-alpha (for
+    a family member the budget bracket reduces to y + f(1-y), read from the
+    f column); the class stays for ``beta_of``, which calls it once per
+    run, for ``engine.check_invariants``, and for the benchmark's tracer,
+    which counts F calls by patching ``QuadratureTable.eval``.
     """
 
     def __init__(self, func: "AllocationFunction"):

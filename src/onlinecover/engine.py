@@ -19,10 +19,12 @@ unless the residual is within its bound, so a NaN residual fails too (a
 violation indicates a bug, not an expected runtime condition).
 
 States are owned by a single run and mutated in place; each holds only
-its algorithm's fields (f at the potentials, which the level solve
-reads, lives on ``WaterCoverState``, and the arrival potentials
-``z_arrival`` that the budget invariant reads on ``PrimalDualState``).
-Allocation functions are shared read-only.
+its algorithm's fields (f at the potentials lives on ``WaterCoverState``:
+the level solve reads it, and so does primal-dual's budget refresh, which
+for every family member makes no f or F call; the arrival potentials
+``z_arrival``, which linear-alpha's budget refresh and
+``check_invariants`` read, live on ``PrimalDualState``).  Allocation
+functions are shared read-only.
 """
 
 from __future__ import annotations
@@ -51,14 +53,18 @@ _LIST_DEGREE = 16  # below this many neighbors the level solve sorts and sums on
 class WaterLevelOutcome(NamedTuple):
     """One water-filling step: the solved level, the ids of the raised
     neighbors, which side of the dichotomy the level is on, which neighbor
-    entries were raised, each one's lift w_u (level - y_u), and f(level)."""
+    entries were raised, each raised one's weight w_u and lift
+    w_u (level - y_u), f(level), and the level certificate's bound on
+    H(level) (see ``_solve_level``)."""
 
     level: float
     raised: np.ndarray
     saturated: bool
     mask: np.ndarray
+    weights: np.ndarray
     lift: np.ndarray
     f_level: float
+    level_bound: float
 
 
 def _solve_level(pots, fs, ws, v_weight, func, f1):
@@ -67,9 +73,10 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     ``fs`` holds f at each neighbor potential and ``f1`` is f(1): every
     breakpoint is an earlier level or 1 - level, where f was evaluated
     already, so H is evaluated there from these values and f is called only
-    at points inside a segment.  Returns (level, saturated, f(level)):
-    (1.0, False, f1) when the gap H(t) = C(t) t - P(t) - v_weight f(t) at 1
-    is within LEVEL_EPS of feasible, else the crossing of H, certified.
+    at points inside a segment.  Returns (level, saturated, f(level),
+    bound): (1.0, False, f1, LEVEL_EPS) when the gap H(t) = C(t) t - P(t)
+    - v_weight f(t) at 1 is within LEVEL_EPS of feasible, else the
+    crossing of H, certified, with the certificate's bound on |H(level)|.
     Breakpoints are the sorted neighbor potentials.  H is convex on [0, 1]
     (C t - P is convex and piecewise linear, and every f kind is concave)
     and H(0) = -v_weight f(0) <= 0, so the breakpoints with H <= 0 are a
@@ -88,7 +95,8 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     returned, with the f value H was evaluated with there.  The
     certificate is |H(lo)| <= LEVEL_EPS times the largest weight H sums at
     lo: the arrival's, or that of the neighbors below lo (a heavy neighbor
-    above the level does not loosen it); NumericError if it fails.
+    above the level does not loosen it); NumericError if it fails.  At
+    level 1 the bound holds from above only: H(1) may be far below 0.
 
     The sorted potentials, f values and prefix sums are lists, so each
     step is float arithmetic, a ``bisect_left`` and one scalar f call.
@@ -124,7 +132,7 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
 
     g_hi = gap(1.0, f1)
     if g_hi <= LEVEL_EPS:
-        return 1.0, False, f1
+        return 1.0, False, f1, LEVEL_EPS
     # the feasible breakpoints are a prefix: i ends on the last, j on the first infeasible
     i, j = -1, m
     while j - i > 1:
@@ -162,12 +170,12 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
             if side > 0:
                 a *= 0.5
             side = 1
-    if abs(g_lo) > bound(lo):
+    cert = bound(lo)
+    if abs(g_lo) > cert:
         raise NumericError(
-            f"water level not certified: |gap({lo})| = {abs(g_lo):.3e} "
-            f"exceeds {bound(lo):.3e}"
+            f"water level not certified: |gap({lo})| = {abs(g_lo):.3e} exceeds {cert:.3e}"
         )
-    return lo, True, f_lo
+    return lo, True, f_lo, cert
 
 
 # ------------------------------------------------------------------- states
@@ -245,25 +253,28 @@ class PrimalDualState(MatchingState):
     """Matching plus the primal-dual monitors' state.
 
     ``z_arrival[u]`` is 1 - level at u's arrival, the potential u arrived
-    with; only the budget inequality reads it.  ``inv1_base[u]`` is
-    f(1-z_u) - F(z_u), frozen when u arrives; ``inv1_slack[u]`` is the
+    with; the budget inequality reads it (the steps only under
+    linear-alpha, ``check_invariants`` always).  ``inv1_slack[u]`` is the
     current slack of u's budget inequality, -inf until u arrives.
     ``inv1_max`` is the largest slack, held by ``inv1_argmax``: a step
     changes only the slacks it touches, so the maximum is rescanned over
     every vertex only when its holder's slack moved, which
     ``inv1_rescans`` counts.  ``inv2_slack`` is the last step's relative
-    cost-coupling residual |cost - beta * value| / max(1, cost).  The
-    monitors fail on a NaN slack or residual: a step that would leave one
-    raises instead.
+    cost-coupling residual |cost - beta * value| / max(1, cost).
+    ``inv1_bound`` and ``inv2_bound`` are the budget slack and the
+    absolute coupling residual that the steps' level certificates allow
+    so far (see ``primal_dual_step``).  The monitors fail on a NaN slack
+    or residual: a step that would leave one raises instead.
     """
 
     z_arrival: np.ndarray
-    inv1_base: np.ndarray
     inv1_slack: np.ndarray
     inv1_max: float = -math.inf
     inv1_argmax: int = 0
     inv1_rescans: int = 0
     inv2_slack: float = 0.0
+    inv1_bound: float = 0.0
+    inv2_bound: float = 0.0
 
     def track_max(self, vertex: int, value: float) -> None:
         """Update the maximum after a step whose largest touched slack is
@@ -280,7 +291,6 @@ class PrimalDualState(MatchingState):
         return cls(
             x_agg=np.zeros(n),
             z_arrival=np.zeros(n),
-            inv1_base=np.zeros(n),
             inv1_slack=np.full(n, -np.inf),
         )
 
@@ -313,13 +323,14 @@ def greedy_allocation_step(
     """Water-filling cover update for one arrival (state is mutated)."""
     _arrive(cover, event)
     nbrs = event.neighbors
-    pots = cover.y[nbrs]
-    level, saturated, f_level = _solve_level(
-        pots, cover.fy[nbrs], cover.weights[nbrs], float(event.weight), func, cover.f1
+    pots, ws = cover.y[nbrs], cover.weights[nbrs]
+    level, saturated, f_level, level_bound = _solve_level(
+        pots, cover.fy[nbrs], ws, float(event.weight), func, cover.f1
     )
     raised_mask = pots < level
     ridx = nbrs[raised_mask]
-    lift = cover.weights[ridx] * (level - pots[raised_mask])
+    w_r = ws[raised_mask]
+    lift = w_r * (level - pots[raised_mask])
     cover.total_cost += float(lift.sum())
     cover.y[ridx] = level
     cover.fy[ridx] = f_level
@@ -328,7 +339,9 @@ def greedy_allocation_step(
     cover.fy[v] = float(func(1.0 - level))
     cover.total_cost += event.weight * (1.0 - level)
     cover.arrived += 1
-    return cover, WaterLevelOutcome(level, ridx, saturated, raised_mask, lift, f_level)
+    return cover, WaterLevelOutcome(
+        level, ridx, saturated, raised_mask, w_r, lift, f_level, level_bound
+    )
 
 
 def primal_dual_step(
@@ -342,53 +355,78 @@ def primal_dual_step(
 
     Raised edge (u, v) gets the water-filling step's lift w_u (y - y_u)
     / beta * (1 + (1-y)/f(y)); other new edges get 0.  Both maintained
-    invariants are re-checked for every touched vertex; failure beyond
-    tolerance, or a NaN, raises InvariantViolation.
+    invariants are re-checked for every touched vertex (the raised
+    neighbors and v; no other slack moves); failure beyond tolerance, or a
+    NaN, raises InvariantViolation.
+
+    The budget inequality's right side is w (y + f(1-z) + F(y) - F(z)) /
+    beta, z the arrival potential.  Every family member has F(x) = f(1-x)
+    - f(1), so its bracket is y + f(1-y), and the step knows f there: the
+    raised neighbors sit at the level, where f(1 - level) is the arrival's
+    ``fy``, and v at 1 - level, where f(level) is the level solve's.  So
+    family members make no f or F call here; linear-alpha evaluates F.
+
+    The level is certified only up to its gap H(y) (see ``_solve_level``),
+    and the monitors allow what that leaves, beside their rounding bounds
+    (INV_EPS * max(1, w) over the touched vertices, INV_EPS * max(1,
+    cost)).  v's budget slack is H(y) (1 + (1-y)/f(y)) / beta when it
+    arrives, and a raise only lowers a slack (beyond rounding), since
+    (1-t)/f(t) is nonincreasing: the budget monitor allows the largest of
+    these over the arrivals so far.  A step moves cost - beta * value by
+    -(1-y)/f(y) H(y): the coupling monitor allows their sum.
     """
     nbrs = event.neighbors
     cover, outcome = greedy_allocation_step(cover, event, func)
-    level = outcome.level
+    level, f_level = outcome.level, outcome.f_level
     v = event.id
 
-    if level < 1.0:
-        fy = outcome.f_level
-        factor = 1.0 + (1.0 - level) / fy if fy > 0.0 else 1.0
-    else:
-        factor = 1.0  # (1-y)/f(y) vanishes as y -> 1
+    # (1-y)/f(y), which vanishes as y -> 1
+    ratio = (1.0 - level) / f_level if level < 1.0 and f_level > 0.0 else 0.0
     ridx = outcome.raised
     xvals = matching.new_edges(nbrs.size)
-    xvals[outcome.mask] = outcome.lift / beta * factor
-    matching.x_agg[nbrs] += xvals
+    x_r = outcome.lift / beta * (1.0 + ratio)
+    xvals[outcome.mask] = x_r
+    matching.x_agg[ridx] += x_r  # the other new edges are 0
     xv = float(xvals.sum())
     matching.x_agg[v] += xv
     matching.total_value += xv
 
-    # refresh budget slacks for touched vertices; all others are unchanged.
-    # The raised neighbors sit at the level and v at z_v = 1 - level, so F
-    # over their potentials takes two scalar calls.
-    tbl = func.table()
+    # refresh the budget slacks of v and the raised neighbors; the bracket
+    # (at most g(z) <= beta) is divided first, which keeps w * (...) <= w finite
     zv = 1.0 - level
     matching.z_arrival[v] = zv
-    F_t = np.empty(ridx.size + 1)
-    F_t[-1] = F_zv = float(tbl.eval(zv))
+    if func.kind == "linear-alpha":
+        tbl = func.table()
+        F_zv = float(tbl.eval(zv))
+        bracket_v = zv + (float(func(1.0 - zv)) - F_zv) + F_zv
+        if ridx.size:
+            z_r = matching.z_arrival[ridx]
+            bracket_r = level + (func(1.0 - z_r) - tbl.eval(z_r)) + float(tbl.eval(level))
+    else:
+        bracket_v, bracket_r = zv + f_level, level + float(cover.fy[v])
+    w_v = float(event.weight)
+    worst = float(matching.x_agg[v]) - w_v * (bracket_v / beta)
+    matching.inv1_slack[v] = worst
+    at, w_max = v, max(1.0, w_v)
     if ridx.size:
-        F_t[:-1] = float(tbl.eval(level))
-    matching.inv1_base[v] = float(func(1.0 - zv)) - F_zv
-    touched = np.concatenate((ridx, [v]))
-    w_t = cover.weights[touched]
-    # the bracket is at most g(z) <= beta, so dividing it first keeps w * (...) <= w finite
-    rhs = w_t * ((cover.y[touched] + matching.inv1_base[touched] + F_t) / beta)
-    slack_t = matching.x_agg[touched] - rhs
-    matching.inv1_slack[touched] = slack_t
+        slack_r = matching.x_agg[ridx] - outcome.weights * (bracket_r / beta)
+        matching.inv1_slack[ridx] = slack_r
+        i = int(np.argmax(slack_r))  # the first NaN, if any
+        r = float(slack_r[i])
+        # as np.argmax over the raised and then v: a tie or a NaN goes to the raised
+        if r >= worst or math.isnan(r):
+            worst, at = r, int(ridx[i])
+        w_max = max(w_max, float(outcome.weights.max()))
+    bound = outcome.level_bound
+    matching.inv1_bound = max(matching.inv1_bound, bound * (1.0 + ratio) / beta)
+    _check(worst, INV_EPS * w_max + matching.inv1_bound, "budget invariant", at)
+    matching.track_max(at, worst)
 
-    i = int(np.argmax(slack_t))  # the first NaN, if any
-    worst = float(slack_t[i])
-    _check(worst, INV_EPS * max(1.0, float(w_t.max())), "budget invariant", int(touched[i]))
-    matching.track_max(int(touched[i]), worst)
-    matching.inv2_slack = abs(cover.total_cost - beta * matching.total_value) / max(
-        1.0, cover.total_cost
-    )
-    _check(matching.inv2_slack, INV_EPS, "cost-coupling invariant", v)
+    matching.inv2_bound += ratio * bound
+    residual = abs(cover.total_cost - beta * matching.total_value)
+    scale = max(1.0, cover.total_cost)
+    matching.inv2_slack = residual / scale
+    _check(residual, INV_EPS * scale + matching.inv2_bound, "cost-coupling invariant", v)
     return cover, matching, outcome
 
 
@@ -510,7 +548,8 @@ class Algorithm:
             _, _, level = greedy_baseline_step(cover, matching, event)
             total_match = matching.total_value
         if event.neighbors.size:
-            edge_gap = float((cover.y[event.neighbors] + cover.y[event.id] - 1.0).min())
+            # rounding is monotone, so the least y_u gives the least y_u + y_v - 1, NaN included
+            edge_gap = float(cover.y[event.neighbors].min()) + float(cover.y[event.id]) - 1.0
             self.feas_slack = min(self.feas_slack, edge_gap)
             _check(-edge_gap, FEAS_EPS, "dual feasibility", event.id)
         self._record[self.steps] = (level, cover.total_cost, total_match, inv1, inv2)
