@@ -52,10 +52,10 @@ _LIST_DEGREE = 16  # below this many neighbors the level solve sorts and sums on
 
 class WaterLevelOutcome(NamedTuple):
     """One water-filling step: the solved level, the ids of the raised
-    neighbors, which side of the dichotomy the level is on, which neighbor
+    neighbors, whether the level is saturated (below 1), which neighbor
     entries were raised, each raised one's weight w_u and lift
     w_u (level - y_u), f(level), and the level certificate's bound on
-    H(level) (see ``_solve_level``)."""
+    |H(level)|, 0 at level 1 (see ``_solve_level``)."""
 
     level: float
     raised: np.ndarray
@@ -73,19 +73,18 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     ``fs`` holds f at each neighbor potential and ``f1`` is f(1): every
     breakpoint is an earlier level or 1 - level, where f was evaluated
     already, so H is evaluated there from these values and f is called only
-    at points inside a segment.  Returns (level, saturated, f(level),
-    bound): (1.0, False, f1, LEVEL_EPS) when the gap H(t) = C(t) t - P(t)
-    - v_weight f(t) at 1 is within LEVEL_EPS of feasible, else the
-    crossing of H, certified, with the certificate's bound on |H(level)|.
-    Breakpoints are the sorted neighbor potentials.  H is convex on [0, 1]
-    (C t - P is convex and piecewise linear, and every f kind is concave)
-    and H(0) = -v_weight f(0) <= 0, so the breakpoints with H <= 0 are a
-    prefix of the sorted ones.  One bisection over their indices, through
-    ``gap`` (whose ``bisect_left`` judges a tie group as one), finds the
-    last feasible one, lo (0 if none is), and the first infeasible one, hi
-    (or 1), with H at both: O(log m) evaluations of H and no call of f but
-    f(0) when lo is 0.  On [lo, hi] C and P are constant, so the root is
-    found by regula falsi with the Illinois weight halving,
+    at points inside a segment.  Returns (level, f(level), bound) for the
+    gap H(t) = C(t) t - P(t) - v_weight f(t): (1.0, f1, 0.0) when H(1) <= 0,
+    else the crossing of H, certified, with the certificate's bound on
+    |H(level)|.  Breakpoints are the sorted neighbor potentials.  H is
+    convex on [0, 1] (C t - P is convex and piecewise linear, and every f
+    kind is concave) and H = -v_weight f <= 0 at the lowest breakpoint, so
+    the breakpoints with H <= 0 are a nonempty prefix of the sorted ones.
+    One bisection over their indices, through ``gap`` (whose
+    ``bisect_left`` judges a tie group as one), finds the last feasible
+    one, lo, and the first infeasible one, hi (or 1), with H at both, in
+    O(log m) evaluations of H.  On [lo, hi] C and P are constant, so the
+    root is found by regula falsi with the Illinois weight halving,
     keeping H(lo) <= 0 < H(hi).  Each point is clamped 4e-16 inside the
     bracket: the root often sits on a breakpoint, where the unclamped
     secant would only creep towards it.
@@ -95,8 +94,9 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     returned, with the f value H was evaluated with there.  The
     certificate is |H(lo)| <= LEVEL_EPS times the largest weight H sums at
     lo: the arrival's, or that of the neighbors below lo (a heavy neighbor
-    above the level does not loosen it); NumericError if it fails.  At
-    level 1 the bound holds from above only: H(1) may be far below 0.
+    above the level does not loosen it); NumericError if it fails, NaN
+    included.  Neither rule has a floor, so scaling every weight by a power
+    of two (short of overflow and underflow) leaves the level to the bit.
 
     The sorted potentials, f values and prefix sums are lists, so each
     step is float arithmetic, a ``bisect_left`` and one scalar f call.
@@ -128,13 +128,13 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
         return csw_l[i] * t - cswp_l[i] - v_weight * ft
 
     def bound(t: float) -> float:
-        return LEVEL_EPS * max(1.0, csw_l[bisect_left(sp_l, t)], v_weight)
+        return LEVEL_EPS * max(csw_l[bisect_left(sp_l, t)], v_weight)
 
     g_hi = gap(1.0, f1)
-    if g_hi <= LEVEL_EPS:
-        return 1.0, False, f1, LEVEL_EPS
-    # the feasible breakpoints are a prefix: i ends on the last, j on the first infeasible
-    i, j = -1, m
+    if g_hi <= 0.0:
+        return 1.0, f1, 0.0
+    # the feasible breakpoints are a nonempty prefix: i ends on the last, j on the first infeasible
+    i, j, g_lo = 0, m, gap(sp_l[0], sf_l[0])
     while j - i > 1:
         k = (i + j) // 2
         g = gap(sp_l[k], sf_l[k])
@@ -143,11 +143,7 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
         else:
             j, g_hi = k, g
     hi = sp_l[j] if j < m else 1.0
-    if i < 0:
-        lo, f_lo = 0.0, float(func(0.0))
-        g_lo = gap(lo, f_lo)
-    else:
-        lo, f_lo = sp_l[i], sf_l[i]
+    lo, f_lo = sp_l[i], sf_l[i]
     a, b = g_lo, g_hi  # interpolation weights; Illinois halves a stale one
     side = 0
     for _ in range(200):
@@ -171,11 +167,11 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
                 a *= 0.5
             side = 1
     cert = bound(lo)
-    if abs(g_lo) > cert:
+    if not abs(g_lo) <= cert:
         raise NumericError(
             f"water level not certified: |gap({lo})| = {abs(g_lo):.3e} exceeds {cert:.3e}"
         )
-    return lo, True, f_lo, cert
+    return lo, f_lo, cert
 
 
 # ------------------------------------------------------------------- states
@@ -260,7 +256,7 @@ class PrimalDualState(MatchingState):
     changes only the slacks it touches, so the maximum is rescanned over
     every vertex only when its holder's slack moved, which
     ``inv1_rescans`` counts.  ``inv2_slack`` is the last step's relative
-    cost-coupling residual |cost - beta * value| / max(1, cost).
+    cost-coupling residual |cost - beta * value| / cost (0 at cost 0).
     ``inv1_bound`` and ``inv2_bound`` are the budget slack and the
     absolute coupling residual that the steps' level certificates allow
     so far (see ``primal_dual_step``).  The monitors fail on a NaN slack
@@ -324,7 +320,7 @@ def greedy_allocation_step(
     _arrive(cover, event)
     nbrs = event.neighbors
     pots, ws = cover.y[nbrs], cover.weights[nbrs]
-    level, saturated, f_level, level_bound = _solve_level(
+    level, f_level, level_bound = _solve_level(
         pots, cover.fy[nbrs], ws, float(event.weight), func, cover.f1
     )
     raised_mask = pots < level
@@ -340,7 +336,7 @@ def greedy_allocation_step(
     cover.total_cost += event.weight * (1.0 - level)
     cover.arrived += 1
     return cover, WaterLevelOutcome(
-        level, ridx, saturated, raised_mask, w_r, lift, f_level, level_bound
+        level, ridx, level < 1.0, raised_mask, w_r, lift, f_level, level_bound
     )
 
 
@@ -368,8 +364,8 @@ def primal_dual_step(
 
     The level is certified only up to its gap H(y) (see ``_solve_level``),
     and the monitors allow what that leaves, beside their rounding bounds
-    (INV_EPS * max(1, w) over the touched vertices, INV_EPS * max(1,
-    cost)).  v's budget slack is H(y) (1 + (1-y)/f(y)) / beta when it
+    (INV_EPS times the largest touched weight, and INV_EPS * cost, with no
+    floor).  v's budget slack is H(y) (1 + (1-y)/f(y)) / beta when it
     arrives, and a raise only lowers a slack (beyond rounding), since
     (1-t)/f(t) is nonincreasing: the budget monitor allows the largest of
     these over the arrivals so far.  A step moves cost - beta * value by
@@ -407,7 +403,7 @@ def primal_dual_step(
     w_v = float(event.weight)
     worst = float(matching.x_agg[v]) - w_v * (bracket_v / beta)
     matching.inv1_slack[v] = worst
-    at, w_max = v, max(1.0, w_v)
+    at, w_max = v, w_v
     if ridx.size:
         slack_r = matching.x_agg[ridx] - outcome.weights * (bracket_r / beta)
         matching.inv1_slack[ridx] = slack_r
@@ -423,10 +419,10 @@ def primal_dual_step(
     matching.track_max(at, worst)
 
     matching.inv2_bound += ratio * bound
-    residual = abs(cover.total_cost - beta * matching.total_value)
-    scale = max(1.0, cover.total_cost)
-    matching.inv2_slack = residual / scale
-    _check(residual, INV_EPS * scale + matching.inv2_bound, "cost-coupling invariant", v)
+    cost = cover.total_cost
+    residual = abs(cost - beta * matching.total_value)
+    matching.inv2_slack = residual / cost if cost else 0.0
+    _check(residual, INV_EPS * cost + matching.inv2_bound, "cost-coupling invariant", v)
     return cover, matching, outcome
 
 
@@ -505,8 +501,7 @@ class Algorithm:
     because potentials never decrease), reads the primal-dual monitors,
     and writes the next row of a structured array of ``ROW_FIELDS`` sized
     for n arrivals; ``rows`` is its first ``steps`` rows, row v for vertex
-    v.  A step that raises
-    writes no row, though its state may have advanced.  ``feas_slack`` is
+    v.  A step that raises writes no row, though its state may have advanced.  ``feas_slack`` is
     the most negative y_u + y_v - 1 seen on a revealed edge.  ``step``
     takes the events of a validated stream, as the step functions do.
     """
@@ -598,8 +593,9 @@ def check_invariants(
     Independent of the incremental bookkeeping the steps maintain: edge
     values are re-aggregated, totals re-summed, and the per-vertex budget
     inequality re-derived from f and F and ``matching.z_arrival``.  Reports
-    slacks, never raises; a NaN anywhere reaches the fields it feeds.  A
-    prefix is checked by passing ``static_from_stream(stream, j)``.
+    slacks (the coupling one relative to the cost), never raises; a NaN
+    anywhere reaches the fields it feeds.  A prefix is checked by passing
+    ``static_from_stream(stream, j)``.
     """
     a = min(cover.arrived, len(stream))
     u, v = stream.edge_arrays()
@@ -619,7 +615,7 @@ def check_invariants(
         max_inv1 = float(np.max(x_agg[:a] - rhs))
         cap_excess = float(np.max(x_agg[:a] - w))
     total_y = float(np.sum(cover.weights[:a] * cover.y[:a]))
-    inv2 = abs(total_y - beta * total_x) / max(1.0, total_y)
+    inv2 = abs(total_y - beta * total_x) / total_y if total_y else 0.0
     min_gap = float(np.min(cover.y[u] + cover.y[v] - 1.0)) if u.size else 0.0
     return InvariantReport(
         max_inv1_slack=max_inv1,

@@ -401,8 +401,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (OnlineCoverError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OnlineCoverError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

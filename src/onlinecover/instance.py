@@ -35,8 +35,8 @@ SIDE_CODES = {Side.LEFT: 0, Side.RIGHT: 1, Side.UNLABELED: -1}
 _SIDE_OF = {code: side for side, code in SIDE_CODES.items()}
 _L, _R = SIDE_CODES[Side.LEFT], SIDE_CODES[Side.RIGHT]
 
-# largest stream a ski-rental spec may reduce to, and the largest an
-# adversary budget may emit
+# largest stream a generator may build, a ski-rental spec reduce to, and
+# an adversary budget emit
 MAX_ARRIVALS = 1_000_000
 
 
@@ -281,14 +281,20 @@ def parse_instance(text: str) -> InstanceStream:
 # -------------------------------------------------------------- generators
 
 
+def _check_size(arrivals: int, *sizes: int) -> None:
+    if min(sizes) < 1:
+        raise ValidationError(f"generator sizes must be >= 1, got {', '.join(map(str, sizes))}")
+    if arrivals > MAX_ARRIVALS:
+        raise ValidationError(f"generator would build {arrivals} arrivals, more than {MAX_ARRIVALS}")
+
+
 def gen_triangular(n: int) -> InstanceStream:
     """n offline left vertices, then n online rights of shrinking degree.
 
     The i-th online vertex (1-based) neighbors the first n+1-i lefts, so a
     perfect matching always exists while early onlines see many choices.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    _check_size(2 * n, n)
     off = _offsets(np.concatenate((np.zeros(n, dtype=np.int64), np.arange(n, 0, -1))))
     return InstanceStream(np.ones(2 * n), np.repeat([_L, _R], n), off, _ranges(0, off), n)
 
@@ -300,8 +306,7 @@ def gen_two_phase_matching_hard(n: int) -> InstanceStream:
     last n triangular to them); then n more lefts triangular to the first
     n rights.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    _check_size(4 * n, n)
     shrinking = np.arange(n, 0, -1)
     off = _offsets(np.concatenate((np.zeros(n, dtype=np.int64), np.full(n, n), shrinking,
                                    shrinking)))
@@ -311,8 +316,7 @@ def gen_two_phase_matching_hard(n: int) -> InstanceStream:
 
 def gen_complete_bipartite(d: int, m: int) -> InstanceStream:
     """d offline lefts; m online rights each adjacent to every left."""
-    if d < 1 or m < 1:
-        raise ValidationError("d and m must be >= 1")
+    _check_size(d + m, d, m)
     off = _offsets(np.repeat([0, d], [d, m]))
     return InstanceStream(np.ones(d + m), np.repeat([_L, _R], [d, m]), off, _ranges(0, off), d)
 
@@ -327,8 +331,7 @@ def gen_random(n: int, p: float, seed: int, mode: str = "general") -> InstanceSt
     offline lefts, rest online rights), ``bipartite_alternating`` (sides
     alternate by arrival parity, all online).
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    _check_size(n, n)
     if not (0.0 <= p <= 1.0):
         raise ValidationError("p must lie in [0, 1]")
     if mode not in RANDOM_MODES:

@@ -400,6 +400,9 @@ def test_cli_usage_errors():
          "--csv", "{missing_dir}/run.csv"],
         ["adversary", "--budget", "2,5,0"],  # a zero cap, not the default one
         ["simulate", "--gen", "triangular:3", "--f", "family-k:1e308"],  # 2k = inf
+        # beyond MAX_ARRIVALS arrivals: rejected before anything is allocated
+        ["simulate", "--gen", "triangular:10000000"],
+        ["simulate", "--gen", "complete:1,1000000"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
@@ -535,6 +538,10 @@ def cli_argv(draw):
 @example(argv=["simulate", "--gen", "random:5,0.5", "--seed", "-1"])
 @example(argv=["optimize-f", "--tol", "nan"])
 @example(argv=["ski-rental", "--buy", "0,4", "--rent", "1,0", "--t-end", "1e9", "--step", "1e-9"])
+@example(argv=["simulate", "--gen", "triangular:10000000000000"])
+@example(argv=["simulate", "--gen", "random:10000000000000,0"])
+@example(argv=["simulate", "--gen", "complete:10000000000000,1"])
+@example(argv=["simulate", "--gen", "two-phase:10000000000000"])
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_exit_code_contract(argv):
     """Any argv exits 0, 1 or 2 and no exception escapes ``cli_main``; a
@@ -561,6 +568,32 @@ def test_cli_module_usage_error_has_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_cli_out_of_memory_is_usage_error(monkeypatch, capsys):
+    import onlinecover.harness as hmod
+
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(hmod, "gen_triangular", exhausted)
+    assert cli_main(["simulate", "--gen", "triangular:3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: MemoryError\n"
+
+
+@pytest.mark.parametrize("algo,f_spec", [("waterfill", "linear-alpha"), ("primal-dual", "optimal")])
+def test_cli_ski_rental_ratio_is_scale_free(algo, f_spec, capsys):
+    """Costs, step and horizon scaled by 2^-40 scale every weight of the
+    reduced stream by 2^-40, which leaves the run's ratio to the bit."""
+    ratios = []
+    for s in (1.0, 2.0**-40):
+        argv = ["ski-rental", "--buy", f"0,{40 * s!r},{100 * s!r}", "--rent", "2,1,0",
+                "--step", repr(s), "--t-end", repr(200 * s), "--algo", algo, "--f", f_spec]
+        assert cli_main(argv) == 0
+        ratios.append(capsys.readouterr().out.split("worst_prefix_cover_ratio=")[1].split(",")[0])
+    assert ratios[1] == ratios[0]
 
 
 def test_cli_has_no_eps_option(capsys):
