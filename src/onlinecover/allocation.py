@@ -44,46 +44,34 @@ class QuadratureTable:
 
     Every family member, greedy included, solves f(z) f'(1-z) = z - 1, so
     (1-t)/f(t) = d/dt f(1-t) and F(x) = f(1-x) - f(1), computed by calling
-    f; linear-alpha integrates to (1+alpha) log1p(x/alpha) - x.  Nothing is
-    tabulated.  The engine's steps evaluate F only under linear-alpha (for
-    a family member the budget bracket reduces to y + f(1-y), read from the
-    f column); the class stays for ``beta_of``, which calls it once per
+    f and reading its ``f1``; linear-alpha integrates to (1+alpha)
+    log1p(x/alpha) - x.  Nothing is tabulated.  The engine's steps evaluate
+    F only under linear-alpha, at the raised neighbors' arrival potentials
+    and the level; the class stays for ``beta_of``, which calls it once per
     run, for ``engine.check_invariants``, and for the benchmark's tracer,
     which counts F calls by patching ``QuadratureTable.eval``.
     """
 
     def __init__(self, func: "AllocationFunction"):
         self._func = func
-        self._f1 = None if func.kind == "linear-alpha" else func(1.0)
 
     def eval(self, x):
         """F at x (scalar or ndarray in [0, 1]).
 
         Arguments outside [0, 1] by more than 1e-12, NaN included, raise
         DomainError, the same bounds f uses; inside them x is clamped to
-        [0, 1], since 1 - x would otherwise leave f's slack.  A Python float
-        (or numpy float64, or a 0-d array) takes a scalar branch that runs
-        the same IEEE operations on floats, so its value is bit-identical to
-        the array path's; both use ``np.log1p``, which ``math.log1p`` can
-        differ from in the last bit.
+        [0, 1], since 1 - x would otherwise leave f's slack.  Every argument
+        takes the one array path, which uses ``np.log1p`` (``math.log1p``
+        can differ from it in the last bit).
         """
-        if isinstance(x, float):
-            if not (-1e-12 <= x <= 1.0 + 1e-12):
-                raise DomainError(f"F argument outside [0, 1]: {x!r}")
-            x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else float(x)
-            if self._f1 is None:
-                return (1.0 + ALPHA) * float(np.log1p(x / ALPHA)) - x
-            return self._func(1.0 - x) - self._f1
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return self.eval(float(x))
         # min/max propagate NaN, which then fails the comparison
         if x.size and not (x.min() >= -1e-12 and x.max() <= 1.0 + 1e-12):
             raise DomainError(f"F argument outside [0, 1]: {x!r}")
         x = np.minimum(np.maximum(x, 0.0), 1.0)
-        if self._f1 is None:
+        if self._func.kind == "linear-alpha":
             return (1.0 + ALPHA) * np.log1p(x / ALPHA) - x
-        return self._func(1.0 - x) - self._f1
+        return self._func(1.0 - x) - self._func.f1
 
 
 @dataclass
@@ -107,9 +95,10 @@ class AllocationFunction:
       0^0 := 1), equivalent to a variant of the greedy algorithm.
 
     Construction checks, on a 10^4-node grid, that f > 0 on [0, 1) with
-    f(1) >= 0, and that (1-t)/f(t) is nonincreasing.  ``table()`` returns
-    F (see ``QuadratureTable``).  Instances are immutable after
-    construction and safe to share across runs.
+    f(1) >= 0, and that (1-t)/f(t) is nonincreasing.  ``f1`` is f(1),
+    evaluated once there by the scalar call, so it equals ``self(1.0)`` to
+    the bit; ``table()`` returns F (see ``QuadratureTable``).  Instances
+    are immutable after construction and safe to share across runs.
     """
 
     def __init__(self, kind: str, k: float | None = None):
@@ -131,6 +120,7 @@ class AllocationFunction:
             self._e2 = (k - 1.0) / (2.0 * k)
             self._exps = np.array([self._e1, self._e2])  # the scalar branch's one np.power call
         self._validate_shape()
+        self.f1 = self(1.0)
         self._F = QuadratureTable(self)
 
     # -- constructors ------------------------------------------------------
@@ -220,7 +210,7 @@ def beta_of(func: AllocationFunction) -> BetaReport:
     expression serves every kind.  A NaN from a corrupted f or F raises
     NumericError.
     """
-    beta = 1.0 + func(1.0) + float(func.table().eval(1.0))
+    beta = 1.0 + func.f1 + float(func.table().eval(1.0))
     if math.isnan(beta):
         raise NumericError(f"beta(f) is NaN for {func.describe()}")
     return BetaReport(beta=beta)
@@ -337,16 +327,17 @@ def smooth_to_constant(
     so the sup-norm step size equals the current residual; it stops once
     that drops below tol.
 
-    Raises PreconditionError when R(r1) exceeds gamma anywhere on the grid,
-    and ConvergenceError when max_iters passes without the residual
-    reaching tol.
+    Raises PreconditionError, before iterating, when gamma is not finite,
+    the grid has under 2 nodes or R(r1) exceeds gamma anywhere on it; and
+    ConvergenceError when max_iters passes without reaching tol.
     """
-    if callable(r1):
-        grid = np.linspace(0.0, 1.0, grid_nodes)
-        r = np.asarray(r1(grid), dtype=float).copy()
-    else:
-        r = np.asarray(r1, dtype=float).copy()
-        grid = np.linspace(0.0, 1.0, len(r))
+    if not math.isfinite(gamma):
+        raise PreconditionError(f"gamma must be finite, got {gamma!r}")
+    nodes = grid_nodes if callable(r1) else len(r1)
+    if nodes < 2:
+        raise PreconditionError(f"the grid needs at least 2 nodes, got {nodes}")
+    grid = np.linspace(0.0, 1.0, nodes)
+    r = np.asarray(r1(grid) if callable(r1) else r1, dtype=float).copy()
     if np.any(r < 0.0) or np.any((r == 0.0) & (grid < 1.0)):
         raise PreconditionError("r1 must be positive on [0, 1)")
 

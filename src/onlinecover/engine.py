@@ -67,14 +67,14 @@ class WaterLevelOutcome(NamedTuple):
     level_bound: float
 
 
-def _solve_level(pots, fs, ws, v_weight, func, f1):
+def _solve_level(pots, fs, ws, v_weight, func):
     """Maximal y <= 1 with sum_u w_u max(y - y_u, 0) <= v_weight * f(y).
 
-    ``fs`` holds f at each neighbor potential and ``f1`` is f(1): every
-    breakpoint is an earlier level or 1 - level, where f was evaluated
+    ``fs`` holds f at each neighbor potential and ``func.f1`` is f(1):
+    every breakpoint is an earlier level or 1 - level, where f was evaluated
     already, so H is evaluated there from these values and f is called only
     at points inside a segment.  Returns (level, f(level), bound) for the
-    gap H(t) = C(t) t - P(t) - v_weight f(t): (1.0, f1, 0.0) when H(1) <= 0,
+    gap H(t) = C(t) t - P(t) - v_weight f(t): (1.0, f(1), 0.0) when H(1) <= 0,
     else the crossing of H, certified, with the certificate's bound on
     |H(level)|.  Breakpoints are the sorted neighbor potentials.  H is
     convex on [0, 1] (C t - P is convex and piecewise linear, and every f
@@ -130,9 +130,9 @@ def _solve_level(pots, fs, ws, v_weight, func, f1):
     def bound(t: float) -> float:
         return LEVEL_EPS * max(csw_l[bisect_left(sp_l, t)], v_weight)
 
-    g_hi = gap(1.0, f1)
+    g_hi = gap(1.0, func.f1)
     if g_hi <= 0.0:
-        return 1.0, f1, 0.0
+        return 1.0, func.f1, 0.0
     # the feasible breakpoints are a nonempty prefix: i ends on the last, j on the first infeasible
     i, j, g_lo = 0, m, gap(sp_l[0], sf_l[0])
     while j - i > 1:
@@ -202,16 +202,15 @@ class WaterCoverState(CoverState):
 
     ``fy[u]`` is f(y_u) for every arrived u, written wherever ``y`` is: a
     raised neighbor gets f(level) as the level solve evaluated it, an
-    arrival f(1 - level).  ``f1`` is f(1), evaluated once.  The steps keep
-    them to the bit of ``func(y)``; a state built by hand must too.
+    arrival f(1 - level).  The steps keep it to the bit of ``func(y)``; a
+    state built by hand must too.
     """
 
     fy: np.ndarray
-    f1: float
 
     @classmethod
-    def fresh(cls, n: int, func) -> "WaterCoverState":
-        return cls(weights=np.zeros(n), y=np.zeros(n), fy=np.zeros(n), f1=float(func(1.0)))
+    def fresh(cls, n: int) -> "WaterCoverState":
+        return cls(weights=np.zeros(n), y=np.zeros(n), fy=np.zeros(n))
 
 
 @dataclass
@@ -320,9 +319,7 @@ def greedy_allocation_step(
     _arrive(cover, event)
     nbrs = event.neighbors
     pots, ws = cover.y[nbrs], cover.weights[nbrs]
-    level, f_level, level_bound = _solve_level(
-        pots, cover.fy[nbrs], ws, float(event.weight), func, cover.f1
-    )
+    level, f_level, level_bound = _solve_level(pots, cover.fy[nbrs], ws, float(event.weight), func)
     raised_mask = pots < level
     ridx = nbrs[raised_mask]
     w_r = ws[raised_mask]
@@ -356,11 +353,11 @@ def primal_dual_step(
     NaN, raises InvariantViolation.
 
     The budget inequality's right side is w (y + f(1-z) + F(y) - F(z)) /
-    beta, z the arrival potential.  Every family member has F(x) = f(1-x)
-    - f(1), so its bracket is y + f(1-y), and the step knows f there: the
-    raised neighbors sit at the level, where f(1 - level) is the arrival's
-    ``fy``, and v at 1 - level, where f(level) is the level solve's.  So
-    family members make no f or F call here; linear-alpha evaluates F.
+    beta, z the arrival potential.  v arrives at y = z = 1 - level, so its
+    bracket is z + f(level), the level solve's f, for every f.  A family
+    member's F(x) = f(1-x) - f(1) makes a raised neighbor's bracket y +
+    f(1-y) at the level y, and f(1 - level) is the arrival's ``fy``.  So
+    only linear-alpha evaluates F here, for the raised neighbors.
 
     The level is certified only up to its gap H(y) (see ``_solve_level``),
     and the monitors allow what that leaves, beside their rounding bounds
@@ -391,15 +388,13 @@ def primal_dual_step(
     # (at most g(z) <= beta) is divided first, which keeps w * (...) <= w finite
     zv = 1.0 - level
     matching.z_arrival[v] = zv
-    if func.kind == "linear-alpha":
+    bracket_v = zv + f_level
+    if func.kind != "linear-alpha":
+        bracket_r = level + float(cover.fy[v])
+    elif ridx.size:
         tbl = func.table()
-        F_zv = float(tbl.eval(zv))
-        bracket_v = zv + (float(func(1.0 - zv)) - F_zv) + F_zv
-        if ridx.size:
-            z_r = matching.z_arrival[ridx]
-            bracket_r = level + (func(1.0 - z_r) - tbl.eval(z_r)) + float(tbl.eval(level))
-    else:
-        bracket_v, bracket_r = zv + f_level, level + float(cover.fy[v])
+        z_r = matching.z_arrival[ridx]
+        bracket_r = level + (func(1.0 - z_r) - tbl.eval(z_r)) + float(tbl.eval(level))
     w_v = float(event.weight)
     worst = float(matching.x_agg[v]) - w_v * (bracket_v / beta)
     matching.inv1_slack[v] = worst
@@ -467,8 +462,10 @@ def round_bipartite(final_y, side_codes, t: float) -> set[int]:
     ``side_codes`` are a stream's (``SIDE_CODES``); every vertex needs a
     side.  With dual-feasible potentials every revealed edge ends up
     covered, and because potentials only rise, a fixed t yields a monotone
-    integral cover across the run.
+    integral cover across the run.  A t outside [0, 1], or NaN, is rejected.
     """
+    if not 0.0 <= t <= 1.0:
+        raise ValidationError(f"rounding threshold must lie in [0, 1], got {t!r}")
     y = np.asarray(final_y, dtype=float)
     codes = np.asarray(side_codes, dtype=np.int64)  # ``Side`` objects raise TypeError
     unlabeled = np.flatnonzero(codes == SIDE_CODES[Side.UNLABELED])
@@ -501,9 +498,11 @@ class Algorithm:
     because potentials never decrease), reads the primal-dual monitors,
     and writes the next row of a structured array of ``ROW_FIELDS`` sized
     for n arrivals; ``rows`` is its first ``steps`` rows, row v for vertex
-    v.  A step that raises writes no row, though its state may have advanced.  ``feas_slack`` is
-    the most negative y_u + y_v - 1 seen on a revealed edge.  ``step``
-    takes the events of a validated stream, as the step functions do.
+    v.  A step that raises writes no row, though its state may have
+    advanced; n < 0, or an event id >= n, raises ``ValidationError`` first.
+    ``feas_slack`` is the most negative y_u + y_v - 1 seen on a revealed
+    edge.  ``step`` takes the events of a validated stream, as the step
+    functions do.
     """
 
     def __init__(self, algo: str, func: AllocationFunction | None, n: int):
@@ -513,7 +512,9 @@ class Algorithm:
             raise ValidationError(f"{algo} requires an allocation function")
         self.algo = algo
         self.func = None if algo == "greedy" else func  # greedy reads no f
-        self.cover = CoverState.fresh(n) if algo == "greedy" else WaterCoverState.fresh(n, func)
+        if not n >= 0:
+            raise ValidationError(f"a run's capacity must be >= 0 arrivals, got {n}")
+        self.cover = CoverState.fresh(n) if algo == "greedy" else WaterCoverState.fresh(n)
         self.matching: MatchingState | None = None
         self.beta = 0.0
         if algo == "primal-dual":
@@ -531,6 +532,8 @@ class Algorithm:
         return self._record[: self.steps]
 
     def step(self, event: VertexEvent) -> None:
+        if not event.id < len(self._record):
+            raise ValidationError(f"event {event.id} exceeds the capacity of {len(self._record)}")
         cover, matching = self.cover, self.matching
         inv1 = inv2 = total_match = 0.0
         if self.algo == "waterfill":

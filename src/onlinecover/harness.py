@@ -26,7 +26,7 @@ import numpy as np
 
 from . import allocation, engine, oracle
 from .allocation import AllocationFunction
-from .errors import InvariantViolation, OnlineCoverError, ValidationError
+from .errors import InvariantViolation, OnlineCoverError, ParseError, ValidationError
 from .instance import (
     MAX_ARRIVALS,
     RANDOM_MODES,
@@ -424,8 +424,13 @@ def _dispatch(args) -> int:
         if args.gen:
             stream = resolve_generator(args.gen, args.seed)
         else:
-            with open(args.input, encoding="utf-8") as fh:
-                stream = parse_instance(fh.read())
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+            try:
+                stream = parse_instance(data.decode("utf-8"))
+            except UnicodeDecodeError as exc:  # named by its line, as parse_instance counts lines
+                line_no = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+                raise ParseError(line_no, f"not UTF-8 text: {exc.reason}") from None
         func = resolve_allocation(args.f_spec)
         alg, summary = run_experiment(stream, args.algo, func, args.prefix)
 

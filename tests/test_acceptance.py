@@ -226,7 +226,7 @@ def test_criterion_7_oracle_cross_validation():
 
 def test_criterion_8_rounding():
     stream = gen_complete_bipartite(50, 500)
-    cover = engine.WaterCoverState.fresh(len(stream), LIN)
+    cover = engine.WaterCoverState.fresh(len(stream))
     yu_at_reveal, yv_at_reveal = [], []
     prev = cover.y.copy()
     monotone = True

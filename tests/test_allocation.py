@@ -98,12 +98,20 @@ def test_scalar_branch_is_bitwise_array_branch(kind):
     for part in parts:
         assert np.array_equal(bits(scalar_f)[part], bits(f(arr[part])))
     scalar_F = [tbl.eval(x) for x in BRANCH_POINTS]
-    assert all(type(v) is float for v in scalar_F)
     assert np.array_equal(
         bits(scalar_F), bits([tbl.eval(np.array([x]))[0] for x in BRANCH_POINTS])
     )
     for part in parts:
         assert np.array_equal(bits(scalar_F)[part], bits(tbl.eval(arr[part])))
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCH_FUNCS))
+def test_f1_is_f_at_one(kind):
+    """The level solve, F and beta read f(1) from ``f1``: f's own value at
+    1, to the bit, on either branch."""
+    f = BRANCH_FUNCS[kind]
+    assert type(f.f1) is float
+    assert bits(f.f1) == bits(f(1.0)) == bits(f(np.ones(1))[0])
 
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_FUNCS))
@@ -325,6 +333,24 @@ def test_smoothing_initial_functional_matches_analytic():
 def test_smoothing_precondition_rejected():
     with pytest.raises(PreconditionError):
         smooth_to_constant(lambda p: 0.01 + 0.0 * p, 2.0)
+
+
+@pytest.mark.parametrize(
+    "r1,gamma,grid_nodes",
+    [
+        (lambda p: 1.1 * (1.0 - p), math.nan, 2001),
+        (lambda p: 1.1 * (1.0 - p), math.inf, 2001),
+        (lambda p: 1.1 * (1.0 - p), 2.0, 1),
+        (lambda p: 1.1 * (1.0 - p), 2.0, 0),
+        (np.array([1.0]), 2.0, 2001),
+        (np.array([]), 2.0, 2001),
+    ],
+)
+def test_smoothing_rejects_degenerate_parameters(r1, gamma, grid_nodes):
+    """A non-finite gamma, or a grid of fewer than 2 nodes, is rejected
+    before the first iteration."""
+    with pytest.raises(PreconditionError):
+        smooth_to_constant(r1, gamma, grid_nodes=grid_nodes)
 
 
 def test_smoothing_exhausts_iterations():

@@ -1,6 +1,7 @@
 """Tests for the online engine: levels, steps, runs, rounding, monitors."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -67,7 +68,7 @@ def star_level(neighbors, v_weight, func):
     raised vertex ids are the input indices.
     """
     m = len(neighbors)
-    cover = WaterCoverState.fresh(m + 1, func)
+    cover = WaterCoverState.fresh(m + 1)
     cover.weights[:m] = [w for _, w in neighbors]
     cover.y[:m] = [p for p, _ in neighbors]
     if m:
@@ -136,15 +137,16 @@ def test_level_certificate_ignores_heavy_neighbor_above_level():
     def jump(t):
         return np.where(np.asarray(t) < 0.3, 2.0, 0.01)
 
+    jump.f1 = 0.01  # the level solve reads f(1) from its f
     with pytest.raises(NumericError):
         star_level([(1.0, 1e12), (0.0, 1.0)], 1.0, jump)
 
 
-def numpy_per_call_level(pots, fs, ws, v_weight, func, f1):
+def numpy_per_call_level(pots, fs, ws, v_weight, func):
     """The level solve by bisection, as it stood before its secant steps:
     one ``np.searchsorted`` and one f call on a 0-d array per step.  It
     takes the solve's arguments but ignores the f values ``fs`` and
-    ``f1``: f is evaluated afresh everywhere, at the level it returns too.
+    ``func.f1``: f is evaluated afresh everywhere, at the level it returns too.
     Its certificate bound is returned as the solve returns it."""
     order = np.argsort(pots, kind="stable")
     sp = pots[order]
@@ -185,7 +187,7 @@ def numpy_per_call_level(pots, fs, ws, v_weight, func, f1):
 def level_or_error(solve, pots, ws, v_weight, func):
     """``solve`` on a star whose f values come from one array call of f."""
     try:
-        return solve(pots, func(pots), ws, v_weight, func, float(func(1.0)))
+        return solve(pots, func(pots), ws, v_weight, func)
     except NumericError:
         return "uncertified"
 
@@ -492,7 +494,6 @@ def test_cached_f_column_is_f_at_the_potentials(n, p, seed, mode, weights, kind,
     a = alg.cover.arrived
     assert a >= len(alg.rows)
     assert alg.cover.fy[:a].tobytes() == func(alg.cover.y[:a]).tobytes()
-    assert alg.cover.f1 == float(func(np.ones(1))[0])
 
 
 # -------------------------------------------------------------------- steps
@@ -504,7 +505,7 @@ def single_edge_stream():
 
 def test_isolated_arrival():
     stream = parse_instance("offline 0\n0 1.0 - 0\n")
-    cover = WaterCoverState.fresh(1, LIN)
+    cover = WaterCoverState.fresh(1)
     cover, out = greedy_allocation_step(cover, stream.event(0), LIN)
     assert out.level == 1.0
     assert cover.y[0] == 0.0
@@ -514,7 +515,7 @@ def test_isolated_arrival():
 def test_first_online_arrival_complete_bipartite():
     d = 10
     stream = gen_complete_bipartite(d, 1)
-    cover = WaterCoverState.fresh(d + 1, LIN)
+    cover = WaterCoverState.fresh(d + 1)
     for ev in stream:
         cover, out = greedy_allocation_step(cover, ev, LIN)
     assert out.level == pytest.approx(ALPHA / (d - 1), abs=1e-12)
@@ -548,6 +549,24 @@ def test_step_rejects_neighbours_that_have_not_arrived(algo):
         assert exc.value.event == 0
     assert alg.cover.arrived == 0 and len(alg.rows) == 0
     assert not alg.cover.y.any() and alg.cover.total_cost == 0.0
+
+
+@pytest.mark.parametrize("algo", engine.ALGOS)
+def test_run_rejects_sizes_it_cannot_hold(algo):
+    """A negative capacity, and an event beyond the capacity, are
+    validation errors that name it; the failed step moves nothing."""
+    with pytest.raises(ValidationError, match="capacity"):
+        Algorithm(algo, FK, -1)
+    stream = gen_triangular(2)
+    n = len(stream) - 1
+    alg = Algorithm(algo, FK, n)
+    for v in range(n):
+        alg.step(stream.event(v))
+    cover = (alg.cover.y.copy(), alg.cover.total_cost)
+    with pytest.raises(ValidationError, match=f"event {n} exceeds the capacity of {n}"):
+        alg.step(stream.event(n))
+    assert alg.steps == alg.cover.arrived == n
+    assert alg.cover.y.tolist() == cover[0].tolist() and alg.cover.total_cost == cover[1]
 
 
 def test_single_edge_primal_dual_closed_form():
@@ -664,7 +683,7 @@ def test_check_invariants_stepwise():
     # the dense stream has arrivals with eight or more raised neighbours,
     # whose edge values numpy sums pairwise rather than one at a time
     for stream in (gen_random(40, 0.25, seed=8), gen_random(60, 0.5, seed=0)):
-        cover = WaterCoverState.fresh(len(stream), FK)
+        cover = WaterCoverState.fresh(len(stream))
         matching = PrimalDualState.fresh(len(stream))
         for ev in stream:
             cover, matching, _ = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
@@ -706,7 +725,7 @@ def test_edge_values_scale_the_water_filling_lift():
     neighbour.  Primal-dual's edge values are lift / beta * (1 + (1-y)/f(y)),
     to the bit, and 0 on every other new edge."""
     for stream in (gen_random(50, 0.2, seed=3), weighted_stream(2)):
-        cover = WaterCoverState.fresh(len(stream), FK)
+        cover = WaterCoverState.fresh(len(stream))
         matching = PrimalDualState.fresh(len(stream))
         raised = 0
         for ev in stream:
@@ -739,7 +758,7 @@ def test_waterfill_cover_matches_primal_dual_cover():
 
 def test_corrupted_state_triggers_violation():
     stream = single_edge_stream()
-    cover = WaterCoverState.fresh(2, FK)
+    cover = WaterCoverState.fresh(2)
     matching = PrimalDualState.fresh(2)
     cover, matching, _ = primal_dual_step(cover, matching, stream.event(0), FK, BETA_STAR)
     matching.x_agg[0] += 1.0  # simulate an out-of-band edge-value bug
@@ -751,7 +770,7 @@ def test_understated_beta_shows_up_as_capacity_excess():
     # the two maintained invariants are scale-invariant in beta, so an
     # understated beta must surface in the capacity check instead
     stream = gen_complete_bipartite(2, 12)
-    cover = WaterCoverState.fresh(len(stream), FK)
+    cover = WaterCoverState.fresh(len(stream))
     matching = PrimalDualState.fresh(len(stream))
     for ev in stream:
         cover, matching, _ = primal_dual_step(cover, matching, ev, FK, beta=1.0)
@@ -771,7 +790,7 @@ def test_check_invariants_fresh_state():
 
 def test_monotone_potentials():
     stream = gen_random(80, 0.2, seed=13)
-    cover = WaterCoverState.fresh(len(stream), FK)
+    cover = WaterCoverState.fresh(len(stream))
     prev = cover.y.copy()
     for ev in stream:
         cover, _ = greedy_allocation_step(cover, ev, FK)
@@ -842,6 +861,17 @@ def test_round_threshold_cases():
         round_bipartite([0.5, 0.5], [Side.LEFT, Side.RIGHT], 0.5)
 
 
+def test_round_rejects_a_threshold_outside_the_unit_interval():
+    """A threshold outside [0, 1] leaves edges uncovered (NaN returns the
+    empty set), so it is rejected; the endpoints stay valid."""
+    sides = parse_instance("offline 1\n0 1 L 0\n1 1 R 1 0\n").side_codes
+    for t in (math.nan, -0.1, 1.5, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="threshold"):
+            round_bipartite([0.5, 0.5], sides, t)
+    assert round_bipartite([0.0, 1.0], sides, 0.0) == {0, 1}
+    assert round_bipartite([1.0, 0.0], sides, 1.0) == {0, 1}
+
+
 def test_round_monte_carlo_mean():
     stream = gen_complete_bipartite(20, 100)
     trace = run_stream(stream, "waterfill", LIN)
@@ -858,7 +888,7 @@ def test_round_monte_carlo_mean():
 
 def test_round_monotone_over_trace():
     stream = gen_complete_bipartite(6, 30)
-    cover = WaterCoverState.fresh(len(stream), LIN)
+    cover = WaterCoverState.fresh(len(stream))
     sides = stream.side_codes
     # at t = 1 every right vertex rounds into the cover, arrived or not
     prev_covers = {t: set() for t in (0.12, 0.5, 0.87, 1.0)}

@@ -29,6 +29,8 @@ from onlinecover.harness import (
 from onlinecover.instance import (
     MAX_ARRIVALS,
     RANDOM_MODES,
+    SIDE_CODES,
+    Side,
     SkiRentalSpec,
     parse_instance,
     serialize_instance,
@@ -269,6 +271,31 @@ def test_adversary_four_phases_default_sizing():
     assert 1.0 <= out.ratio <= 1.9011
 
 
+@pytest.mark.parametrize(
+    "budget,algo,f_spec",
+    [
+        ((3, 120), "primal-dual", "optimal"),
+        ((2, 5), "waterfill", "linear-alpha"),
+        ((4, 10, 100), "waterfill", "family-k:2"),
+        ((3, 40, 800), "primal-dual", "greedy"),
+        ((2, 25, 250), "greedy", None),
+    ],
+)
+def test_adversary_prefix_optima_are_the_complete_bipartite_closed_form(budget, algo, f_spec):
+    """Each arrival is adjacent to every earlier vertex on the other side,
+    so every prefix of a transcript is complete bipartite and its optimum
+    is the smaller side's size."""
+    func = None if f_spec is None else resolve_allocation(f_spec)
+    out = adaptive_adversary_vc(AdversaryBudget(*budget), algo, func)
+    codes = out.transcript.side_codes
+    lefts = np.cumsum(codes == SIDE_CODES[Side.LEFT])
+    rights = np.cumsum(codes == SIDE_CODES[Side.RIGHT])
+    assert lefts[-1] + rights[-1] == len(out.transcript)
+    assert out.transcript.edge_count() == lefts[-1] * rights[-1]
+    opts = oracle.prefix_optimal_values(out.transcript)
+    assert opts.tolist() == np.minimum(lefts, rights).astype(float).tolist()
+
+
 def test_adversary_budget_exhaustion_is_reported():
     budget = AdversaryBudget(
         phases=2, offline_d=20, per_phase_cap=25, convergence_threshold=0.999
@@ -403,6 +430,9 @@ def test_cli_usage_errors():
         # beyond MAX_ARRIVALS arrivals: rejected before anything is allocated
         ["simulate", "--gen", "triangular:10000000"],
         ["simulate", "--gen", "complete:1,1000000"],
+        # input that is not UTF-8: the line of the first undecodable byte is named
+        ["simulate", "--input", "{utf16}"],
+        ["simulate", "--input", "{latin}"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
@@ -413,9 +443,14 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     huge = tmp_path / "huge.txt"  # K4 of weight 1e308: its total weight is no float
     huge.write_text("offline 0\n" + "".join(
         f"{j} 1e308 - {j} {' '.join(map(str, range(j)))}\n" for j in range(4)))
+    single_edge = "offline 0\n0 1 - 0\n1 1 - 1 0\n"
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_text(single_edge, encoding="utf-16")
+    latin = tmp_path / "latin.txt"  # a 0xff byte on line 2
+    latin.write_bytes(b"offline 0\n0 1 - 0 \xff\n1 1 - 1 0\n")
     argv = [
         a.format(missing=tmp_path / "no-such-file.txt", missing_dir=tmp_path / "no-such-dir",
-                 overflow=overflow, huge=huge)
+                 overflow=overflow, huge=huge, utf16=utf16, latin=latin)
         for a in argv
     ]
     assert cli_main(argv) == 2
@@ -423,6 +458,19 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [("offline 0\n0 1 - 0\n".encode("utf-16"), 1), (b"offline 0\n0 1 - 0 \xff\n", 2),
+     (b"offline 0\r\n0 1 - 0\r\n1 1 - 1 0 \xfe\r\n", 3)],
+    ids=["utf-16", "0xff", "crlf"],
+)
+def test_cli_non_utf8_input_names_its_line(data, line, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    assert cli_main(["simulate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: not UTF-8 text")
 
 
 @pytest.mark.parametrize(
