@@ -328,16 +328,23 @@ def smooth_to_constant(
     that drops below tol.
 
     Raises PreconditionError, before iterating, when gamma is not finite,
-    the grid has under 2 nodes or R(r1) exceeds gamma anywhere on it; and
-    ConvergenceError when max_iters passes without reaching tol.
+    tol is not finite and > 0, the grid has under 2 nodes, r1 is not one
+    value per grid node (a 1-D array of the grid's length) or R(r1) exceeds
+    gamma anywhere on it; and ConvergenceError when max_iters passes
+    without reaching tol.
     """
     if not math.isfinite(gamma):
         raise PreconditionError(f"gamma must be finite, got {gamma!r}")
-    nodes = grid_nodes if callable(r1) else len(r1)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise PreconditionError(f"tol must be finite and > 0, got {tol!r}")
+    nodes = grid_nodes if callable(r1) else np.size(r1)
     if nodes < 2:
         raise PreconditionError(f"the grid needs at least 2 nodes, got {nodes}")
     grid = np.linspace(0.0, 1.0, nodes)
-    r = np.asarray(r1(grid) if callable(r1) else r1, dtype=float).copy()
+    r = np.array(r1(grid) if callable(r1) else r1, dtype=float)
+    if r.shape != grid.shape:
+        raise PreconditionError(f"r1 must give one value per node of a {nodes}-node grid, "
+                                f"got shape {r.shape}")
     if np.any(r < 0.0) or np.any((r == 0.0) & (grid < 1.0)):
         raise PreconditionError("r1 must be positive on [0, 1)")
 

@@ -512,8 +512,8 @@ class Algorithm:
             raise ValidationError(f"{algo} requires an allocation function")
         self.algo = algo
         self.func = None if algo == "greedy" else func  # greedy reads no f
-        if not n >= 0:
-            raise ValidationError(f"a run's capacity must be >= 0 arrivals, got {n}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValidationError(f"a run's capacity must be an integer >= 0 arrivals, got {n!r}")
         self.cover = CoverState.fresh(n) if algo == "greedy" else WaterCoverState.fresh(n)
         self.matching: MatchingState | None = None
         self.beta = 0.0

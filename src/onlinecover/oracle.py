@@ -27,8 +27,10 @@ solve per prefix, and one loop drives it: each arrival is ``add``-ed to
 the solver and its exact integer value read.  For unit weights the solver
 is a maximum matching of the same biadjacency, one ``_adjacency`` with
 the same row and column numbers, grown by one augmenting-path search per
-added node; for weights it is the same ``_CoverNetwork`` as the
-from-scratch solve, its flow continued after each arrival.  The optimum
+added node; for weights it is a ``_CoverNetwork`` that keeps its source
+and sink search trees across arrivals, continues the flow from them after
+each arrival and certifies each prefix by the kept cut, while its
+from-scratch solve stays Dinic's.  The optimum
 never falls, and an arrival raises it by at most its weight, so once one
 from-scratch solve of the whole stream (the anchor) is known, a prefix
 whose value is the anchor's, or whose value plus the most every later
@@ -46,6 +48,7 @@ All public functions are pure functions of their inputs.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,21 +337,39 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     return _weighted_optimum(stream)[0]
 
 
+_FREE, _SRC, _SNK = 0, 1, 2  # tree membership of a network node
+_NONE, _ORPHAN = -1, -2  # parent arc of a free node and of an orphan
+
+
 class _CoverNetwork:
     """The weighted double cover as a max-flow network, grown by arrivals.
 
     Nodes: u-left copies 0..n-1, v-right copies n..2n-1, source 2n, sink
     2n+1.  Left and right capacities are vertex weights; crossing arcs
     are dearer than cutting either endpoint, so a minimum cut picks a
-    vertex cover and the maximum flow is a fractional b-matching.  Adding
-    arcs never lowers the maximum, so ``solve`` continues the flow from
-    the previous one (Dinic's blocking flows).
+    vertex cover and the maximum flow is a fractional b-matching.
 
     Capacities and flows are exact Python ints: the weights are scaled by
     their common power-of-two denominator ``den``, and a crossing arc holds
     w_u + w_v + den.  The cover's value is rounded once, to cut / (2 den).
     ``work`` counts the arcs the searches scan; one from-scratch solve
     scans about ``scratch_work`` of them.
+
+    Two ways to a maximum flow share the arcs.  ``solve`` is the
+    from-scratch one: Dinic's blocking flows, and a cover read off the
+    last, failed search.  ``units`` keeps a source tree S and a sink tree
+    T across arrivals (Boykov & Kolmogorov, PAMI 2004, reused across
+    graph changes as in Kohli & Torr, ICCV 2005): it settles each new arc
+    where it lands, then grows the trees from their active nodes, pushes
+    flow wherever they touch and re-adopts or frees the orphans.  Every S
+    node with a residual arc out of S is active, so once none is, S is the
+    source side of a minimum cut.  S's capacity, every arc out of it
+    counted, is kept across arrivals: each prefix adds the new arcs and the
+    nodes that changed sides, then checks it against the flow.  A tree
+    node's ``par`` is its arc toward the root, in its own list; ``ts`` and
+    ``dist`` mark nodes whose path to the root is known, so an orphan's
+    walks to find a new parent stop at a marked node.  The two ways are
+    not mixed on one network.
     """
 
     def __init__(self, stream: InstanceStream):
@@ -363,6 +384,19 @@ class _CoverNetwork:
         self.flow = 0
         self.work = 0
         self.scratch_work = 4 * stream.edge_count() + 4 * n
+        m = 2 * n + 2
+        self.tree = [_FREE] * m
+        self.tree[self.s], self.tree[self.t] = _SRC, _SNK
+        self.par = [_NONE] * m
+        self.ts = [0] * m
+        self.dist = [0] * m
+        self.time = 0  # the roots' mark: the number of pushes so far
+        self.active: deque[int] = deque()
+        self.queued = [False] * m
+        self.orphans: deque[int] = deque()
+        self.settled = 0  # arcs below this index are settled
+        self.cut = 0  # capacity of the arcs out of S, as of the last count
+        self.moved: dict[int, bool] = {}  # nodes that joined or left S since: were they in S
 
     def _arc(self, u: int, v: int, c: int) -> None:
         self.head[u].append(len(self.to))
@@ -451,8 +485,218 @@ class _CoverNetwork:
         return cover_l.astype(np.int64) + cover_r, cut
 
     def units(self) -> int:
-        """The minimum cover of the arrived graph, in units of 1/(2 den)."""
-        return self.solve()[1]
+        """The minimum cover of the arrived graph, in units of 1/(2 den):
+        the kept trees' maximum flow, certified by the capacity of S.
+
+        The arcs added since the last call are settled as one range, the
+        cut first counting them all under the memberships as they stand.
+        """
+        lo, hi = self.settled, len(self.to)
+        self.settled = hi
+        self._settle(lo, hi)
+        self._grow()
+        self._recount()
+        if self.cut != self.flow:
+            raise ValidationError(f"{self.arrived} arrivals: min cut does not match max flow")
+        return self.cut
+
+    def _settle(self, lo: int, hi: int) -> None:
+        """Settle the new arcs a -> b, arcs lo..hi - 1 and their reverses.
+
+        A free end joins the tree of the other end; an arc from S to T is
+        pushed while it stays one.  The ends already in a tree are not
+        activated: their other arcs were settled before.
+        """
+        to, cap, tree = self.to, self.cap, self.tree
+        self.work += hi - lo
+        for ei in range(lo, hi, 2):
+            if tree[to[ei + 1]] == _SRC and tree[to[ei]] != _SRC:
+                self.cut += cap[ei]
+        for ei in range(lo, hi, 2):
+            a, b = to[ei + 1], to[ei]
+            while cap[ei] and tree[a] == _SRC:
+                if tree[b] == _FREE:
+                    self._join(b, _SRC, ei + 1)
+                if tree[b] != _SNK:
+                    break
+                self._push(ei)
+            else:
+                if cap[ei] and tree[a] == _FREE and tree[b] == _SNK:
+                    self._join(a, _SNK, ei)
+
+    def _join(self, p: int, side: int, pe: int) -> None:
+        """Free node p joins ``side``'s tree through its arc pe to its
+        parent, and becomes active."""
+        q = self.to[pe]
+        self.tree[p], self.par[p] = side, pe
+        self.ts[p], self.dist[p] = self.ts[q], self.dist[q] + 1
+        if side == _SRC:
+            self.moved.setdefault(p, False)
+        if not self.queued[p]:
+            self.queued[p] = True
+            self.active.append(p)
+
+    def _recount(self) -> None:
+        """Bring the cut up to date with the nodes now on the other side of
+        S than at the last count.  They are put back on their old sides,
+        then moved over one at a time, each adding its arcs now out of S
+        and taking off its arcs now into S (or the reverse when it left).
+        A node that joined and left again costs nothing."""
+        tree = self.tree
+        flips = [(x, tree[x]) for x, was in self.moved.items() if (tree[x] == _SRC) != was]
+        self.moved.clear()
+        for x, side in flips:
+            tree[x] = _FREE if side == _SRC else _SRC
+        for x, side in flips:
+            tree[x] = side
+            d = self._cut_change(x)
+            self.cut += d if side == _SRC else -d
+
+    def _cut_change(self, p: int) -> int:
+        """How much the cut grows when p joins S: p's arcs to nodes outside
+        S less its arcs from nodes in S."""
+        to, cap, tree = self.to, self.cap, self.tree
+        arcs = self.head[p]
+        self.work += len(arcs)
+        delta = 0
+        for ei in arcs:
+            if tree[to[ei]] == _SRC:
+                if ei & 1:
+                    delta -= cap[ei] + cap[ei ^ 1]
+            elif not ei & 1:
+                delta += cap[ei] + cap[ei ^ 1]
+        return delta
+
+    def _grow(self) -> None:
+        """Grow the trees from the active nodes, pushing flow wherever an S
+        node's residual arc reaches T, until no node is active.
+
+        S grows over residual arcs p -> q, T over residual arcs q -> p.  A
+        node of the tree that p can give a shorter path to the root
+        (Boykov & Kolmogorov's distance heuristic) is hung under p.
+        """
+        head, to, cap, tree, par = self.head, self.to, self.cap, self.tree, self.par
+        ts, dist, active, queued = self.ts, self.dist, self.active, self.queued
+        while active:
+            p = active[0]
+            side = tree[p]
+            if side == _FREE:
+                active.popleft()
+                queued[p] = False
+                continue
+            back = side == _SNK
+            other = _SRC + _SNK - side
+            meet = _NONE
+            arcs = head[p]
+            for ei in arcs:
+                if cap[ei ^ back]:
+                    q = to[ei]
+                    if tree[q] == _FREE:
+                        self._join(q, side, ei ^ 1)
+                    elif tree[q] == other:
+                        meet = ei
+                        break
+                    elif ts[q] <= ts[p] and dist[q] > dist[p]:
+                        par[q], ts[q], dist[q] = ei ^ 1, ts[p], dist[p] + 1
+            if meet == _NONE:
+                self.work += len(arcs)
+                active.popleft()
+                queued[p] = False
+            else:  # p stays at the front and is scanned again
+                self.work += arcs.index(meet) + 1
+                self._push(meet ^ back)
+
+    def _push(self, mid: int) -> None:
+        """Push the bottleneck along s ~> a -> b ~> t, where mid is the arc
+        a -> b from S to T, then restore the trees: each node whose parent
+        arc was saturated is an orphan."""
+        to, cap, par, orphans = self.to, self.cap, self.par, self.orphans
+        s, t = self.s, self.t
+        up: list[int] = []  # S's arcs on the path, each into its child
+        x = to[mid ^ 1]
+        while x != s:
+            up.append(par[x] ^ 1)
+            x = to[par[x]]
+        down: list[int] = []  # T's arcs on the path, each out of its child
+        x = to[mid]
+        while x != t:
+            down.append(par[x])
+            x = to[par[x]]
+        path = [mid, *up, *down]
+        d = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= d
+            cap[e ^ 1] += d
+        for e in up:
+            if not cap[e]:
+                par[to[e]] = _ORPHAN
+                orphans.appendleft(to[e])
+        for e in down:
+            if not cap[e]:
+                par[to[e ^ 1]] = _ORPHAN
+                orphans.appendleft(to[e ^ 1])
+        self.flow += d
+        self.work += len(path)
+        self.time += 1
+        self.ts[s] = self.ts[t] = self.time
+        self._adopt()
+
+    def _adopt(self) -> None:
+        """Give each orphan a new parent in its own tree, the one nearest
+        the root over a residual arc, or free it.
+
+        A candidate's walk toward the root stops at a node marked in this
+        round (its distance is known) or at an orphan (no origin); the
+        nodes a walk passes are marked.  A freed node's tree neighbours with
+        a residual arc to it become active (the roots never are), its
+        children become orphans, and a freed S node waits for the next cut
+        count.
+        """
+        head, to, cap, tree, par = self.head, self.to, self.cap, self.tree, self.par
+        ts, dist, time, orphans = self.ts, self.dist, self.time, self.orphans
+        active, queued, t = self.active, self.queued, self.t
+        while orphans:
+            i = orphans.popleft()
+            side = tree[i]
+            back = side == _SRC  # S takes the reverse arcs j -> i, T arcs i -> j
+            best = dmin = _NONE
+            arcs = head[i]
+            self.work += len(arcs)
+            for ei in arcs:
+                j = to[ei]
+                if tree[j] != side or not cap[ei ^ back]:
+                    continue
+                x, d = j, 0
+                while ts[x] != time and par[x] != _ORPHAN:
+                    d += 1
+                    x = to[par[x]]
+                self.work += d
+                if ts[x] != time:
+                    continue
+                d += dist[x]
+                if best == _NONE or d < dmin:
+                    best, dmin = ei, d
+                x = j
+                while ts[x] != time:
+                    ts[x], dist[x] = time, d
+                    d -= 1
+                    x = to[par[x]]
+            if best != _NONE:
+                par[i], ts[i], dist[i] = best, time, dmin + 1
+                continue
+            tree[i], par[i] = _FREE, _NONE
+            if back:
+                self.moved.setdefault(i, True)
+            for ei in arcs:
+                j = to[ei]
+                if tree[j] != side:
+                    continue
+                if cap[ei ^ back] and j < t - 1 and not queued[j]:
+                    queued[j] = True
+                    active.append(j)
+                if par[j] == ei ^ 1:
+                    par[j] = _ORPHAN
+                    orphans.append(j)
 
     def whole(self, stream: InstanceStream) -> int:
         """The whole stream's minimum cover in the same units, certified."""

@@ -353,6 +353,33 @@ def test_smoothing_rejects_degenerate_parameters(r1, gamma, grid_nodes):
         smooth_to_constant(r1, gamma, grid_nodes=grid_nodes)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-5])
+def test_smoothing_rejects_a_bad_tol(tol):
+    """A tol that is not finite and > 0 is rejected before the first
+    iteration (a nan tol used to run every iteration and report residual 0)."""
+    with pytest.raises(PreconditionError, match="tol"):
+        smooth_to_constant(lambda p: 1.1 * (1.0 - p), 2.0, max_iters=3, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "r1",
+    [
+        lambda p: 1.1 * (1.0 - p[:-1]),
+        lambda p: 1.1 * (1.0 - np.concatenate((p, p))),
+        lambda p: 1.1 * (1.0 - p)[None, :],
+        lambda p: 1.1,
+        np.ones((2, 5)),
+        np.ones((5, 1)),
+    ],
+    ids=["short", "long", "callable-2d", "scalar", "array-2x5", "array-5x1"],
+)
+def test_smoothing_rejects_r1_off_the_grid(r1):
+    """An r1 that is not one value per grid node, from a callable or an
+    array, is a PreconditionError, not numpy's broadcast or index error."""
+    with pytest.raises(PreconditionError, match="one value per node"):
+        smooth_to_constant(r1, 2.0, grid_nodes=11)
+
+
 def test_smoothing_exhausts_iterations():
     with pytest.raises(ConvergenceError):
         smooth_to_constant(lambda p: 1.1 * (1.0 - p), 2.0, max_iters=1, tol=1e-12)

@@ -552,6 +552,17 @@ def test_step_rejects_neighbours_that_have_not_arrived(algo):
 
 
 @pytest.mark.parametrize("algo", engine.ALGOS)
+def test_capacity_must_be_an_integer(algo):
+    """Python and numpy integers size a run; a float, a bool or a string is
+    a validation error, not numpy's TypeError."""
+    for n in (2.5, 2.0, True, False, "3", None, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="capacity must be an integer"):
+            Algorithm(algo, FK, n)
+    for n in (0, 3, np.int64(3), np.int32(2), np.uint8(1)):
+        assert len(Algorithm(algo, FK, n)._record) == n
+
+
+@pytest.mark.parametrize("algo", engine.ALGOS)
 def test_run_rejects_sizes_it_cannot_hold(algo):
     """A negative capacity, and an event beyond the capacity, are
     validation errors that name it; the failed step moves nothing."""

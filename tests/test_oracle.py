@@ -226,6 +226,72 @@ def test_cover_network_rejects_a_tampered_flow():
         net.solve()
 
 
+def test_kept_trees_reject_a_tampered_flow():
+    """The kept trees check their cut against the flow at every prefix: one
+    unit of flow too many is an error at the next prefix."""
+    g = graph_stream(3, [(0, 1), (1, 2)], weights=[1.0, 2.5, 0.5])
+    net = oracle._CoverNetwork(g)
+    for ev in g:
+        net.add(ev)
+        if ev.id == 2:
+            net.flow += 1
+            with pytest.raises(ValidationError, match="3 arrivals: min cut does not match max flow"):
+                net.units()
+        else:
+            net.units()
+
+
+def check_kept_trees(net):
+    """The kept cut from scratch: the capacity of every arc out of S, with
+    no residual one among them; every tree node hangs off its root by
+    residual arcs, and nothing is left to grow or adopt."""
+    to, cap, tree, par = net.to, net.cap, net.tree, net.par
+    in_s = [side == oracle._SRC for side in tree]
+    cut = 0
+    for ei in range(0, len(to), 2):
+        a, b = to[ei + 1], to[ei]
+        if in_s[a] and not in_s[b]:
+            cut += cap[ei] + cap[ei + 1]
+            assert cap[ei] == 0, "a residual arc leaves S"
+        if in_s[b] and not in_s[a]:
+            assert cap[ei + 1] == 0, "a residual arc leaves S"
+    assert cut == net.cut == net.flow
+    assert not net.active and not net.orphans
+    for x, side in enumerate(tree):
+        if side == oracle._FREE or x in (net.s, net.t):
+            continue
+        pe = par[x]
+        assert tree[to[pe]] == side
+        assert cap[pe ^ 1] if side == oracle._SRC else cap[pe]
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 14),
+    p=st.sampled_from((0.15, 0.3, 0.6, 1.0)),
+    mode=st.sampled_from(MODES),
+    strip=st.booleans(),
+    weights=st.lists(st.sampled_from((0.0, 2.0**-30, 0.5, 1.0, 3.0, 7.25, 1e12)),
+                     min_size=14, max_size=14),
+)
+@settings(max_examples=150, deadline=None)
+def test_kept_cut_is_the_capacity_of_s(seed, n, p, mode, strip, weights):
+    """At every prefix of labeled and unlabeled weighted streams (zero
+    weights, 2^-30 and the 1e12 sentinel among them), the kept trees' cut
+    is S's capacity recomputed over all arcs, no residual arc leaves S, and
+    the value is that of a from-scratch solve of the prefix."""
+    stream = with_weights(gen_random(n, p, seed, mode), weights)
+    if strip:
+        stream = unlabeled(stream)
+    net = oracle._CoverNetwork(stream)
+    for ev in stream:
+        net.add(ev)
+        units = net.units()
+        check_kept_trees(net)
+        g = static_from_stream(stream, ev.id + 1)
+        assert oracle._to_float(units, 2 * net.den) == fractional_optima_general(g).min_cover_value
+
+
 def test_static_from_stream_prefix():
     s = gen_triangular(4)
     g = static_from_stream(s, 5)  # 4 offline + first online
@@ -477,6 +543,20 @@ def test_triangular_2000_prefix_values_are_fast():
     elapsed = time.monotonic() - t0
     assert vals.tolist() == [float(max(0, t - n)) for t in range(1, 2 * n + 1)]
     assert elapsed < 2.0
+
+
+def test_sparse_weighted_prefix_values_are_fast():
+    """A sparse random stream reweighted from {0.5, 1, 3, 7, 1e12} pins only
+    at its last arrival, so all the others step the kept trees; the pass
+    stays well under a second where a search from the source per arrival
+    took seconds."""
+    stream = gen_random(2000, 0.002, 0)
+    stream = with_weights(stream, np.random.default_rng(0).choice([0.5, 1, 3, 7, 1e12], 2000))
+    t0 = time.monotonic()
+    vals = prefix_optimal_values(stream)
+    elapsed = time.monotonic() - t0
+    assert vals[-1] == fractional_optima_general(stream).min_cover_value
+    assert elapsed < 1.0
 
 
 def test_the_adversary_transcript_buys_no_anchor(monkeypatch):
