@@ -47,7 +47,7 @@ INV_EPS = 1e-8
 ALGOS = ("waterfill", "primal-dual", "greedy")
 # the run record's columns, one float64 each; to_csv prefixes step and vertex
 ROW_FIELDS = ("level", "cover_cost", "matching_value", "inv1_slack", "inv2_slack")
-_LIST_DEGREE = 16  # below this many neighbors the level solve sorts and sums on lists
+_LIST_DEGREE = 40  # below this many neighbors the level solve sorts and sums on lists
 
 
 class WaterLevelOutcome(NamedTuple):
@@ -80,14 +80,15 @@ def _solve_level(pots, fs, ws, v_weight, func):
     convex on [0, 1] (C t - P is convex and piecewise linear, and every f
     kind is concave) and H = -v_weight f <= 0 at the lowest breakpoint, so
     the breakpoints with H <= 0 are a nonempty prefix of the sorted ones.
-    One bisection over their indices, through ``gap`` (whose
-    ``bisect_left`` judges a tie group as one), finds the last feasible
-    one, lo, and the first infeasible one, hi (or 1), with H at both, in
-    O(log m) evaluations of H.  On [lo, hi] C and P are constant, so the
-    root is found by regula falsi with the Illinois weight halving,
-    keeping H(lo) <= 0 < H(hi).  Each point is clamped 4e-16 inside the
-    bracket: the root often sits on a breakpoint, where the unclamped
-    secant would only creep towards it.
+    H is evaluated at every breakpoint at once, each tie group judged at
+    its first entry, where C and P count the potentials strictly below it.
+    One bisection over their indices finds the last feasible one, lo, and
+    the first infeasible one, hi (or 1), in O(log m) reads.  Inside
+    (lo, hi) C and P are the constant sums over the breakpoints up to lo,
+    so the root is found by regula falsi with the Illinois weight halving,
+    keeping H(lo) <= 0 < H(hi), with no search per step.  Each point is
+    clamped 4e-16 inside the bracket: the root often sits on a breakpoint,
+    where the unclamped secant would only creep towards it.
 
     The loop stops when the bracket is at most 1e-15 wide and the
     certificate holds at lo, or when lo and hi are adjacent floats; lo is
@@ -98,66 +99,78 @@ def _solve_level(pots, fs, ws, v_weight, func):
     included.  Neither rule has a floor, so scaling every weight by a power
     of two (short of overflow and underflow) leaves the level to the bit.
 
-    The sorted potentials, f values and prefix sums are lists, so each
-    step is float arithmetic, a ``bisect_left`` and one scalar f call.
-    Below ``_LIST_DEGREE`` neighbors they are built on lists too, bit for
-    bit as numpy builds them above it: ``sorted`` is stable like the stable
-    argsort, and a running sum adds in ``np.cumsum``'s order.
+    From ``_LIST_DEGREE`` neighbors the sort, the prefix sums and H are
+    numpy arrays, of which the bisection and the loop read O(log m)
+    entries; below it they are lists, bit for bit as numpy builds them:
+    ``sorted`` is stable like the stable argsort, a running sum adds in
+    ``np.cumsum``'s order, and a tie group reads the sums at its first
+    entry, the one ``searchsorted`` finds.
     """
     m = pots.size
     if m < _LIST_DEGREE:
         triples = sorted(zip(pots.tolist(), fs.tolist(), ws.tolist()), key=itemgetter(0))
-        sp_l = [p for p, _, _ in triples]
-        sf_l = [f for _, f, _ in triples]
-        csw_l, cswp_l = [0.0], [0.0]
+        sp = [p for p, _, _ in triples]
+        sf = [f for _, f, _ in triples]
+        csw, cswp, cf, h = [0.0], [0.0], [], []
         c = cp = 0.0
-        for p, _, w in triples:
+        prev = None
+        for p, f, w in triples:
+            if p != prev:  # a tie group starts: C and P below it
+                prev, c_first, cp_first = p, c, cp
+            cf.append(c_first)
+            h.append(c_first * p - cp_first - v_weight * f)
             c += w
             cp += w * p
-            csw_l.append(c)
-            cswp_l.append(cp)
+            csw.append(c)
+            cswp.append(cp)
+        at = list.__getitem__
+        below1 = bisect_left(sp, 1.0)
     else:
         order = np.argsort(pots, kind="stable")
         sp, sw = pots[order], ws[order]
-        sp_l, sf_l = sp.tolist(), fs[order].tolist()
-        csw_l = [0.0, *np.cumsum(sw).tolist()]
-        cswp_l = [0.0, *np.cumsum(sw * sp).tolist()]
-
-    def gap(t: float, ft: float) -> float:
-        i = bisect_left(sp_l, t)
-        return csw_l[i] * t - cswp_l[i] - v_weight * ft
-
-    def bound(t: float) -> float:
-        return LEVEL_EPS * max(csw_l[bisect_left(sp_l, t)], v_weight)
-
-    g_hi = gap(1.0, func.f1)
+        csw, cswp = np.zeros(m + 1), np.zeros(m + 1)
+        np.cumsum(sw, out=csw[1:])
+        np.cumsum(sw * sp, out=cswp[1:])
+        at = np.ndarray.item
+        below1 = int(sp.searchsorted(1.0))
+    g_hi = at(csw, below1) - at(cswp, below1) - v_weight * func.f1
     if g_hi <= 0.0:
         return 1.0, func.f1, 0.0
+    if m >= _LIST_DEGREE:
+        sf = fs[order]
+        first = sp.searchsorted(sp)
+        cf = csw[first]
+        h = cf * sp - cswp[first] - v_weight * sf
     # the feasible breakpoints are a nonempty prefix: i ends on the last, j on the first infeasible
-    i, j, g_lo = 0, m, gap(sp_l[0], sf_l[0])
+    i, j, g_lo = 0, m, at(h, 0)
     while j - i > 1:
         k = (i + j) // 2
-        g = gap(sp_l[k], sf_l[k])
+        g = at(h, k)
         if g <= 0.0:
             i, g_lo = k, g
         else:
             j, g_hi = k, g
-    hi = sp_l[j] if j < m else 1.0
-    lo, f_lo = sp_l[i], sf_l[i]
+    hi = at(sp, j) if j < m else 1.0
+    lo, f_lo = at(sp, i), at(sf, i)
+    # C and P on (lo, hi) sum the j breakpoints up to lo; at lo itself C is
+    # its tie group's, which the certificate reads until lo moves inside
+    c, cp, c_lo = at(csw, j), at(cswp, j), at(cf, i)
     a, b = g_lo, g_hi  # interpolation weights; Illinois halves a stale one
     side = 0
     for _ in range(200):
         w = hi - lo
-        if w <= 1e-15 and (abs(g_lo) <= bound(lo) or math.nextafter(lo, hi) >= hi):
+        if w <= 1e-15 and (
+            abs(g_lo) <= LEVEL_EPS * max(c_lo, v_weight) or math.nextafter(lo, hi) >= hi
+        ):
             break
         if w > 8e-16:
             t = min(max(lo - a * w / (b - a), lo + 4e-16), hi - 4e-16)
         else:
             t = 0.5 * (lo + hi)
         ft = float(func(t))
-        g = gap(t, ft)
+        g = c * t - cp - v_weight * ft
         if g <= 0.0:
-            lo, f_lo, g_lo, a = t, ft, g, g
+            lo, f_lo, g_lo, a, c_lo = t, ft, g, g, c
             if side < 0:
                 b *= 0.5
             side = -1
@@ -166,7 +179,7 @@ def _solve_level(pots, fs, ws, v_weight, func):
             if side > 0:
                 a *= 0.5
             side = 1
-    cert = bound(lo)
+    cert = LEVEL_EPS * max(c_lo, v_weight)
     if not abs(g_lo) <= cert:
         raise NumericError(
             f"water level not certified: |gap({lo})| = {abs(g_lo):.3e} exceeds {cert:.3e}"

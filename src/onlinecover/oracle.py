@@ -26,8 +26,9 @@ by, comes from one solver kept across the whole stream instead of one
 solve per prefix, and one loop drives it: each arrival is ``add``-ed to
 the solver and its exact integer value read.  For unit weights the solver
 is a maximum matching of the same biadjacency, one ``_adjacency`` with
-the same row and column numbers, grown by one augmenting-path search per
-added node; for weights it is a ``_CoverNetwork`` that keeps its source
+the same row and column numbers, grown one added node at a time: matched
+to a free arrived neighbour if it has one, else by one augmenting-path
+search; for weights it is a ``_CoverNetwork`` that keeps its source
 and sink search trees across arrivals, continues the flow from them after
 each arrival and certifies each prefix by the kept cut, while its
 from-scratch solve stays Dinic's.  The optimum
@@ -761,8 +762,11 @@ class _GrowingMatching:
     column, a matching of the graph itself; otherwise each arrival adds
     its row, then its column, and the value is half the double cover's
     matching.  Each added node adds at most one augmenting path (Berge).
-    ``work`` counts the neighbours the searches gather; one from-scratch
-    solve gathers about ``scratch_work`` of them.
+    Most paths are one edge long, so a join first reads its arrived
+    neighbours as a view and matches the first free one, with no search;
+    on the paper's dense streams nearly every join ends there.
+    ``work`` counts the neighbours the joins and searches gather; one
+    from-scratch solve gathers about ``scratch_work`` of them.
     """
 
     den = 1  # values are counted in halves, as the weighted network's are in 1/(2 den)
@@ -805,21 +809,40 @@ class _GrowingMatching:
         """Add a free node (its vertex has arrived) and keep the matching maximum.
 
         The matching was maximum before, so every augmenting path now
-        starts at ``node`` and ends at a free node of the other side.
+        starts at ``node`` and ends at a free node of the other side.  The
+        search's first round reads the node's arrived neighbours, a view of
+        its slice, and matches the first free one in slice order; only if
+        none is free does ``_augment`` go on from them.
         """
-        side = int(node >= self.n)
+        n = self.n
+        side = int(node >= n)
         self.free[side] += 1
-        if self.count[node % self.n] and self.free[1 - side] and self._augment(node):
-            self.free[0] -= 1
-            self.free[1] -= 1
-            self.size += 1
+        u, off = (node - n, 0) if side else (node, n)  # off: vertex 0's node on the other side
+        k = int(self.count[u])
+        if not (k and self.free[1 - side]):
+            return
+        self.work += k
+        a = int(self.ptr[u])
+        nbrs = self.idx[a : a + k]  # a view of the adjacency: read, never written
+        open_ = self.mate[off : off + n][nbrs] < 0
+        i = int(open_.argmax())
+        if open_[i]:
+            partner = int(nbrs[i]) + off
+            self.mate[node] = partner
+            self.mate[partner] = node
+        elif not self._augment(node, nbrs + off):
+            return
+        self.free[0] -= 1
+        self.free[1] -= 1
+        self.size += 1
 
-    def _augment(self, root: int) -> bool:
-        """Search one augmenting path from ``root`` and flip it if found.
+    def _augment(self, root: int, tgt: np.ndarray) -> bool:
+        """Search one augmenting path from ``root``, whose neighbours ``tgt``
+        on the other side are all matched, and flip it if found.
 
-        Breadth-first over whole frontiers: a free neighbour ends the
-        search; otherwise the frontier moves on to the mates of the
-        neighbours not yet seen.
+        Breadth-first over whole frontiers, the first being the mates of
+        ``tgt``: a free neighbour ends the search; otherwise the frontier
+        moves on to the mates of the neighbours not yet seen.
         """
         self.searches += 1
         stamp = self.searches
@@ -829,7 +852,9 @@ class _GrowingMatching:
         # would skip its own search and leave the matching short); a column
         # root marks itself
         seen[root + off] = stamp
-        frontier = np.array([root], dtype=np.int32)
+        seen[tgt] = stamp
+        self.parent[tgt] = root
+        frontier = mate[tgt]
         while True:
             base = frontier % n
             cand, ends = _gather(self.ptr, self.idx, base, self.count[base])

@@ -259,6 +259,14 @@ def test_level_solve_certifies_where_bisection_does(star, v_weight, kind):
     v_weight=WEIGHTS,
     kind=st.sampled_from(sorted(LEVEL_FUNCS)),
 )
+# a triangular arrival: every neighbor at one tied potential
+@example(star=[(0.3, 1.0)] * 24, v_weight=1.0, kind="linear-alpha")
+# the root exactly on the breakpoint 0.5, where H = 0; the certificate
+# counts the tie group below it, not the one at it
+@example(star=[(0.0, 1.0)] * 20 + [(0.5, 1.0)] * 20, v_weight=20.0, kind="greedy")
+@example(star=[(0.0, 1.0)] + [(0.5, 1e12)] * 20, v_weight=1.0, kind="greedy")
+# the adversary's shape: a 300-neighbor star on 28 distinct potentials
+@example(star=[(i % 28 / 56, 1.0) for i in range(300)], v_weight=1.0, kind="family-k:optimal")
 @settings(max_examples=300, deadline=None)
 def test_level_solve_list_branch_is_bitwise_numpy_branch(star, v_weight, kind):
     """Below ``_LIST_DEGREE`` neighbors the level solve sorts and sums on
@@ -310,6 +318,54 @@ def test_feasible_breakpoints_are_a_prefix(star, v_weight, kind):
     first = np.searchsorted(sp, sp, side="left")
     feasible = (csw[first] * sp - cswp[first] - v_weight * func(sp) <= 0.0).tolist()
     assert feasible == sorted(feasible, reverse=True)
+
+
+def benchmark_stream(name):
+    """The stream, algorithm and f of one of the four benchmark commands."""
+    from onlinecover.harness import (
+        AdversaryBudget,
+        adaptive_adversary_vc,
+        resolve_allocation,
+        resolve_generator,
+    )
+    from onlinecover.instance import SkiRentalSpec, reduce_ski_rental
+
+    optimal = resolve_allocation("optimal")
+    if name == "pd-sparse-general":
+        return resolve_generator("random:1000,0.01", 11), "primal-dual", optimal
+    if name == "waterfill-prefix-triangular":
+        return gen_triangular(500), "waterfill", LIN
+    if name == "ski-rental-weighted":
+        spec = SkiRentalSpec(((0.0, 2.0), (40.0, 1.0), (100.0, 0.0)), epsilon=1.0, t_end=200.0)
+        return reduce_ski_rental(spec), "waterfill", LIN
+    budget = AdversaryBudget(3, 120)
+    return adaptive_adversary_vc(budget, "primal-dual", optimal).transcript, "primal-dual", optimal
+
+
+@pytest.mark.parametrize("name", [
+    "pd-sparse-general",
+    "waterfill-prefix-triangular",
+    "ski-rental-weighted",
+    "adversary-alternating",
+])
+def test_benchmark_streams_take_the_list_branch_bitwise(monkeypatch, name):
+    """The benchmark commands' streams replayed with every level solve on
+    lists, and again with every one on numpy arrays, give the default
+    run's rows, potentials, f cache and edge values byte for byte."""
+    stream, algo, func = benchmark_stream(name)
+    degree = int(np.diff(stream.edge_offsets).max())
+    runs = [run_stream(stream, algo, func)]
+    for threshold in (degree + 1, 0):
+        monkeypatch.setattr(engine, "_LIST_DEGREE", threshold)
+        runs.append(run_stream(stream, algo, func))
+    monkeypatch.undo()
+
+    def record(alg):
+        x = alg.matching.x[: alg.matching.edges] if alg.matching is not None else np.zeros(0)
+        return [a.tobytes() for a in (alg.rows, alg.cover.y, alg.cover.fy, x)]
+
+    assert record(runs[1]) == record(runs[0])
+    assert record(runs[2]) == record(runs[0])
 
 
 def run_or_error(stream, algo, func):

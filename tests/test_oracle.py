@@ -571,6 +571,79 @@ def test_the_adversary_transcript_buys_no_anchor(monkeypatch):
     assert anchors == 0 and adds == len(transcript)
 
 
+class Probed(oracle._GrowingMatching):
+    """A prefix matcher that checks each join against a loop over the
+    joining node's arrived neighbours, in slice order: a node with a free
+    neighbour on the other side is matched to the first one and starts no
+    search; ``probed`` and ``searched`` count the two kinds of join."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.probed = self.searched = 0
+
+    def join(self, node):
+        n = self.n
+        u, off = node % n, (n if node < n else 0)
+        a = int(self.ptr[u])
+        nbrs = self.idx[a : a + self.count[u]].tolist()
+        first_free = next((w + off for w in nbrs if self.mate[w + off] < 0), None)
+        before = self.searched
+        super().join(node)
+        if first_free is None:
+            return
+        assert self.searched == before
+        assert self.mate[node] == first_free and self.mate[first_free] == node
+        self.probed += 1
+
+    def _augment(self, root, tgt):
+        self.searched += 1
+        return super()._augment(root, tgt)
+
+
+def test_a_join_next_to_a_free_node_takes_the_first_and_searches_no_further():
+    """On a dense, a sparse and an adversary stream, ``_augment`` runs only
+    for joins with no free arrived neighbour on the other side, each other
+    join matches its first free one in slice order, and the values are the
+    from-scratch optima."""
+    from onlinecover.harness import AdversaryBudget, adaptive_adversary_vc, resolve_allocation
+
+    transcript = adaptive_adversary_vc(
+        AdversaryBudget(3, 40), "primal-dual", resolve_allocation("optimal")
+    ).transcript
+    probed = searched = 0
+    for stream in (gen_triangular(200), gen_random(200, 0.05, 3), transcript):
+        m = Probed(stream)
+        for ev in stream:
+            m.add(ev)
+        assert m.units() / 2 == fractional_optima_general(stream).min_cover_value
+        probed += m.probed
+        searched += m.searched
+    assert probed and searched
+
+
+def test_the_probe_keeps_the_work_that_buys_the_anchor(monkeypatch):
+    """A probe's match counts the neighbours it read, as the search's first
+    round does: on triangular(500) the anchor is still bought after arrival
+    752, and it pins every later value."""
+    bought = []
+
+    class Anchored(oracle._GrowingMatching):
+        adds = 0
+
+        def add(self, ev):
+            self.adds += 1
+            super().add(ev)
+
+        def whole(self, stream):
+            bought.append(self.adds)
+            return super().whole(stream)
+
+    monkeypatch.setattr(oracle, "_GrowingMatching", Anchored)
+    vals = prefix_optimal_values(gen_triangular(500))
+    assert bought == [752]
+    assert vals.tolist() == [float(max(0, t - 500)) for t in range(1, 1001)]
+
+
 def test_an_anchor_out_of_reach_is_an_error(monkeypatch):
     """An anchor below a prefix's optimum, or above what the later arrivals
     can add to it, contradicts the warm solver: an error, not a fill."""
