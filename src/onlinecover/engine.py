@@ -18,6 +18,15 @@ Every monitor goes through ``_check``, which raises ``InvariantViolation``
 unless the residual is within its bound, so a NaN residual fails too (a
 violation indicates a bug, not an expected runtime condition).
 
+An arrival with fewer than ``_LIST_DEGREE`` neighbors is stepped on
+Python floats: the steps gather the neighbors' values once and read them
+as lists, solve the level, raise and write the potentials, edge values
+and slacks one element at a time, and run the monitors, all in numpy's
+arithmetic to the bit (its summation order, and its NaN rule for min,
+max and argmax), since a numpy call's fixed cost exceeds a short loop.
+From ``_LIST_DEGREE`` neighbors they work on arrays.  Either way a run
+leaves the same bytes.
+
 States are owned by a single run and mutated in place; each holds only
 its algorithm's fields (f at the potentials lives on ``WaterCoverState``:
 the level solve reads it, and so does primal-dual's budget refresh, which
@@ -32,8 +41,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +57,9 @@ INV_EPS = 1e-8
 ALGOS = ("waterfill", "primal-dual", "greedy")
 # the run record's columns, one float64 each; to_csv prefixes step and vertex
 ROW_FIELDS = ("level", "cover_cost", "matching_value", "inv1_slack", "inv2_slack")
-_LIST_DEGREE = 40  # below this many neighbors the level solve sorts and sums on lists
+# below this many neighbors a step works on Python floats (lists), from it on
+# on numpy arrays, to the same bits: a call's fixed cost outweighs a short loop
+_LIST_DEGREE = 40
 
 
 class WaterLevelOutcome(NamedTuple):
@@ -55,16 +67,88 @@ class WaterLevelOutcome(NamedTuple):
     neighbors, whether the level is saturated (below 1), which neighbor
     entries were raised, each raised one's weight w_u and lift
     w_u (level - y_u), f(level), and the level certificate's bound on
-    |H(level)|, 0 at level 1 (see ``_solve_level``)."""
+    |H(level)|, 0 at level 1 (see ``_solve_level``).
+
+    The four per-neighbor fields are sequences in neighbor order: lists of
+    Python ints, bools and floats below ``_LIST_DEGREE`` neighbors, numpy
+    arrays from it on, with the same values either way."""
 
     level: float
-    raised: np.ndarray
+    raised: Sequence[int]
     saturated: bool
-    mask: np.ndarray
-    weights: np.ndarray
-    lift: np.ndarray
+    mask: Sequence[bool]
+    weights: Sequence[float]
+    lift: Sequence[float]
     f_level: float
     level_bound: float
+
+
+def _pairwise_sum(xs) -> float:
+    """The sum of a float list, to the bit of numpy's float64 ``add.reduce``
+    over the same values as a contiguous array.
+
+    numpy adds its pairwise sum to 0.0 (so -0.0 entries sum to 0.0).  Below
+    8 entries that sum adds them one at a time; up to 128 it runs 8
+    interleaved sums, each from its first entry, combines them pairwise and
+    adds the entries after the last multiple of 8 in turn; above 128 it
+    adds the sums of two parts split at n/2 rounded down to a multiple of 8.
+    IEEE addition rounds alike in C and Python, so the same order gives the
+    same bits (a NaN's payload aside).
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    return 0.0 + _unrolled_sum(xs, 0, n)
+
+
+def _unrolled_sum(xs, lo: int, n: int) -> float:
+    """numpy's pairwise sum of the n >= 8 entries of ``xs`` from ``lo``."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _unrolled_sum(xs, lo, half) + _unrolled_sum(xs, lo + half, n - half)
+    end = lo + n - n % 8
+    acc = []
+    for j in range(lo, lo + 8):
+        lane = xs[j:end:8]
+        total = lane[0]
+        for x in lane[1:]:
+            total += x
+        acc.append(total)
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for x in xs[end : lo + n]:
+        total += x
+    return total
+
+
+def _first_max(xs) -> int:
+    """``np.argmax`` of a nonempty float list: the first NaN, else the first
+    largest entry."""
+    at, best = 0, xs[0]
+    for i, x in enumerate(xs):
+        if x != x:
+            return i
+        if x > best:
+            at, best = i, x
+    return at
+
+
+def _numpy_extreme(pick, xs) -> float:
+    """``pick`` (``min`` or ``max``) of a nonempty float list, NaN if an
+    entry is, as numpy's reductions give (Python's ignore a NaN unless it
+    comes first)."""
+    for x in xs:
+        if x != x:
+            return x
+    return pick(xs)
+
+
+def _nan_last(triple):
+    """Sort key of a (potential, f, weight) triple: NaN potentials last, as
+    ``np.argsort`` puts them."""
+    return triple[0] != triple[0], triple[0]
 
 
 def _solve_level(pots, fs, ws, v_weight, func):
@@ -99,24 +183,30 @@ def _solve_level(pots, fs, ws, v_weight, func):
     included.  Neither rule has a floor, so scaling every weight by a power
     of two (short of overflow and underflow) leaves the level to the bit.
 
-    From ``_LIST_DEGREE`` neighbors the sort, the prefix sums and H are
-    numpy arrays, of which the bisection and the loop read O(log m)
-    entries; below it they are lists, bit for bit as numpy builds them:
-    ``sorted`` is stable like the stable argsort, a running sum adds in
+    The solve takes arrays, as the step gathers them.  From
+    ``_LIST_DEGREE`` neighbors the sort, the prefix sums and H are numpy
+    arrays, of which the bisection and the loop read O(log m) entries;
+    below it they are lists, as the rest of the step's work is, bit for bit
+    as numpy builds them: ``sorted`` is stable like the stable argsort and
+    puts a NaN potential last like it, a running sum adds in
     ``np.cumsum``'s order, and a tie group reads the sums at its first
     entry, the one ``searchsorted`` finds.
     """
     m = pots.size
     if m < _LIST_DEGREE:
-        triples = sorted(zip(pots.tolist(), fs.tolist(), ws.tolist()), key=itemgetter(0))
-        sp = [p for p, _, _ in triples]
-        sf = [f for _, f, _ in triples]
-        csw, cswp, cf, h = [0.0], [0.0], [], []
+        sp = pots.tolist()
+        # argsort puts a NaN last, where a bare float key would leave it anywhere
+        key = _nan_last if any(map(math.isnan, sp)) else itemgetter(0)
+        triples = sorted(zip(sp, fs.tolist(), ws.tolist()), key=key)
+        sp, sf, cf, h = [], [], [], []
+        csw, cswp = [0.0], [0.0]
         c = cp = 0.0
         prev = None
         for p, f, w in triples:
             if p != prev:  # a tie group starts: C and P below it
                 prev, c_first, cp_first = p, c, cp
+            sp.append(p)
+            sf.append(f)
             cf.append(c_first)
             h.append(c_first * p - cp_first - v_weight * f)
             c += w
@@ -164,7 +254,12 @@ def _solve_level(pots, fs, ws, v_weight, func):
         ):
             break
         if w > 8e-16:
-            t = min(max(lo - a * w / (b - a), lo + 4e-16), hi - 4e-16)
+            # min(max(t, floor), ceil) without the calls, NaN passing through alike
+            t, floor, ceil = lo - a * w / (b - a), lo + 4e-16, hi - 4e-16
+            if floor > t:
+                t = floor
+            if ceil < t:
+                t = ceil
         else:
             t = 0.5 * (lo + hi)
         ft = float(func(t))
@@ -313,12 +408,17 @@ def _check(residual: float, bound: float, what: str, vertex: int) -> None:
         )
 
 
-def _arrive(cover: CoverState, event: VertexEvent):
-    # a validated stream's event, but its neighbours index the state: recheck their range
+def _arrive(cover: CoverState, event: VertexEvent, ids: list[int] | None = None):
+    # a validated stream's event, but its neighbours index the state: recheck
+    # their range, on ``ids`` when the caller has read them as a list
     v, nbrs = event.id, event.neighbors
     if v != cover.arrived:
         raise ValidationError(f"event {v} arrived out of order: expected {cover.arrived}")
-    if nbrs.size and not (nbrs.min() >= 0 and nbrs.max() < v):
+    if ids is None:
+        out_of_range = nbrs.size and not (nbrs.min() >= 0 and nbrs.max() < v)
+    else:
+        out_of_range = ids and not (min(ids) >= 0 and max(ids) < v)
+    if out_of_range:
         raise ValidationError(f"event {v}: neighbors must reference earlier arrivals", event=v)
     cover.weights[v] = event.weight
 
@@ -328,18 +428,38 @@ def greedy_allocation_step(
     event: VertexEvent,
     func: AllocationFunction,
 ) -> tuple[WaterCoverState, WaterLevelOutcome]:
-    """Water-filling cover update for one arrival (state is mutated)."""
-    _arrive(cover, event)
+    """Water-filling cover update for one arrival (state is mutated).
+
+    Below ``_LIST_DEGREE`` neighbors everything after the gathers runs on
+    Python floats and the outcome holds lists; from it on, numpy arrays.
+    """
     nbrs = event.neighbors
+    listed = nbrs.size < _LIST_DEGREE
+    ids = nbrs.tolist() if listed else None
+    _arrive(cover, event, ids)
     pots, ws = cover.y[nbrs], cover.weights[nbrs]
     level, f_level, level_bound = _solve_level(pots, cover.fy[nbrs], ws, float(event.weight), func)
-    raised_mask = pots < level
-    ridx = nbrs[raised_mask]
-    w_r = ws[raised_mask]
-    lift = w_r * (level - pots[raised_mask])
-    cover.total_cost += float(lift.sum())
-    cover.y[ridx] = level
-    cover.fy[ridx] = f_level
+    if listed:
+        raised_mask, ridx, w_r, lift = [], [], [], []
+        y, fy = cover.y, cover.fy
+        for u, p, w in zip(ids, pots.tolist(), ws.tolist()):
+            raised = p < level
+            raised_mask.append(raised)
+            if raised:
+                ridx.append(u)
+                w_r.append(w)
+                lift.append(w * (level - p))
+                y[u] = level
+                fy[u] = f_level
+        cover.total_cost += _pairwise_sum(lift)
+    else:
+        raised_mask = pots < level
+        ridx = nbrs[raised_mask]
+        w_r = ws[raised_mask]
+        lift = w_r * (level - pots[raised_mask])
+        cover.total_cost += float(lift.sum())
+        cover.y[ridx] = level
+        cover.fy[ridx] = f_level
     v = event.id
     cover.y[v] = 1.0 - level
     cover.fy[v] = float(func(1.0 - level))
@@ -381,20 +501,30 @@ def primal_dual_step(
     these over the arrivals so far.  A step moves cost - beta * value by
     -(1-y)/f(y) H(y): the coupling monitor allows their sum.
     """
-    nbrs = event.neighbors
+    m = event.neighbors.size
     cover, outcome = greedy_allocation_step(cover, event, func)
     level, f_level = outcome.level, outcome.f_level
     v = event.id
+    listed = m < _LIST_DEGREE  # then the outcome holds lists
 
     # (1-y)/f(y), which vanishes as y -> 1
     ratio = (1.0 - level) / f_level if level < 1.0 and f_level > 0.0 else 0.0
     ridx = outcome.raised
-    xvals = matching.new_edges(nbrs.size)
-    x_r = outcome.lift / beta * (1.0 + ratio)
-    xvals[outcome.mask] = x_r
-    matching.x_agg[ridx] += x_r  # the other new edges are 0
-    xv = float(xvals.sum())
-    matching.x_agg[v] += xv
+    x_agg = matching.x_agg
+    xvals = matching.new_edges(m)
+    if listed:
+        scale = 1.0 + ratio
+        xs = [0.0] * m  # the other new edges are 0
+        for pos, u, lift in zip(compress(range(m), outcome.mask), ridx, outcome.lift):
+            xs[pos] = xvals[pos] = x = lift / beta * scale
+            x_agg[u] = x_agg.item(u) + x
+        xv = _pairwise_sum(xs)
+    else:
+        x_r = outcome.lift / beta * (1.0 + ratio)
+        xvals[outcome.mask] = x_r
+        x_agg[ridx] += x_r
+        xv = float(xvals.sum())
+    x_agg[v] += xv
     matching.total_value += xv
 
     # refresh the budget slacks of v and the raised neighbors; the bracket
@@ -403,24 +533,35 @@ def primal_dual_step(
     matching.z_arrival[v] = zv
     bracket_v = zv + f_level
     if func.kind != "linear-alpha":
-        bracket_r = level + float(cover.fy[v])
-    elif ridx.size:
+        quota_r = (level + float(cover.fy[v])) / beta
+    elif len(ridx):
         tbl = func.table()
         z_r = matching.z_arrival[ridx]
         bracket_r = level + (func(1.0 - z_r) - tbl.eval(z_r)) + float(tbl.eval(level))
+        quota_r = bracket_r / beta
     w_v = float(event.weight)
-    worst = float(matching.x_agg[v]) - w_v * (bracket_v / beta)
+    worst = float(x_agg[v]) - w_v * (bracket_v / beta)
     matching.inv1_slack[v] = worst
     at, w_max = v, w_v
-    if ridx.size:
-        slack_r = matching.x_agg[ridx] - outcome.weights * (bracket_r / beta)
-        matching.inv1_slack[ridx] = slack_r
-        i = int(np.argmax(slack_r))  # the first NaN, if any
+    if len(ridx):
+        if listed:
+            quotas = quota_r.tolist() if func.kind == "linear-alpha" else repeat(quota_r)
+            inv1, slack_r = matching.inv1_slack, []
+            for u, w, q in zip(ridx, outcome.weights, quotas):
+                inv1[u] = slack = x_agg.item(u) - w * q
+                slack_r.append(slack)
+            i = _first_max(slack_r)
+            w_top = _numpy_extreme(max, outcome.weights)
+        else:
+            slack_r = x_agg[ridx] - outcome.weights * quota_r
+            matching.inv1_slack[ridx] = slack_r
+            i = int(np.argmax(slack_r))  # the first NaN, if any
+            w_top = float(outcome.weights.max())
         r = float(slack_r[i])
         # as np.argmax over the raised and then v: a tie or a NaN goes to the raised
         if r >= worst or math.isnan(r):
             worst, at = r, int(ridx[i])
-        w_max = max(w_max, float(outcome.weights.max()))
+        w_max = max(w_max, w_top)
     bound = outcome.level_bound
     matching.inv1_bound = max(matching.inv1_bound, bound * (1.0 + ratio) / beta)
     _check(worst, INV_EPS * w_max + matching.inv1_bound, "budget invariant", at)
@@ -558,9 +699,14 @@ class Algorithm:
         else:
             _, _, level = greedy_baseline_step(cover, matching, event)
             total_match = matching.total_value
-        if event.neighbors.size:
+        nbrs = event.neighbors
+        if nbrs.size:
             # rounding is monotone, so the least y_u gives the least y_u + y_v - 1, NaN included
-            edge_gap = float(cover.y[event.neighbors].min()) + float(cover.y[event.id]) - 1.0
+            if nbrs.size < _LIST_DEGREE:
+                least = _numpy_extreme(min, cover.y[nbrs].tolist())
+            else:
+                least = float(cover.y[nbrs].min())
+            edge_gap = least + float(cover.y[event.id]) - 1.0
             self.feas_slack = min(self.feas_slack, edge_gap)
             _check(-edge_gap, FEAS_EPS, "dual feasibility", event.id)
         self._record[self.steps] = (level, cover.total_cost, total_match, inv1, inv2)

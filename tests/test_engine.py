@@ -1,6 +1,7 @@
 """Tests for the online engine: levels, steps, runs, rounding, monitors."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from onlinecover.engine import (
     MatchingState,
     PrimalDualState,
     WaterCoverState,
+    _pairwise_sum,
     _solve_level,
     check_invariants,
     check_rounding_covers,
@@ -29,7 +31,14 @@ from onlinecover.engine import (
     round_bipartite,
     run_stream,
 )
-from onlinecover.errors import InvariantViolation, NumericError, SideError, ValidationError
+from onlinecover.errors import (
+    DomainError,
+    InvariantViolation,
+    NumericError,
+    OnlineCoverError,
+    SideError,
+    ValidationError,
+)
 from onlinecover.instance import (
     RANDOM_MODES,
     Side,
@@ -82,7 +91,7 @@ def star_level(neighbors, v_weight, func):
 def test_level_no_neighbors():
     out = star_level([], 1.0, LIN)
     assert out.level == 1.0
-    assert out.raised.tolist() == []
+    assert np.asarray(out.raised).tolist() == []
     assert not out.saturated
 
 
@@ -90,7 +99,7 @@ def test_level_two_fresh_neighbors():
     out = star_level([(0.0, 1.0), (0.0, 1.0)], 1.0, LIN)
     assert out.level == pytest.approx(ALPHA, abs=1e-12)
     assert out.saturated
-    assert out.raised.tolist() == [0, 1]
+    assert np.asarray(out.raised).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])
@@ -105,7 +114,7 @@ def test_level_zero_weight_arrival():
     out = star_level([(0.3, 1.0), (0.1, 0.0)], 0.0, FK)
     assert out.level == pytest.approx(0.3, abs=1e-12)
     assert out.saturated
-    assert out.raised.tolist() == [1]
+    assert np.asarray(out.raised).tolist() == [1]
 
 
 @given(
@@ -126,7 +135,7 @@ def test_level_dichotomy_property(pots, k, seed):
     assert lhs <= budget + 1e-9 * max(1.0, sum(ws))
     if out.saturated:
         assert lhs == pytest.approx(budget, abs=1e-8 * max(1.0, sum(ws), v_weight))
-    raised_ids = set(out.raised.tolist())
+    raised_ids = set(np.asarray(out.raised).tolist())
     assert raised_ids == {i for i, p in enumerate(pots) if p < out.level}
 
 
@@ -289,6 +298,27 @@ def test_level_solve_list_branch_is_bitwise_numpy_branch(star, v_weight, kind):
     assert results[0] == results[1]
 
 
+def test_pairwise_sum_is_numpy_add_reduce_bitwise():
+    """The list path's sum adds in the order of numpy's float64
+    ``add.reduce``: the same bits at every length from 0 to 600, which
+    covers the runs below 8, the 8-lane blocks up to 128 and the splits
+    above, on values across the float range (both zeros and subnormals
+    included) and with infinities, overflow and NaN mixed in (a NaN counts
+    as one value, its payload aside)."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308,
+               math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(7)
+    for n in range(601):
+        finite = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        tiny = rng.choice(special[:6], n)
+        mixed = np.where(rng.random(n) < 0.02, rng.choice(special, n), finite)
+        for values in (finite, tiny, mixed, np.full(n, -0.0)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = float(np.add.reduce(values))
+            got = _pairwise_sum(values.tolist())
+            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), n
+
+
 @given(
     star=st.lists(
         st.tuples(
@@ -349,9 +379,11 @@ def benchmark_stream(name):
     "adversary-alternating",
 ])
 def test_benchmark_streams_take_the_list_branch_bitwise(monkeypatch, name):
-    """The benchmark commands' streams replayed with every level solve on
-    lists, and again with every one on numpy arrays, give the default
-    run's rows, potentials, f cache and edge values byte for byte."""
+    """The benchmark commands' streams replayed with every step on lists,
+    and again with every one on numpy arrays, leave the default run's
+    state byte for byte: rows, potentials, f cache, edge values and their
+    aggregates, arrival potentials, budget slacks, the monitors' bounds and
+    the dual-feasibility slack."""
     stream, algo, func = benchmark_stream(name)
     degree = int(np.diff(stream.edge_offsets).max())
     runs = [run_stream(stream, algo, func)]
@@ -360,12 +392,112 @@ def test_benchmark_streams_take_the_list_branch_bitwise(monkeypatch, name):
         runs.append(run_stream(stream, algo, func))
     monkeypatch.undo()
 
-    def record(alg):
-        x = alg.matching.x[: alg.matching.edges] if alg.matching is not None else np.zeros(0)
-        return [a.tobytes() for a in (alg.rows, alg.cover.y, alg.cover.fy, x)]
+    assert run_state(runs[1]) == run_state(runs[0])
+    assert run_state(runs[2]) == run_state(runs[0])
 
-    assert record(runs[1]) == record(runs[0])
-    assert record(runs[2]) == record(runs[0])
+
+def run_state(alg):
+    """Every array, float and count a water-filling or primal-dual run
+    leaves, floats as bytes or hex."""
+    cover, m = alg.cover, alg.matching
+    arrays = [alg.rows, cover.weights, cover.y, cover.fy]
+    scalars = [cover.total_cost, cover.arrived, alg.steps, alg.feas_slack]
+    if m is not None:
+        arrays += [m.x[: m.edges], m.x_agg, m.z_arrival, m.inv1_slack]
+        scalars += [m.edges, m.total_value, m.inv1_max, m.inv1_argmax, m.inv1_rescans,
+                    m.inv2_slack, m.inv1_bound, m.inv2_bound]
+    return [a.tobytes() for a in arrays] + [
+        x.hex() if isinstance(x, float) else x for x in scalars
+    ]
+
+
+def run_state_or_error(stream, algo, func):
+    """``run_state`` of a run, or the class and message of what it raised."""
+    try:
+        return run_state(run_stream(stream, algo, func))
+    except OnlineCoverError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    n=st.integers(1, 30),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(RANDOM_MODES),
+    weights=st.lists(
+        st.sampled_from([0.0, 2.0**-30, 0.5, 1.0, 7.25, 1e12]), min_size=30, max_size=30
+    ),
+    kind=st.sampled_from(sorted(LEVEL_FUNCS)),
+)
+@settings(max_examples=150, deadline=None)
+def test_list_and_array_steps_leave_the_same_state(n, p, seed, mode, weights, kind):
+    """Small random streams, every step forced onto lists and then onto
+    numpy arrays: water-filling and primal-dual leave byte-identical state,
+    or raise the same exception with the same message on both."""
+    stream = dataclasses.replace(gen_random(n, p, seed=seed, mode=mode), weights=weights[:n])
+    func = LEVEL_FUNCS[kind]
+    for algo in ("waterfill", "primal-dual"):
+        results = []
+        for threshold in (n + 1, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_LIST_DEGREE", threshold)
+                results.append(run_state_or_error(stream, algo, func))
+        assert results[0] == results[1], algo
+
+
+def nan_state_step(algo, threshold, poke):
+    """Three arrivals with no edges, then state poked by hand, then a
+    fourth adjacent to all three stepped with ``_LIST_DEGREE`` at
+    ``threshold``: what the step raised, or the run's state."""
+    alg = Algorithm(algo, FK, 4)
+    for v in range(3):
+        alg.step(VertexEvent(v, 1.0, Side.UNLABELED, np.zeros(0, dtype=np.intp)))
+    # the first two neighbours end up below the level, the third above it
+    alg.cover.y[:3] = [0.1, 0.2, 0.9]
+    alg.cover.fy[:3] = FK(alg.cover.y[:3])
+    poke(alg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_LIST_DEGREE", threshold)
+        try:
+            alg.step(VertexEvent(3, 1.0, Side.UNLABELED, np.arange(3, dtype=np.intp)))
+        except OnlineCoverError as exc:
+            return type(exc), str(exc)
+    return run_state(alg)
+
+
+def poke_potential(alg):
+    alg.cover.y[1] = math.nan
+
+
+def poke_aggregate(alg):
+    if alg.matching is not None:
+        alg.matching.x_agg[1] = math.nan
+
+
+def poke_weight(alg):
+    alg.cover.weights[1] = math.nan
+
+
+@pytest.mark.parametrize("algo", ["waterfill", "primal-dual"])
+@pytest.mark.parametrize("poke", [poke_potential, poke_aggregate, poke_weight])
+def test_nan_state_fails_alike_on_lists_and_arrays(algo, poke):
+    """A NaN at the second neighbour: numpy's sort puts it last and its
+    min, max and argmax return it, where Python's ``sorted`` leaves it in
+    place and ``min`` and ``max`` skip it.  The list path takes numpy's
+    rules, so both paths fail alike: a NaN potential fails dual
+    feasibility, a NaN aggregate fails the budget invariant at that
+    neighbour, and a NaN weight reaches f through the level solve."""
+    on_lists, on_arrays = (nan_state_step(algo, t, poke) for t in (4, 0))
+    assert on_lists == on_arrays
+    if poke is poke_aggregate and algo == "waterfill":
+        return  # water-filling keeps no aggregates: the step succeeds on both
+    cls, message = {
+        poke_potential: (InvariantViolation, "dual feasibility failed at vertex 3 (residual nan"),
+        poke_aggregate: (InvariantViolation, "budget invariant failed at vertex 1 (residual nan"),
+        poke_weight: (DomainError, "allocation argument outside [0, 1]: nan"),
+    }[poke]
+    assert on_lists[0] is cls
+    assert on_lists[1].startswith(message)
 
 
 def run_or_error(stream, algo, func):
@@ -786,12 +918,16 @@ def test_weighted_primal_dual_bounds_and_invariants():
         assert trace.matching.total_value >= opt / BETA_STAR - 1e-6
 
 
-def test_edge_values_scale_the_water_filling_lift():
+def test_edge_values_scale_the_water_filling_lift(monkeypatch):
     """The water-filling step reports each raised neighbour's lift
     w_u (level - y_u), y_u before the step: the cost it adds on that
     neighbour.  Primal-dual's edge values are lift / beta * (1 + (1-y)/f(y)),
-    to the bit, and 0 on every other new edge."""
-    for stream in (gen_random(50, 0.2, seed=3), weighted_stream(2)):
+    to the bit, and 0 on every other new edge.  Checked with the outcome's
+    fields as lists (every degree here is below ``_LIST_DEGREE``) and again
+    as arrays."""
+    streams = (gen_random(50, 0.2, seed=3), weighted_stream(2))
+    for stream, list_degree in itertools.product(streams, (engine._LIST_DEGREE, 0)):
+        monkeypatch.setattr(engine, "_LIST_DEGREE", list_degree)
         cover = WaterCoverState.fresh(len(stream))
         matching = PrimalDualState.fresh(len(stream))
         raised = 0
@@ -799,17 +935,19 @@ def test_edge_values_scale_the_water_filling_lift():
             before, cost = cover.y.copy(), cover.total_cost
             cover, matching, out = primal_dual_step(cover, matching, ev, FK, BETA_STAR)
             nbrs, level = ev.neighbors, out.level
-            assert np.array_equal(out.mask, before[nbrs] < level)
-            assert np.array_equal(out.raised, nbrs[out.mask])
-            for u, lift in zip(out.raised.tolist(), out.lift.tolist()):
+            mask = np.asarray(out.mask, dtype=bool)
+            assert np.array_equal(mask, before[nbrs] < level)
+            assert np.array_equal(out.raised, nbrs[mask])
+            raised_ids, lifts = np.asarray(out.raised).tolist(), np.asarray(out.lift).tolist()
+            for u, lift in zip(raised_ids, lifts):
                 assert lift == cover.weights[u] * (level - before[u])
                 assert lift == cover.weights[u] * (cover.y[u] - before[u])
-            assert cover.total_cost == cost + float(out.lift.sum()) + ev.weight * (1.0 - level)
+            assert cover.total_cost == cost + float(np.sum(out.lift)) + ev.weight * (1.0 - level)
             factor = 1.0 + (1.0 - level) / float(FK(level)) if level < 1.0 else 1.0
             xvals = matching.x[stream.edge_offsets[ev.id] : stream.edge_offsets[ev.id + 1]]
-            assert xvals[out.mask].tolist() == [x / BETA_STAR * factor for x in out.lift.tolist()]
-            assert not xvals[~out.mask].any()
-            raised += out.raised.size
+            assert xvals[mask].tolist() == [x / BETA_STAR * factor for x in lifts]
+            assert not xvals[~mask].any()
+            raised += len(raised_ids)
         assert raised > 0
 
 
