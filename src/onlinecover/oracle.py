@@ -23,22 +23,23 @@ independent check of both constructions.
 
 The optimum of every prefix of a stream, which worst-prefix ratios divide
 by, comes from one solver kept across the whole stream instead of one
-solve per prefix, and one loop drives it: each arrival is ``add``-ed to
-the solver and its exact integer value read.  For unit weights the solver
-is a maximum matching of the same biadjacency, one ``_adjacency`` with
-the same row and column numbers, grown one added node at a time: matched
-to a free arrived neighbour if it has one, else by one augmenting-path
-search; for weights it is a ``_CoverNetwork`` that keeps its source
-and sink search trees across arrivals, continues the flow from them after
-each arrival and certifies each prefix by the kept cut, while its
-from-scratch solve stays Dinic's.  The optimum
-never falls, and an arrival raises it by at most its weight, so once one
-from-scratch solve of the whole stream (the anchor) is known, a prefix
-whose value is the anchor's, or whose value plus the most every later
-arrival may add is the anchor's, fixes every later value, and the loop
-stops stepping.  The anchor is bought, ski-rental style, once the warm
-solver's counted work reaches the size of one from-scratch solve.  The
-tests compare both with from-scratch solves of every prefix.
+solve per prefix: each arrival is ``add``-ed to the solver and its exact
+integer value read.  For weights the solver is a ``_CoverNetwork`` that
+keeps its source and sink search trees across arrivals, continues the
+flow from them after each arrival and certifies each prefix by the kept
+cut, while its from-scratch solve stays Dinic's; it steps every arrival.
+For unit weights it is a maximum matching of the same biadjacency, one
+``_adjacency`` with the same row and column numbers, grown one added node
+at a time: matched to a free arrived neighbour if it has one, else by one
+augmenting-path search.  The optimum never falls, and an arrival raises it
+by at most one, so once one from-scratch solve of the whole stream (the
+anchor) is known, a prefix whose value is the anchor's, or whose value
+plus the most every later arrival may add is the anchor's, fixes every
+later value, and the loop stops stepping.  The anchor is bought right
+after the first arrival whose join searched: until then each join read
+only its own neighbours, and from then on a join may search much of the
+graph, so one Hopcroft-Karp solve is cheap beside the rest of the pass.
+The tests compare both solvers with from-scratch solves of every prefix.
 
 Everything here is numpy and Python only; the tests check the unit
 solver against scipy's Hopcroft-Karp.
@@ -48,7 +49,6 @@ All public functions are pure functions of their inputs.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -312,14 +312,13 @@ def _unit_optimum(stream: InstanceStream, ptr, idx) -> tuple[OracleResult, int]:
     return _certified(stream, cover2, rows, cols, np.ones(rows.size, dtype=np.int64)), rows.size
 
 
-def _weighted_optimum(stream: InstanceStream) -> tuple[OracleResult, int]:
-    """Weighted optimum from one ``_CoverNetwork`` of the whole stream; also
-    its minimum cut, the optimum in units of 1/(2 den)."""
+def _weighted_optimum(stream: InstanceStream) -> OracleResult:
+    """Weighted optimum from one ``_CoverNetwork`` of the whole stream."""
     net = _CoverNetwork(stream)
     for ev in stream:
         net.add(ev)
-    cover2, cut = net.solve()
-    return _certified(stream, cover2, *net.edge_flows()), cut
+    cover2 = net.solve()[0]  # the flows are read once it is maximum
+    return _certified(stream, cover2, *net.edge_flows())
 
 
 # ------------------------------------------------------ fractional general
@@ -335,7 +334,7 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
         return OracleResult(0.0, 0.0, np.zeros(0))
     if stream.is_unit_weight():
         return _unit_optimum(stream, *_adjacency(stream))[0]
-    return _weighted_optimum(stream)[0]
+    return _weighted_optimum(stream)
 
 
 _FREE, _SRC, _SNK = 0, 1, 2  # tree membership of a network node
@@ -353,8 +352,6 @@ class _CoverNetwork:
     Capacities and flows are exact Python ints: the weights are scaled by
     their common power-of-two denominator ``den``, and a crossing arc holds
     w_u + w_v + den.  The cover's value is rounded once, to cut / (2 den).
-    ``work`` counts the arcs the searches scan; one from-scratch solve
-    scans about ``scratch_work`` of them.
 
     Two ways to a maximum flow share the arcs.  ``solve`` is the
     from-scratch one: Dinic's blocking flows, and a cover read off the
@@ -383,8 +380,6 @@ class _CoverNetwork:
         self.level: list[int] = []
         self.arrived = 0
         self.flow = 0
-        self.work = 0
-        self.scratch_work = 4 * stream.edge_count() + 4 * n
         m = 2 * n + 2
         self.tree = [_FREE] * m
         self.tree[self.s], self.tree[self.t] = _SRC, _SNK
@@ -424,7 +419,6 @@ class _CoverNetwork:
         level[self.s] = 0
         q = [self.s]
         for u in q:
-            self.work += len(head[u])
             for ei in head[u]:
                 v = to[ei]
                 if cap[ei] > 0 and level[v] < 0:
@@ -509,7 +503,6 @@ class _CoverNetwork:
         activated: their other arcs were settled before.
         """
         to, cap, tree = self.to, self.cap, self.tree
-        self.work += hi - lo
         for ei in range(lo, hi, 2):
             if tree[to[ei + 1]] == _SRC and tree[to[ei]] != _SRC:
                 self.cut += cap[ei]
@@ -557,10 +550,8 @@ class _CoverNetwork:
         """How much the cut grows when p joins S: p's arcs to nodes outside
         S less its arcs from nodes in S."""
         to, cap, tree = self.to, self.cap, self.tree
-        arcs = self.head[p]
-        self.work += len(arcs)
         delta = 0
-        for ei in arcs:
+        for ei in self.head[p]:
             if tree[to[ei]] == _SRC:
                 if ei & 1:
                     delta -= cap[ei] + cap[ei ^ 1]
@@ -588,8 +579,7 @@ class _CoverNetwork:
             back = side == _SNK
             other = _SRC + _SNK - side
             meet = _NONE
-            arcs = head[p]
-            for ei in arcs:
+            for ei in head[p]:
                 if cap[ei ^ back]:
                     q = to[ei]
                     if tree[q] == _FREE:
@@ -600,11 +590,9 @@ class _CoverNetwork:
                     elif ts[q] <= ts[p] and dist[q] > dist[p]:
                         par[q], ts[q], dist[q] = ei ^ 1, ts[p], dist[p] + 1
             if meet == _NONE:
-                self.work += len(arcs)
                 active.popleft()
                 queued[p] = False
             else:  # p stays at the front and is scanned again
-                self.work += arcs.index(meet) + 1
                 self._push(meet ^ back)
 
     def _push(self, mid: int) -> None:
@@ -637,7 +625,6 @@ class _CoverNetwork:
                 par[to[e ^ 1]] = _ORPHAN
                 orphans.appendleft(to[e ^ 1])
         self.flow += d
-        self.work += len(path)
         self.time += 1
         self.ts[s] = self.ts[t] = self.time
         self._adopt()
@@ -662,7 +649,6 @@ class _CoverNetwork:
             back = side == _SRC  # S takes the reverse arcs j -> i, T arcs i -> j
             best = dmin = _NONE
             arcs = head[i]
-            self.work += len(arcs)
             for ei in arcs:
                 j = to[ei]
                 if tree[j] != side or not cap[ei ^ back]:
@@ -671,7 +657,6 @@ class _CoverNetwork:
                 while ts[x] != time and par[x] != _ORPHAN:
                     d += 1
                     x = to[par[x]]
-                self.work += d
                 if ts[x] != time:
                     continue
                 d += dist[x]
@@ -698,10 +683,6 @@ class _CoverNetwork:
                 if par[j] == ei ^ 1:
                     par[j] = _ORPHAN
                     orphans.append(j)
-
-    def whole(self, stream: InstanceStream) -> int:
-        """The whole stream's minimum cover in the same units, certified."""
-        return _weighted_optimum(stream)[1]
 
     def edge_flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays u, v, flow over the crossing arcs u-left -> v-right with flow,
@@ -765,11 +746,8 @@ class _GrowingMatching:
     Most paths are one edge long, so a join first reads its arrived
     neighbours as a view and matches the first free one, with no search;
     on the paper's dense streams nearly every join ends there.
-    ``work`` counts the neighbours the joins and searches gather; one
-    from-scratch solve gathers about ``scratch_work`` of them.
+    ``searches`` counts the joins that went on to ``_augment``.
     """
-
-    den = 1  # values are counted in halves, as the weighted network's are in 1/(2 den)
 
     def __init__(self, stream: InstanceStream):
         self.n = n = len(stream)
@@ -783,8 +761,6 @@ class _GrowingMatching:
         self.searches = 0
         self.free = [0, 0]  # unmatched nodes that have joined: rows, columns
         self.size = 0
-        self.work = 0
-        self.scratch_work = 2 * stream.edge_count() + n
 
     def add(self, ev: VertexEvent) -> None:
         """Count the arrival's back-edges as arrived, then join its copies."""
@@ -821,7 +797,6 @@ class _GrowingMatching:
         k = int(self.count[u])
         if not (k and self.free[1 - side]):
             return
-        self.work += k
         a = int(self.ptr[u])
         nbrs = self.idx[a : a + k]  # a view of the adjacency: read, never written
         open_ = self.mate[off : off + n][nbrs] < 0
@@ -858,7 +833,6 @@ class _GrowingMatching:
         while True:
             base = frontier % n
             cand, ends = _gather(self.ptr, self.idx, base, self.count[base])
-            self.work += cand.size
             cand += off
             pos = np.flatnonzero(seen[cand] != stamp)
             if not pos.size:
@@ -891,56 +865,53 @@ class _GrowingMatching:
             b, a = prev, int(parent[prev])
 
 
-_ANCHOR_AFTER = 1  # warm work, in from-scratch solves, that buys the anchor
-
-
 def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     """Offline optimum after each arrival, from one solver kept across arrivals.
 
     The returned number is simultaneously the minimum fractional cover and
     the maximum fractional matching: the two coincide for bipartite
     instances (integrality plus duality) and for general ones (double
-    cover).  The weight class picks the solver, a ``_GrowingMatching`` or a
-    ``_CoverNetwork``; each arrival is ``add``-ed to it and its exact
-    integer value U read, in units of 1/(2 den), and rounded once.
+    cover).  Each arrival is ``add``-ed to the weight class's solver and
+    its exact integer value U read and rounded once.
 
-    Arrival v raises U by at most 2 w_v (the old cover plus y_v = 1), so
-    once the whole stream's value A is known, a prefix with U = A or with
-    A - U equal to the most the later arrivals may add fixes every later
-    value: the same U, or U plus each later arrival's most.  A is bought,
-    one certified from-scratch solve, once the solver's work reaches
-    ``_ANCHOR_AFTER`` such solves; from then on each arrival checks the two
-    cases.  At every prefix the value equals what a from-scratch
+    Weighted, a ``_CoverNetwork`` steps every arrival, and its kept cut
+    certifies each U, in units of 1/(2 den).  Unit, a ``_GrowingMatching``
+    counts U in halves, and arrival v raises it by at most 2 (the old cover
+    plus y_v = 1), so once the whole stream's value A is known, a prefix
+    with U = A or with A - U = 2 (n - v - 1), the most the later arrivals
+    may add, fixes every later value: the same U, or U plus 2 per later
+    arrival.  A is bought, one certified Hopcroft-Karp solve, right after
+    the first arrival whose join searched; from then on each arrival checks
+    the two cases.  At every prefix the value equals what a from-scratch
     ``fractional_optima_general`` solve returns.
     """
     n = len(stream)
-    unit = stream.is_unit_weight()
-    solver = _GrowingMatching(stream) if unit else _CoverNetwork(stream)
-    scale = 2 * solver.den
-    rise = [2] * n if unit else [2 * w for w in solver.w.tolist()]
-    rest = [0, *itertools.accumulate(reversed(rise))][::-1]  # rest[v]: the most v, v+1, ... add
-    budget = _ANCHOR_AFTER * solver.scratch_work
-    anchor = None
     vals = np.zeros(n)
+    if not stream.is_unit_weight():
+        net = _CoverNetwork(stream)
+        for ev in stream:
+            net.add(ev)
+            vals[ev.id] = _to_float(net.units(), 2 * net.den)
+        return vals
+    matcher = _GrowingMatching(stream)
+    anchor = None
     for ev in stream:
         v = ev.id
-        solver.add(ev)
-        units = solver.units()
-        vals[v] = _to_float(units, scale)
-        if anchor is None and solver.work >= budget:
-            anchor = solver.whole(stream)
+        matcher.add(ev)
+        units = matcher.units()
+        vals[v] = units / 2
+        if anchor is None and matcher.searches:
+            anchor = matcher.whole(stream)
         if anchor is None:
             continue
-        gap = anchor - units
-        if not 0 <= gap <= rest[v + 1]:
+        gap, rest = anchor - units, 2 * (n - v - 1)
+        if not 0 <= gap <= rest:
             raise ValidationError(f"{v + 1} arrivals: prefix optimum out of the anchor's reach")
         if gap == 0:
             vals[v + 1 :] = vals[v]
             break
-        if gap == rest[v + 1]:
-            for u in range(v + 1, n):
-                units += rise[u]
-                vals[u] = _to_float(units, scale)
+        if gap == rest:
+            vals[v + 1 :] = vals[v] + np.arange(1, n - v)
             break
     return vals
 

@@ -426,10 +426,12 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
     anchor: the from-scratch entry points run at most once in total, where a
     per-prefix loop would call them per arrival.  A unit stream builds
     exactly one growing matching, one adjacency and no flow network (its
-    anchor solves that adjacency); a weighted stream builds one warm flow
-    network, at most one more for its anchor, and no matching."""
+    anchor solves that adjacency); a weighted stream builds exactly one flow
+    network, no matching and no adjacency, and solves nothing from scratch:
+    its kept cut certifies every prefix."""
     calls = []
-    for name in ("maximum_bipartite_matching", "fractional_optima_general", "_adjacency"):
+    for name in ("maximum_bipartite_matching", "fractional_optima_general", "_weighted_optimum",
+                 "_adjacency"):
         fn = getattr(oracle, name)
 
         def counted(*args, _fn=fn, **kwargs):
@@ -455,41 +457,50 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
         built.clear()
         vals = oracle.prefix_optimal_values(stream)
         assert vals[-1] > 0.0
+        assert built == [solver]
         solves = [c for c in calls if c != "_adjacency"]
-        assert len(solves) <= 1
         if solver == "_GrowingMatching":
             assert calls.count("_adjacency") == 1
-            assert built == [solver]
+            assert len(solves) <= 1
         else:
-            assert "_adjacency" not in calls
-            assert built in ([solver], [solver, solver])
+            assert calls == []
 
 
-def warm_run(monkeypatch, stream):
-    """The prefix values, how many arrivals the warm solver (the first one
-    built) was handed, and how many anchors it bought."""
-    solvers = []
-    for name in ("_CoverNetwork", "_GrowingMatching"):
-        base = getattr(oracle, name)
+def warm_run(mp, stream, matcher=oracle._GrowingMatching):
+    """The prefix values, the warm solver (the first one built) and the
+    from-scratch solves made, each as the number of arrivals the solver had
+    been handed when it ran.  The solver is a counting subclass of
+    ``_CoverNetwork`` or of ``matcher``: ``runs`` counts its ``_augment``
+    calls and ``searched`` lists the count after each arrival."""
+    solvers, bought = [], []
+    for name, base in (("_CoverNetwork", oracle._CoverNetwork), ("_GrowingMatching", matcher)):
 
         class Counted(base):
             def __init__(self, stream):
                 super().__init__(stream)
-                self.adds = self.anchors = 0
+                self.runs, self.searched = 0, []
                 solvers.append(self)
 
             def add(self, ev):
-                self.adds += 1
                 super().add(ev)
+                self.searched.append(self.runs)
 
-            def whole(self, stream):
-                self.anchors += 1
-                return super().whole(stream)
+            def _augment(self, *args):
+                self.runs += 1
+                return super()._augment(*args)
 
-        monkeypatch.setattr(oracle, name, Counted)
+        mp.setattr(oracle, name, Counted)
+    for name in ("_unit_optimum", "_weighted_optimum"):
+        fn = getattr(oracle, name)
+
+        def counted(*args, _fn=fn):
+            bought.append(len(solvers[0].searched))
+            return _fn(*args)
+
+        mp.setattr(oracle, name, counted)
     vals = oracle.prefix_optimal_values(stream)
-    monkeypatch.undo()
-    return vals, solvers[0].adds, solvers[0].anchors
+    mp.undo()
+    return vals, solvers[0], bought
 
 
 def assert_from_scratch(stream, vals):
@@ -498,17 +509,59 @@ def assert_from_scratch(stream, vals):
         assert vals[j - 1] == full
 
 
-@pytest.mark.parametrize("stream", [
-    gen_triangular(60),
-    gen_two_phase_matching_hard(15),
-    reduce_ski_rental(SkiRentalSpec(((0.0, 2.0), (40.0, 1.0), (100.0, 0.0)), 1.0, 60.0)),
-], ids=["triangular", "two-phase", "ski-rental"])
+@pytest.mark.parametrize("stream", [gen_triangular(60), gen_two_phase_matching_hard(15)],
+                         ids=["triangular", "two-phase"])
 def test_the_anchor_pins_the_rest_of_the_stream(monkeypatch, stream):
-    """On these streams the warm solver stops before the last arrival, and
-    every value it did not step to still equals a from-scratch solve."""
-    vals, adds, anchors = warm_run(monkeypatch, stream)
-    assert anchors == 1 and adds < len(stream)
+    """On these streams the warm matcher buys one anchor and stops before
+    the last arrival, and every value it did not step to still equals a
+    from-scratch solve."""
+    vals, solver, bought = warm_run(monkeypatch, stream)
+    assert len(bought) == 1 and len(solver.searched) < len(stream)
     assert_from_scratch(stream, vals)
+
+
+def test_the_weighted_pass_buys_no_anchor(monkeypatch):
+    """On a ski rental the kept trees step every arrival, with no
+    from-scratch solve and no Dinic path, and each value is a from-scratch
+    solve's."""
+    stream = reduce_ski_rental(SkiRentalSpec(((0.0, 2.0), (40.0, 1.0), (100.0, 0.0)), 1.0, 60.0))
+    vals, solver, bought = warm_run(monkeypatch, stream)
+    assert bought == [] and solver.runs == 0 and len(solver.searched) == len(stream)
+    assert_from_scratch(stream, vals)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(("random", "triangular", "two-phase")),
+    n=st.integers(1, 14),
+    p=st.sampled_from((0.15, 0.3, 0.6, 1.0)),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_anchor_is_bought_right_after_the_first_search(seed, family, n, p, mode):
+    """On small unit streams the anchor is bought if and only if some join
+    ran ``_augment``, right after the first arrival whose join did, and
+    every value is a from-scratch solve's."""
+    if family == "random":
+        stream = gen_random(n, p, seed, mode)
+    elif family == "triangular":
+        stream = gen_triangular((n + 1) // 2)  # 2k vertices
+    else:
+        stream = gen_two_phase_matching_hard((n + 2) // 3)  # 3k vertices
+    with pytest.MonkeyPatch.context() as mp:
+        vals, solver, bought = warm_run(mp, stream)
+    first = next((i for i, runs in enumerate(solver.searched, 1) if runs), None)
+    assert bought == ([] if first is None else [first])
+    assert_from_scratch(stream, vals)
+
+
+class Eager(oracle._GrowingMatching):
+    """A prefix matcher that counts a search before any join, so the prefix
+    oracle buys its anchor right after the first arrival."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.searches = 1
 
 
 @given(
@@ -516,21 +569,30 @@ def test_the_anchor_pins_the_rest_of_the_stream(monkeypatch, stream):
     n=st.integers(1, 14),
     p=st.sampled_from((0.15, 0.3, 0.6)),
     mode=st.sampled_from(MODES),
-    weighted=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_an_anchor_bought_at_once_keeps_every_value(seed, n, p, mode, weighted):
+def test_an_anchor_bought_at_once_keeps_every_value(seed, n, p, mode):
     """With the anchor bought after the first arrival, each later arrival
-    checks the pin; on unlabeled, labeled and weighted streams (zero weights
-    and the 1e12 sentinel among them) every value is still a from-scratch
-    solve's."""
+    checks the pin; on unlabeled and labeled unit streams every value is
+    still a from-scratch solve's."""
     stream = gen_random(n, p, seed, mode)
-    if weighted:
-        stream = reweighted(stream, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_ANCHOR_AFTER", 0)
-        vals = prefix_optimal_values(stream)
+        vals, _, bought = warm_run(mp, stream, Eager)
+    assert bought == [1]
     assert_from_scratch(stream, vals)
+
+
+def test_streams_without_edges_have_zero_prefix_values(monkeypatch):
+    """An empty stream, and edgeless streams of unit and of other weights,
+    labeled or not: every prefix value is 0, every arrival is added, and
+    nothing is searched or solved from scratch."""
+    weights = [0.0, 0.5, 1.0, 3.0, 1e12, 2.0**-30]
+    for stream in (graph_stream(0, []), graph_stream(6, []), graph_stream(6, [], LR * 3),
+                   graph_stream(6, [], weights=weights),
+                   graph_stream(6, [], LR * 3, weights=weights)):
+        vals, solver, bought = warm_run(monkeypatch, stream)
+        assert vals.tolist() == [0.0] * len(stream)
+        assert bought == [] and solver.runs == 0 and len(solver.searched) == len(stream)
 
 
 def test_triangular_2000_prefix_values_are_fast():
@@ -560,15 +622,15 @@ def test_sparse_weighted_prefix_values_are_fast():
 
 
 def test_the_adversary_transcript_buys_no_anchor(monkeypatch):
-    """The warm matcher's work on the 3-phase, d = 120 adversary stays below
-    one from-scratch solve: no anchor is bought and every arrival is added."""
+    """No join of the warm matcher on the 3-phase, d = 120 adversary
+    searches: no anchor is bought and every arrival is added."""
     from onlinecover.harness import AdversaryBudget, adaptive_adversary_vc, resolve_allocation
 
     transcript = adaptive_adversary_vc(
         AdversaryBudget(3, 120), "primal-dual", resolve_allocation("optimal")
     ).transcript
-    _, adds, anchors = warm_run(monkeypatch, transcript)
-    assert anchors == 0 and adds == len(transcript)
+    _, solver, bought = warm_run(monkeypatch, transcript)
+    assert bought == [] and solver.runs == 0 and len(solver.searched) == len(transcript)
 
 
 class Probed(oracle._GrowingMatching):
@@ -622,35 +684,24 @@ def test_a_join_next_to_a_free_node_takes_the_first_and_searches_no_further():
 
 
 def test_the_probe_keeps_the_work_that_buys_the_anchor(monkeypatch):
-    """A probe's match counts the neighbours it read, as the search's first
-    round does: on triangular(500) the anchor is still bought after arrival
-    752, and it pins every later value."""
-    bought = []
-
-    class Anchored(oracle._GrowingMatching):
-        adds = 0
-
-        def add(self, ev):
-            self.adds += 1
-            super().add(ev)
-
-        def whole(self, stream):
-            bought.append(self.adds)
-            return super().whole(stream)
-
-    monkeypatch.setattr(oracle, "_GrowingMatching", Anchored)
-    vals = prefix_optimal_values(gen_triangular(500))
-    assert bought == [752]
+    """A join next to a free node is settled by the probe, with no search:
+    on triangular(500) the first search, and with it the anchor, comes at
+    arrival 751, and the anchor pins every later value there."""
+    vals, solver, bought = warm_run(monkeypatch, gen_triangular(500))
+    assert bought == [751] and solver.searched[749:] == [0, 1]
     assert vals.tolist() == [float(max(0, t - 500)) for t in range(1, 1001)]
 
 
 def test_an_anchor_out_of_reach_is_an_error(monkeypatch):
     """An anchor below a prefix's optimum, or above what the later arrivals
     can add to it, contradicts the warm solver: an error, not a fill."""
-    monkeypatch.setattr(oracle, "_ANCHOR_AFTER", 0)
     for shift in (-1, 10**6):
-        monkeypatch.setattr(oracle._GrowingMatching, "whole",
-                            lambda self, stream, _s=shift: self.units() + _s)
+
+        class Off(Eager):
+            def whole(self, stream, _s=shift):
+                return self.units() + _s
+
+        monkeypatch.setattr(oracle, "_GrowingMatching", Off)
         with pytest.raises(ValidationError, match="out of the anchor's reach"):
             prefix_optimal_values(gen_triangular(5))
 

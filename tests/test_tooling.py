@@ -100,6 +100,27 @@ def test_every_private_module_name_has_a_caller():
     assert found == []
 
 
+
+def test_private_classes_read_every_attribute_they_set():
+    # no state that nothing needs: each attribute a private class stores
+    # through self. (an augmented assignment only stores) is loaded, from
+    # some object, somewhere in the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in loaded):
+                    found.append(f"{module}:{node.lineno} {cls.name}.{node.attr}")
+    assert found == []
+
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 if sys.argv[2] == "blocked":
