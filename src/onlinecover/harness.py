@@ -426,10 +426,11 @@ def _dispatch(args) -> int:
         else:
             with open(args.input, "rb") as fh:
                 data = fh.read()
-            try:
-                stream = parse_instance(data.decode("utf-8"))
+            try:  # a leading byte-order mark is dropped
+                stream = parse_instance(data.decode("utf-8-sig"))
             except UnicodeDecodeError as exc:  # named by its line, as parse_instance counts lines
-                line_no = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+                # exc.start counts from the end of the mark, in the bytes exc.object holds
+                line_no = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
                 raise ParseError(line_no, f"not UTF-8 text: {exc.reason}") from None
         func = resolve_allocation(args.f_spec)
         alg, summary = run_experiment(stream, args.algo, func, args.prefix)

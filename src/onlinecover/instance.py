@@ -158,14 +158,10 @@ class InstanceStream:
     def __len__(self) -> int:
         return self.weights.size
 
-    def event(self, v: int) -> VertexEvent:
+    def _event(self, v: int, weight: float, code: int, lo: int, hi: int) -> VertexEvent:
         """Arrival v; its neighbours are a read-only intp copy of its slice
         of ``neighbors``: numpy converts int32 indices on every use, which
         costs a run's steps more than one copy per event."""
-        lo, hi = self.edge_offsets[v : v + 2]
-        return self._event(v, float(self.weights[v]), int(self.side_codes[v]), lo, hi)
-
-    def _event(self, v: int, weight: float, code: int, lo: int, hi: int) -> VertexEvent:
         nbrs = self.neighbors[lo:hi].astype(np.intp)
         nbrs.flags.writeable = False
         return VertexEvent(v, weight, _SIDE_OF[code], nbrs)

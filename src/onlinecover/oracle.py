@@ -14,8 +14,9 @@ Unit weights: ``_unit_optimum`` runs Hopcroft-Karp, written here in
 Python and numpy, on the n x n biadjacency ``_adjacency`` builds, row u
 the left copy of u and column v the right copy of v, and reads a Konig
 cover off the last, failed search.
-Weights: a minimum s-t cut, one ``_CoverNetwork`` whose max flow
-follows augmenting paths of any length without recursion.  Both count in
+Weights: a minimum s-t cut of one ``_CoverNetwork``, the double cover's
+arcs, whose flow ``_dinic`` maximises along augmenting paths of any length
+without recursion.  Both count in
 integers (halves, or weights over a common power of two), so every check
 is an exact comparison and each value is rounded to a float once.  A
 tiny-instance enumeration over {0, 1/2, 1} potentials is the
@@ -24,10 +25,12 @@ independent check of both constructions.
 The optimum of every prefix of a stream, which worst-prefix ratios divide
 by, comes from one solver kept across the whole stream instead of one
 solve per prefix: each arrival is ``add``-ed to the solver and its exact
-integer value read.  For weights the solver is a ``_CoverNetwork`` that
-keeps its source and sink search trees across arrivals, continues the
-flow from them after each arrival and certifies each prefix by the kept
-cut, while its from-scratch solve stays Dinic's; it steps every arrival.
+integer value read.  For weights the solver is a ``_KeptTrees``, the
+same network with source and sink search trees kept across arrivals: it
+continues the flow from them after each arrival, certifies each prefix
+by the kept cut and steps every arrival.  Each max-flow algorithm has one
+type: Dinic's is one function that keeps nothing between calls, and the
+kept trees are the only type that holds tree state.
 For unit weights it is a maximum matching of the same biadjacency, one
 ``_adjacency`` with the same row and column numbers, grown one added node
 at a time: matched to a free arrived neighbour if it has one, else by one
@@ -317,7 +320,7 @@ def _weighted_optimum(stream: InstanceStream) -> OracleResult:
     net = _CoverNetwork(stream)
     for ev in stream:
         net.add(ev)
-    cover2 = net.solve()[0]  # the flows are read once it is maximum
+    cover2 = _dinic(net)  # the flows are read once it is maximum
     return _certified(stream, cover2, *net.edge_flows())
 
 
@@ -337,10 +340,6 @@ def fractional_optima_general(stream: InstanceStream) -> OracleResult:
     return _weighted_optimum(stream)
 
 
-_FREE, _SRC, _SNK = 0, 1, 2  # tree membership of a network node
-_NONE, _ORPHAN = -1, -2  # parent arc of a free node and of an orphan
-
-
 class _CoverNetwork:
     """The weighted double cover as a max-flow network, grown by arrivals.
 
@@ -353,21 +352,8 @@ class _CoverNetwork:
     their common power-of-two denominator ``den``, and a crossing arc holds
     w_u + w_v + den.  The cover's value is rounded once, to cut / (2 den).
 
-    Two ways to a maximum flow share the arcs.  ``solve`` is the
-    from-scratch one: Dinic's blocking flows, and a cover read off the
-    last, failed search.  ``units`` keeps a source tree S and a sink tree
-    T across arrivals (Boykov & Kolmogorov, PAMI 2004, reused across
-    graph changes as in Kohli & Torr, ICCV 2005): it settles each new arc
-    where it lands, then grows the trees from their active nodes, pushes
-    flow wherever they touch and re-adopts or frees the orphans.  Every S
-    node with a residual arc out of S is active, so once none is, S is the
-    source side of a minimum cut.  S's capacity, every arc out of it
-    counted, is kept across arrivals: each prefix adds the new arcs and the
-    nodes that changed sides, then checks it against the flow.  A tree
-    node's ``par`` is its arc toward the root, in its own list; ``ts`` and
-    ``dist`` mark nodes whose path to the root is known, so an orphan's
-    walks to find a new parent stop at a marked node.  The two ways are
-    not mixed on one network.
+    Only the arcs and the flow live here.  ``_dinic`` maximises the flow
+    from scratch; ``_KeptTrees`` adds search trees kept across arrivals.
     """
 
     def __init__(self, stream: InstanceStream):
@@ -377,22 +363,8 @@ class _CoverNetwork:
         self.head: list[list[int]] = [[] for _ in range(2 * n + 2)]
         self.to: list[int] = []  # arc i and its reverse i ^ 1
         self.cap: list[int] = []
-        self.level: list[int] = []
         self.arrived = 0
         self.flow = 0
-        m = 2 * n + 2
-        self.tree = [_FREE] * m
-        self.tree[self.s], self.tree[self.t] = _SRC, _SNK
-        self.par = [_NONE] * m
-        self.ts = [0] * m
-        self.dist = [0] * m
-        self.time = 0  # the roots' mark: the number of pushes so far
-        self.active: deque[int] = deque()
-        self.queued = [False] * m
-        self.orphans: deque[int] = deque()
-        self.settled = 0  # arcs below this index are settled
-        self.cut = 0  # capacity of the arcs out of S, as of the last count
-        self.moved: dict[int, bool] = {}  # nodes that joined or left S since: were they in S
 
     def _arc(self, u: int, v: int, c: int) -> None:
         self.head[u].append(len(self.to))
@@ -413,32 +385,51 @@ class _CoverNetwork:
             self._arc(v, n + u, cap)
         self.arrived = v + 1
 
-    def _bfs(self) -> bool:
-        head, to, cap = self.head, self.to, self.cap
+    def edge_flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays u, v, flow over the crossing arcs u-left -> v-right with flow,
+        read off each arc's reverse, whose head is its tail; flows are Python ints."""
+        to = np.array(self.to)
+        tail, flow = to[1::2], np.array(self.cap[1::2], dtype=object)
+        keep = (tail < self.n) & (flow > 0)
+        return tail[keep], to[0::2][keep] - self.n, flow[keep]
+
+
+def _dinic(net: _CoverNetwork) -> np.ndarray:
+    """Continue the network's flow to a maximum by Dinic's blocking flows;
+    the minimum cover in halves.
+
+    Each phase levels the residual network by a breadth-first search from
+    the source, then pushes along level-graph paths found depth-first.  A
+    path is an explicit stack of arcs, so it may be of any length, and
+    ``nxt[u]`` is u's first arc not yet found to lead to a dead end in the
+    phase.  The last search fails to reach the sink, and the nodes it
+    reached are the source side of a minimum cut, whose capacity must
+    equal the flow.
+    """
+    head, to, cap, s, t = net.head, net.to, net.cap, net.s, net.t
+    while True:
         level = [-1] * len(head)
-        level[self.s] = 0
-        q = [self.s]
+        level[s] = 0
+        q = [s]
         for u in q:
             for ei in head[u]:
                 v = to[ei]
                 if cap[ei] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     q.append(v)
-        self.level = level
-        return level[self.t] >= 0
-
-    def _augment(self, nxt: list[int]) -> int:
-        """Push flow along one path of the level graph, found depth-first.
-
-        The path is an explicit stack of arcs, so it may be of any length.
-        ``nxt[u]`` is u's first arc not yet found to lead to a dead end in
-        this phase.  Returns the amount pushed, 0 once the phase's flow is
-        blocking.
-        """
-        head, to, cap, level = self.head, self.to, self.cap, self.level
+        if level[t] < 0:
+            break
+        nxt = [0] * len(head)
         path: list[int] = []
-        u = self.s
-        while u != self.t:
+        u = s
+        while True:
+            if u == t:  # push the bottleneck, then search again from the source
+                d = min(cap[ei] for ei in path)
+                for ei in path:
+                    cap[ei] -= d
+                    cap[ei ^ 1] += d
+                net.flow += d
+                path, u = [], s
             arcs, i, up = head[u], nxt[u], level[u] + 1
             while i < len(arcs):
                 ei = arcs[i]
@@ -452,32 +443,52 @@ class _CoverNetwork:
             elif path:  # dead end: back up and skip the arc that led here
                 u = to[path.pop() ^ 1]
                 nxt[u] += 1
-            else:
-                return 0
-        d = min(cap[ei] for ei in path)
-        for ei in path:
-            cap[ei] -= d
-            cap[ei ^ 1] += d
-        return d
+            else:  # the phase's flow is blocking
+                break
+    n, k, w = net.n, net.arrived, net.w
+    reach = np.asarray(level) >= 0
+    cover_l, cover_r = ~reach[:k], reach[n : n + k]
+    if w[:k][cover_l].sum() + w[:k][cover_r].sum() != net.flow:
+        raise ValidationError(f"{k} arrivals: min cut does not match max flow")
+    return cover_l.astype(np.int64) + cover_r
 
-    def solve(self) -> tuple[np.ndarray, int]:
-        """Continue the flow to a maximum; the cover in halves and its cut.
 
-        The last search fails to reach the sink, and the nodes it reached
-        are the source side of a minimum cut, whose capacity must equal
-        the flow.
-        """
-        while self._bfs():
-            nxt = [0] * len(self.head)
-            while d := self._augment(nxt):
-                self.flow += d
-        n, k = self.n, self.arrived
-        reach = np.asarray(self.level) >= 0
-        cover_l, cover_r = ~reach[:k], reach[n : n + k]
-        cut = self.w[:k][cover_l].sum() + self.w[:k][cover_r].sum()
-        if cut != self.flow:
-            raise ValidationError(f"{k} arrivals: min cut does not match max flow")
-        return cover_l.astype(np.int64) + cover_r, cut
+_FREE, _SRC, _SNK = 0, 1, 2  # tree membership of a network node
+_NONE, _ORPHAN = -1, -2  # parent arc of a free node and of an orphan
+
+
+class _KeptTrees(_CoverNetwork):
+    """A ``_CoverNetwork`` whose maximum flow is kept across arrivals by a
+    source tree S and a sink tree T (Boykov & Kolmogorov, PAMI 2004, reused
+    across graph changes as in Kohli & Torr, ICCV 2005).
+
+    ``units`` settles each new arc where it lands, then grows the trees
+    from their active nodes, pushes flow wherever they touch and re-adopts
+    or frees the orphans.  Every S node with a residual arc out of S is
+    active, so once none is, S is the source side of a minimum cut.  S's
+    capacity, every arc out of it counted, is kept across arrivals: each
+    prefix adds the new arcs and the nodes that changed sides, then checks
+    it against the flow.  A tree node's ``par`` is its arc toward the
+    root, in its own list; ``ts`` and ``dist`` mark nodes whose path to the
+    root is known, so an orphan's walks to find a new parent stop at a
+    marked node.
+    """
+
+    def __init__(self, stream: InstanceStream):
+        super().__init__(stream)
+        m = 2 * self.n + 2
+        self.tree = [_FREE] * m
+        self.tree[self.s], self.tree[self.t] = _SRC, _SNK
+        self.par = [_NONE] * m
+        self.ts = [0] * m
+        self.dist = [0] * m
+        self.time = 0  # the roots' mark: the number of pushes so far
+        self.active: deque[int] = deque()
+        self.queued = [False] * m
+        self.orphans: deque[int] = deque()
+        self.settled = 0  # arcs below this index are settled
+        self.cut = 0  # capacity of the arcs out of S, as of the last count
+        self.moved: dict[int, bool] = {}  # nodes that joined or left S since: were they in S
 
     def units(self) -> int:
         """The minimum cover of the arrived graph, in units of 1/(2 den):
@@ -588,6 +599,8 @@ class _CoverNetwork:
                         meet = ei
                         break
                     elif ts[q] <= ts[p] and dist[q] > dist[p]:
+                        # shorter paths keep the orphans' walks to the root short:
+                        # without this, reweighted two-phase:100 took 1.7x as long
                         par[q], ts[q], dist[q] = ei ^ 1, ts[p], dist[p] + 1
             if meet == _NONE:
                 active.popleft()
@@ -660,6 +673,9 @@ class _CoverNetwork:
                 if ts[x] != time:
                     continue
                 d += dist[x]
+                # the nearest root, not the first candidate that reaches one: the
+                # first was 5-19% faster on sparse streams but up to 1.9x slower on
+                # dense ones (reweighted two-phase and triangular)
                 if best == _NONE or d < dmin:
                     best, dmin = ei, d
                 x = j
@@ -683,14 +699,6 @@ class _CoverNetwork:
                 if par[j] == ei ^ 1:
                     par[j] = _ORPHAN
                     orphans.append(j)
-
-    def edge_flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays u, v, flow over the crossing arcs u-left -> v-right with flow,
-        read off each arc's reverse, whose head is its tail; flows are Python ints."""
-        to = np.array(self.to)
-        tail, flow = to[1::2], np.array(self.cap[1::2], dtype=object)
-        keep = (tail < self.n) & (flow > 0)
-        return tail[keep], to[0::2][keep] - self.n, flow[keep]
 
 
 # ------------------------------------------------------------- brute force
@@ -874,7 +882,7 @@ def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     cover).  Each arrival is ``add``-ed to the weight class's solver and
     its exact integer value U read and rounded once.
 
-    Weighted, a ``_CoverNetwork`` steps every arrival, and its kept cut
+    Weighted, a ``_KeptTrees`` steps every arrival, and its kept cut
     certifies each U, in units of 1/(2 den).  Unit, a ``_GrowingMatching``
     counts U in halves, and arrival v raises it by at most 2 (the old cover
     plus y_v = 1), so once the whole stream's value A is known, a prefix
@@ -888,7 +896,7 @@ def prefix_optimal_values(stream: InstanceStream) -> np.ndarray:
     n = len(stream)
     vals = np.zeros(n)
     if not stream.is_unit_weight():
-        net = _CoverNetwork(stream)
+        net = _KeptTrees(stream)
         for ev in stream:
             net.add(ev)
             vals[ev.id] = _to_float(net.units(), 2 * net.den)

@@ -694,7 +694,7 @@ def single_edge_stream():
 def test_isolated_arrival():
     stream = parse_instance("offline 0\n0 1.0 - 0\n")
     cover = WaterCoverState.fresh(1)
-    cover, out = greedy_allocation_step(cover, stream.event(0), LIN)
+    cover, out = greedy_allocation_step(cover, next(iter(stream)), LIN)
     assert out.level == 1.0
     assert cover.y[0] == 0.0
     assert cover.total_cost == 0.0
@@ -759,11 +759,12 @@ def test_run_rejects_sizes_it_cannot_hold(algo):
     stream = gen_triangular(2)
     n = len(stream) - 1
     alg = Algorithm(algo, FK, n)
-    for v in range(n):
-        alg.step(stream.event(v))
+    *events, last = stream
+    for ev in events:
+        alg.step(ev)
     cover = (alg.cover.y.copy(), alg.cover.total_cost)
     with pytest.raises(ValidationError, match=f"event {n} exceeds the capacity of {n}"):
-        alg.step(stream.event(n))
+        alg.step(last)
     assert alg.steps == alg.cover.arrived == n
     assert alg.cover.y.tolist() == cover[0].tolist() and alg.cover.total_cost == cover[1]
 
@@ -965,10 +966,11 @@ def test_corrupted_state_triggers_violation():
     stream = single_edge_stream()
     cover = WaterCoverState.fresh(2)
     matching = PrimalDualState.fresh(2)
-    cover, matching, _ = primal_dual_step(cover, matching, stream.event(0), FK, BETA_STAR)
+    first, second = stream
+    cover, matching, _ = primal_dual_step(cover, matching, first, FK, BETA_STAR)
     matching.x_agg[0] += 1.0  # simulate an out-of-band edge-value bug
     with pytest.raises(InvariantViolation):
-        primal_dual_step(cover, matching, stream.event(1), FK, BETA_STAR)
+        primal_dual_step(cover, matching, second, FK, BETA_STAR)
 
 
 def test_understated_beta_shows_up_as_capacity_excess():

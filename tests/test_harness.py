@@ -463,14 +463,28 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "data,line",
     [("offline 0\n0 1 - 0\n".encode("utf-16"), 1), (b"offline 0\n0 1 - 0 \xff\n", 2),
-     (b"offline 0\r\n0 1 - 0\r\n1 1 - 1 0 \xfe\r\n", 3)],
-    ids=["utf-16", "0xff", "crlf"],
+     (b"offline 0\r\n0 1 - 0\r\n1 1 - 1 0 \xfe\r\n", 3),
+     (b"\xef\xbb\xbfoffline 0\n0 1 - 0\n\xe2\x82\xac \xff\n", 3)],
+    ids=["utf-16", "0xff", "crlf", "bom"],
 )
 def test_cli_non_utf8_input_names_its_line(data, line, tmp_path, capsys):
     path = tmp_path / "input.txt"
     path.write_bytes(data)
     assert cli_main(["simulate", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: line {line}: not UTF-8 text")
+
+
+def test_cli_input_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark before the header is dropped: the run is the
+    one of the same file without it."""
+    text = b"offline 1\n0 1 L 0\n1 1 R 1 0\n"
+    runs = []
+    for name, data in (("plain.txt", text), ("bom.txt", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert cli_main(["simulate", "--input", str(path)]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1] and runs[1].err == ""
 
 
 @pytest.mark.parametrize(

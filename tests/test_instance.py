@@ -19,6 +19,7 @@ from onlinecover.harness import AdversaryBudget, adaptive_adversary_vc, resolve_
 from onlinecover.instance import (
     MAX_ARRIVALS,
     RANDOM_MODES,
+    SIDE_CODES,
     InstanceStream,
     Side,
     SkiRentalSpec,
@@ -53,8 +54,7 @@ def test_parse_minimal_graph():
 def test_parse_bipartite_with_offline():
     s = parse_instance("offline 1\n0 1.0 L 0\n1 1.0 R 1 0\n")
     assert s.offline_count == 1
-    assert s.event(0).side is Side.LEFT
-    assert s.event(1).side is Side.RIGHT
+    assert [ev.side for ev in s] == [Side.LEFT, Side.RIGHT]
 
 
 def test_parse_forward_edge_rejected():
@@ -131,16 +131,19 @@ def test_non_integer_neighbour_is_rejected():
 
 
 def test_iteration_builds_the_events_one_by_one_builds():
+    """Each event is its arrival's columns: a float weight, its side and a
+    read-only intp copy of its slice of ``neighbors``."""
     for s in (gen_random(40, 0.3, 1), gen_two_phase_matching_hard(3),
               reduce_ski_rental(SkiRentalSpec(((0.0, 2.0), (5.0, 0.0)), 1.0, 3.0))):
         events = list(s)
         assert len(events) == len(s)
-        for a, b in zip(events, (s.event(v) for v in range(len(s)))):
-            assert a.id == b.id
-            assert type(a.weight) is float and a.weight == b.weight
-            assert a.side is b.side
-            assert a.neighbors.dtype == b.neighbors.dtype == np.intp
-            assert a.neighbors.tolist() == b.neighbors.tolist()
+        off = s.edge_offsets
+        for v, a in enumerate(events):
+            assert a.id == v
+            assert type(a.weight) is float and a.weight == s.weights[v]
+            assert SIDE_CODES[a.side] == s.side_codes[v]
+            assert a.neighbors.dtype == np.intp
+            assert a.neighbors.tolist() == s.neighbors[off[v] : off[v + 1]].tolist()
             assert not a.neighbors.flags.writeable
 
 
@@ -347,7 +350,7 @@ def test_event_neighbors_are_a_read_only_view():
         2,
     )
     with pytest.raises(ValueError, match="read-only"):
-        s.event(2).neighbors[0] = 1
+        list(s)[2].neighbors[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         next(iter(s)).neighbors[:0] = 1
     assert edges_of(s) == [(0, 2), (1, 2)]
@@ -560,8 +563,9 @@ def test_ski_rental_classical_weights():
     assert s.weights[0] == 100.0
     assert s.weights[1] == 1e14  # 1e12 * max finite weight (100)
     # per interval: one rent-difference vertex of weight eps, one of weight 0
-    assert s.weights[2] == 1.0 and list(s.event(2).neighbors) == [0]
-    assert s.weights[3] == 0.0 and list(s.event(3).neighbors) == [0, 1]
+    events = list(s)
+    assert s.weights[2] == 1.0 and list(events[2].neighbors) == [0]
+    assert s.weights[3] == 0.0 and list(events[3].neighbors) == [0, 1]
 
 
 def test_ski_rental_event_count():

@@ -223,14 +223,32 @@ def test_cover_network_rejects_a_tampered_flow():
         net.add(ev)
     net.flow += 1
     with pytest.raises(ValidationError, match="min cut does not match max flow"):
-        net.solve()
+        oracle._dinic(net)
+
+
+def test_the_from_scratch_network_holds_only_arcs(monkeypatch):
+    """The network a weighted from-scratch solve builds holds the double
+    cover's arcs and flow, and none of the kept trees' state."""
+    built = []
+
+    class Recorded(oracle._CoverNetwork):
+        def __init__(self, stream):
+            super().__init__(stream)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "_CoverNetwork", Recorded)
+    stream = with_weights(gen_random(40, 0.2, 3), [0.5, 1.0, 3.0, 7.0, 1e12] * 8)
+    assert fractional_optima_general(stream).min_cover_value > 0.0
+    [net] = built
+    assert sorted(vars(net)) == ["arrived", "cap", "den", "flow", "head", "n", "s", "t", "to", "w"]
+    assert not isinstance(net, oracle._KeptTrees) and not hasattr(net, "units")
 
 
 def test_kept_trees_reject_a_tampered_flow():
     """The kept trees check their cut against the flow at every prefix: one
     unit of flow too many is an error at the next prefix."""
     g = graph_stream(3, [(0, 1), (1, 2)], weights=[1.0, 2.5, 0.5])
-    net = oracle._CoverNetwork(g)
+    net = oracle._KeptTrees(g)
     for ev in g:
         net.add(ev)
         if ev.id == 2:
@@ -283,7 +301,7 @@ def test_kept_cut_is_the_capacity_of_s(seed, n, p, mode, strip, weights):
     stream = with_weights(gen_random(n, p, seed, mode), weights)
     if strip:
         stream = unlabeled(stream)
-    net = oracle._CoverNetwork(stream)
+    net = oracle._KeptTrees(stream)
     for ev in stream:
         net.add(ev)
         units = net.units()
@@ -426,12 +444,12 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
     anchor: the from-scratch entry points run at most once in total, where a
     per-prefix loop would call them per arrival.  A unit stream builds
     exactly one growing matching, one adjacency and no flow network (its
-    anchor solves that adjacency); a weighted stream builds exactly one flow
-    network, no matching and no adjacency, and solves nothing from scratch:
-    its kept cut certifies every prefix."""
+    anchor solves that adjacency); a weighted stream builds exactly one
+    ``_KeptTrees``, no other network, no matching and no adjacency, and
+    never runs Dinic: its kept cut certifies every prefix."""
     calls = []
     for name in ("maximum_bipartite_matching", "fractional_optima_general", "_weighted_optimum",
-                 "_adjacency"):
+                 "_dinic", "_adjacency"):
         fn = getattr(oracle, name)
 
         def counted(*args, _fn=fn, **kwargs):
@@ -440,7 +458,7 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
 
         monkeypatch.setattr(oracle, name, counted)
     built = []
-    for name in ("_CoverNetwork", "_GrowingMatching"):
+    for name in ("_CoverNetwork", "_KeptTrees", "_GrowingMatching"):
         base = getattr(oracle, name)
 
         class Counted(base):
@@ -452,7 +470,7 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
     spec = SkiRentalSpec(states=((0.0, 2.0), (5.0, 1.0), (9.0, 0.0)), epsilon=1.0, t_end=6.0)
     for stream, solver in ((gen_triangular(60), "_GrowingMatching"),
                            (gen_random(200, 0.05, 3), "_GrowingMatching"),
-                           (reduce_ski_rental(spec), "_CoverNetwork")):
+                           (reduce_ski_rental(spec), "_KeptTrees")):
         calls.clear()
         built.clear()
         vals = oracle.prefix_optimal_values(stream)
@@ -468,12 +486,13 @@ def test_prefix_oracle_does_not_solve_per_prefix(monkeypatch):
 
 def warm_run(mp, stream, matcher=oracle._GrowingMatching):
     """The prefix values, the warm solver (the first one built) and the
-    from-scratch solves made, each as the number of arrivals the solver had
-    been handed when it ran.  The solver is a counting subclass of
-    ``_CoverNetwork`` or of ``matcher``: ``runs`` counts its ``_augment``
-    calls and ``searched`` lists the count after each arrival."""
+    from-scratch solves made (``_dinic`` runs counted too), each as the
+    number of arrivals the solver had been handed when it ran.  The solver is a
+    counting subclass of ``_KeptTrees`` or of ``matcher``: ``runs`` counts
+    a matcher's ``_augment`` calls and ``searched`` lists the count after
+    each arrival."""
     solvers, bought = [], []
-    for name, base in (("_CoverNetwork", oracle._CoverNetwork), ("_GrowingMatching", matcher)):
+    for name, base in (("_KeptTrees", oracle._KeptTrees), ("_GrowingMatching", matcher)):
 
         class Counted(base):
             def __init__(self, stream):
@@ -490,7 +509,7 @@ def warm_run(mp, stream, matcher=oracle._GrowingMatching):
                 return super()._augment(*args)
 
         mp.setattr(oracle, name, Counted)
-    for name in ("_unit_optimum", "_weighted_optimum"):
+    for name in ("_unit_optimum", "_weighted_optimum", "_dinic"):
         fn = getattr(oracle, name)
 
         def counted(*args, _fn=fn):
