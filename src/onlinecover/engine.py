@@ -21,10 +21,11 @@ violation indicates a bug, not an expected runtime condition).
 An arrival with fewer than ``_LIST_DEGREE`` neighbors is stepped on
 Python floats: the steps gather the neighbors' values once and read them
 as lists, solve the level, raise and write the potentials, edge values
-and slacks one element at a time, and run the monitors, all in numpy's
-arithmetic to the bit (its summation order, and its NaN rule for min,
-max and argmax), since a numpy call's fixed cost exceeds a short loop.
-From ``_LIST_DEGREE`` neighbors they work on arrays.  Either way a run
+and slacks one element at a time, and run the monitors, since a numpy
+call's fixed cost exceeds a short loop.  Below 8 summands a sum adds them
+one at a time, numpy's own order there; a longer sum, and a case with a
+NaN in it (a level solve, an argmax), is computed by numpy itself.  From
+``_LIST_DEGREE`` neighbors the steps work on arrays.  Either way a run
 leaves the same bytes.
 
 States are owned by a single run and mutated in place; each holds only
@@ -87,52 +88,16 @@ def _pairwise_sum(xs) -> float:
     """The sum of a float list, to the bit of numpy's float64 ``add.reduce``
     over the same values as a contiguous array.
 
-    numpy adds its pairwise sum to 0.0 (so -0.0 entries sum to 0.0).  Below
-    8 entries that sum adds them one at a time; up to 128 it runs 8
-    interleaved sums, each from its first entry, combines them pairwise and
-    adds the entries after the last multiple of 8 in turn; above 128 it
-    adds the sums of two parts split at n/2 rounded down to a multiple of 8.
-    IEEE addition rounds alike in C and Python, so the same order gives the
-    same bits (a NaN's payload aside).
+    Below 8 entries numpy adds them one at a time to 0.0 (so -0.0 entries
+    sum to 0.0), and so does this loop, which costs less than a numpy call;
+    from 8 entries numpy's pairwise sum computes it.
     """
-    n = len(xs)
-    if n < 8:
+    if len(xs) < 8:
         total = 0.0
         for x in xs:
             total += x
         return total
-    return 0.0 + _unrolled_sum(xs, 0, n)
-
-
-def _unrolled_sum(xs, lo: int, n: int) -> float:
-    """numpy's pairwise sum of the n >= 8 entries of ``xs`` from ``lo``."""
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _unrolled_sum(xs, lo, half) + _unrolled_sum(xs, lo + half, n - half)
-    end = lo + n - n % 8
-    acc = []
-    for j in range(lo, lo + 8):
-        lane = xs[j:end:8]
-        total = lane[0]
-        for x in lane[1:]:
-            total += x
-        acc.append(total)
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for x in xs[end : lo + n]:
-        total += x
-    return total
-
-
-def _first_max(xs) -> int:
-    """``np.argmax`` of a nonempty float list: the first NaN, else the first
-    largest entry."""
-    at, best = 0, xs[0]
-    for i, x in enumerate(xs):
-        if x != x:
-            return i
-        if x > best:
-            at, best = i, x
-    return at
+    return float(np.add.reduce(np.array(xs)))
 
 
 def _numpy_extreme(pick, xs) -> float:
@@ -143,12 +108,6 @@ def _numpy_extreme(pick, xs) -> float:
         if x != x:
             return x
     return pick(xs)
-
-
-def _nan_last(triple):
-    """Sort key of a (potential, f, weight) triple: NaN potentials last, as
-    ``np.argsort`` puts them."""
-    return triple[0] != triple[0], triple[0]
 
 
 def _solve_level(pots, fs, ws, v_weight, func):
@@ -187,17 +146,17 @@ def _solve_level(pots, fs, ws, v_weight, func):
     ``_LIST_DEGREE`` neighbors the sort, the prefix sums and H are numpy
     arrays, of which the bisection and the loop read O(log m) entries;
     below it they are lists, as the rest of the step's work is, bit for bit
-    as numpy builds them: ``sorted`` is stable like the stable argsort and
-    puts a NaN potential last like it, a running sum adds in
-    ``np.cumsum``'s order, and a tie group reads the sums at its first
-    entry, the one ``searchsorted`` finds.
+    as numpy builds them: ``sorted`` is stable like the stable argsort, a
+    running sum adds in ``np.cumsum``'s order, and a tie group reads the
+    sums at its first entry, the one ``searchsorted`` finds.  A NaN
+    potential takes the arrays at any degree, where argsort puts it last.
     """
     m = pots.size
-    if m < _LIST_DEGREE:
-        sp = pots.tolist()
-        # argsort puts a NaN last, where a bare float key would leave it anywhere
-        key = _nan_last if any(map(math.isnan, sp)) else itemgetter(0)
-        triples = sorted(zip(sp, fs.tolist(), ws.tolist()), key=key)
+    # a NaN potential takes the array branch: argsort puts it last, where a
+    # float sort key would leave it anywhere
+    listed = m < _LIST_DEGREE and not any(map(math.isnan, sp := pots.tolist()))
+    if listed:
+        triples = sorted(zip(sp, fs.tolist(), ws.tolist()), key=itemgetter(0))
         sp, sf, cf, h = [], [], [], []
         csw, cswp = [0.0], [0.0]
         c = cp = 0.0
@@ -226,7 +185,7 @@ def _solve_level(pots, fs, ws, v_weight, func):
     g_hi = at(csw, below1) - at(cswp, below1) - v_weight * func.f1
     if g_hi <= 0.0:
         return 1.0, func.f1, 0.0
-    if m >= _LIST_DEGREE:
+    if not listed:
         sf = fs[order]
         first = sp.searchsorted(sp)
         cf = csw[first]
@@ -402,9 +361,7 @@ def _check(residual: float, bound: float, what: str, vertex: int) -> None:
     """Raise ``InvariantViolation`` unless ``residual <= bound``; NaN fails."""
     if not residual <= bound:
         raise InvariantViolation(
-            f"{what} failed at vertex {vertex} (residual {residual:.3e}, bound {bound:.3e})",
-            vertex=vertex,
-            slack=residual,
+            f"{what} failed at vertex {vertex} (residual {residual:.3e}, bound {bound:.3e})"
         )
 
 
@@ -550,7 +507,9 @@ def primal_dual_step(
             for u, w, q in zip(ridx, outcome.weights, quotas):
                 inv1[u] = slack = x_agg.item(u) - w * q
                 slack_r.append(slack)
-            i = _first_max(slack_r)
+            # the first largest slack, as np.argmax finds; with a NaN, np.argmax's rule
+            nan = any(map(math.isnan, slack_r))
+            i = int(np.argmax(slack_r)) if nan else slack_r.index(max(slack_r))
             w_top = _numpy_extreme(max, outcome.weights)
         else:
             slack_r = x_agg[ridx] - outcome.weights * quota_r

@@ -44,11 +44,6 @@ class NumericError(OnlineCoverError):
 class InvariantViolation(OnlineCoverError):
     """A maintained algorithm invariant failed beyond tolerance (bug detector)."""
 
-    def __init__(self, message: str, vertex: int | None = None, slack: float = 0.0):
-        self.vertex = vertex
-        self.slack = slack
-        super().__init__(message)
-
 
 class SideError(OnlineCoverError):
     """Bipartite side labels missing or an edge joins two same-side vertices."""

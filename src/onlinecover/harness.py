@@ -218,7 +218,7 @@ def adaptive_adversary_vc(
     exhausted budget.  With two phases the first has the proof-style size
     sqrt(2) d; with three or more, the first two follow beta * alpha * d
     with alpha = 1/sqrt(2 beta^2 - 1) on a trial ratio-minus-one beta
-    (default 0.753; it must be finite and exceed 1/sqrt(2)).
+    (default 0.753; it must exceed 1/sqrt(2), with 2 beta^2 finite).
 
     The algorithm under test is an ``EngineAlgorithm(algo, func)``; the
     prefix costs are read from its rows' ``cover_cost`` column and the
@@ -227,10 +227,13 @@ def adaptive_adversary_vc(
     ratio is the worst prefix cover ratio over the emitted transcript,
     which replays deterministically.
     """
+    # a negative beta, or one whose 2 beta^2 overflows (alpha = 0), would leave phase 1 empty
     if trial_beta is not None and not (
-        math.isfinite(trial_beta) and 2.0 * trial_beta * trial_beta > 1.0
+        trial_beta > 0.0 and 1.0 < 2.0 * trial_beta * trial_beta < math.inf
     ):
-        raise ValidationError(f"trial_beta must be finite and > 1/sqrt(2), got {trial_beta!r}")
+        raise ValidationError(
+            f"trial_beta must exceed 1/sqrt(2) with 2 trial_beta^2 finite, got {trial_beta!r}"
+        )
     d = budget.offline_d
     k = budget.phases
     capacity = d + k * budget.per_phase_cap

@@ -299,12 +299,13 @@ def test_level_solve_list_branch_is_bitwise_numpy_branch(star, v_weight, kind):
 
 
 def test_pairwise_sum_is_numpy_add_reduce_bitwise():
-    """The list path's sum adds in the order of numpy's float64
-    ``add.reduce``: the same bits at every length from 0 to 600, which
-    covers the runs below 8, the 8-lane blocks up to 128 and the splits
-    above, on values across the float range (both zeros and subnormals
-    included) and with infinities, overflow and NaN mixed in (a NaN counts
-    as one value, its payload aside)."""
+    """The list path's sum is numpy's float64 ``add.reduce`` to the bit:
+    at every length from 0 to 600, which covers the one-at-a-time loop
+    below 8 and the numpy call from 8 on, on values across the float range
+    (both zeros and subnormals included) and with infinities, overflow and
+    NaN mixed in (a NaN counts as one value, its payload aside).  numpy's
+    overflow and invalid warnings reach the list path from 8 summands, as
+    they reach the array path's sum."""
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308,
                math.inf, -math.inf, math.nan]
     rng = np.random.default_rng(7)
@@ -315,7 +316,7 @@ def test_pairwise_sum_is_numpy_add_reduce_bitwise():
         for values in (finite, tiny, mixed, np.full(n, -0.0)):
             with np.errstate(over="ignore", invalid="ignore"):
                 want = float(np.add.reduce(values))
-            got = _pairwise_sum(values.tolist())
+                got = _pairwise_sum(values.tolist())
             assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), n
 
 

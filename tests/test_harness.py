@@ -433,6 +433,9 @@ def test_cli_usage_errors():
         # input that is not UTF-8: the line of the first undecodable byte is named
         ["simulate", "--input", "{utf16}"],
         ["simulate", "--input", "{latin}"],
+        # a trial beta that would leave the adversary's first phase empty
+        ["adversary", "--budget", "3,5", "--trial-beta", "1e154"],  # 2 beta^2 overflows
+        ["adversary", "--budget", "3,5", "--trial-beta", "-1"],  # 2 beta^2 > 1, yet negative
     ],
 )
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
@@ -679,7 +682,7 @@ def test_cli_invariant_violation_exit_code(monkeypatch, capsys):
     from onlinecover.errors import InvariantViolation
 
     def boom(*args):
-        raise InvariantViolation("synthetic failure", vertex=0, slack=1.0)
+        raise InvariantViolation("synthetic failure")
 
     monkeypatch.setattr(hmod, "run_experiment", boom)
     assert cli_main(["simulate", "--gen", "triangular:3"]) == 1
