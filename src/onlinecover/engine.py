@@ -26,7 +26,10 @@ call's fixed cost exceeds a short loop.  Below 8 summands a sum adds them
 one at a time, numpy's own order there; a longer sum, and a case with a
 NaN in it (a level solve, an argmax), is computed by numpy itself.  From
 ``_LIST_DEGREE`` neighbors the steps work on arrays.  Either way a run
-leaves the same bytes.
+leaves the same bytes.  The array paths call array methods and ufuncs
+(``a.argmax()``, ``np.add.accumulate``), not numpy's module-level
+wrappers (``np.argmax``, ``np.cumsum``), which are Python functions that
+add 1-2 us per call before reaching the same C code.
 
 States are owned by a single run and mutated in place; each holds only
 its algorithm's fields (f at the potentials lives on ``WaterCoverState``:
@@ -147,9 +150,10 @@ def _solve_level(pots, fs, ws, v_weight, func):
     arrays, of which the bisection and the loop read O(log m) entries;
     below it they are lists, as the rest of the step's work is, bit for bit
     as numpy builds them: ``sorted`` is stable like the stable argsort, a
-    running sum adds in ``np.cumsum``'s order, and a tie group reads the
-    sums at its first entry, the one ``searchsorted`` finds.  A NaN
-    potential takes the arrays at any degree, where argsort puts it last.
+    running sum adds in ``np.add.accumulate``'s order, and a tie group
+    reads the sums at its first entry, the one ``searchsorted`` finds.  A
+    NaN potential takes the arrays at any degree, where argsort puts it
+    last.
     """
     m = pots.size
     # a NaN potential takes the array branch: argsort puts it last, where a
@@ -175,11 +179,11 @@ def _solve_level(pots, fs, ws, v_weight, func):
         at = list.__getitem__
         below1 = bisect_left(sp, 1.0)
     else:
-        order = np.argsort(pots, kind="stable")
+        order = pots.argsort(kind="stable")
         sp, sw = pots[order], ws[order]
         csw, cswp = np.zeros(m + 1), np.zeros(m + 1)
-        np.cumsum(sw, out=csw[1:])
-        np.cumsum(sw * sp, out=cswp[1:])
+        np.add.accumulate(sw, out=csw[1:])
+        np.add.accumulate(sw * sp, out=cswp[1:])
         at = np.ndarray.item
         below1 = int(sp.searchsorted(1.0))
     g_hi = at(csw, below1) - at(cswp, below1) - v_weight * func.f1
@@ -342,7 +346,7 @@ class PrimalDualState(MatchingState):
         """Update the maximum after a step whose largest touched slack is
         ``value`` at ``vertex``."""
         if self.inv1_slack[self.inv1_argmax] != self.inv1_max:
-            self.inv1_argmax = int(np.argmax(self.inv1_slack))
+            self.inv1_argmax = int(self.inv1_slack.argmax())
             self.inv1_max = float(self.inv1_slack[self.inv1_argmax])
             self.inv1_rescans += 1
         elif value > self.inv1_max:
@@ -479,7 +483,8 @@ def primal_dual_step(
     else:
         x_r = outcome.lift / beta * (1.0 + ratio)
         xvals[outcome.mask] = x_r
-        x_agg[ridx] += x_r
+        agg_r = x_agg[ridx] + x_r  # ridx holds no repeats: one gather for the write and the slacks
+        x_agg[ridx] = agg_r
         xv = float(xvals.sum())
     x_agg[v] += xv
     matching.total_value += xv
@@ -512,9 +517,9 @@ def primal_dual_step(
             i = int(np.argmax(slack_r)) if nan else slack_r.index(max(slack_r))
             w_top = _numpy_extreme(max, outcome.weights)
         else:
-            slack_r = x_agg[ridx] - outcome.weights * quota_r
+            slack_r = agg_r - outcome.weights * quota_r
             matching.inv1_slack[ridx] = slack_r
-            i = int(np.argmax(slack_r))  # the first NaN, if any
+            i = int(slack_r.argmax())  # the first NaN, if any
             w_top = float(outcome.weights.max())
         r = float(slack_r[i])
         # as np.argmax over the raised and then v: a tie or a NaN goes to the raised
@@ -551,16 +556,18 @@ def greedy_baseline_step(
     nbrs = event.neighbors
     # an arrived vertex is matched iff its aggregate is nonzero: greedy
     # gives every edge it picks exactly 1.0 and every other edge 0.0
-    free = nbrs[matching.x_agg[nbrs] == 0.0]
+    free = (matching.x_agg[nbrs] == 0.0).nonzero()[0]  # edge positions
     xvals = matching.new_edges(nbrs.size)
     if free.size:
-        partner = int(free.min())
-        xvals[nbrs == partner] = 1.0
+        pos = free[nbrs[free].argmin()]
+        partner = int(nbrs[pos])
+        xvals[pos] = 1.0
         matching.x_agg[partner] += 1.0
         matching.x_agg[v] += 1.0
         matching.total_value += 1.0
         # both ends are unmatched, so at 0: only a match raises a potential
-        cover.y[[partner, v]] = 1.0
+        cover.y[partner] = 1.0
+        cover.y[v] = 1.0
         cover.total_cost += 2.0
     cover.arrived += 1
     return cover, matching, float(1.0 - cover.y[v])

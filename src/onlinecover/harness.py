@@ -30,10 +30,12 @@ from .errors import InvariantViolation, OnlineCoverError, ParseError, Validation
 from .instance import (
     MAX_ARRIVALS,
     RANDOM_MODES,
+    SIDE_CODES,
     InstanceStream,
     Side,
     SkiRentalSpec,
     VertexEvent,
+    _offsets,
     gen_complete_bipartite,
     gen_random,
     gen_triangular,
@@ -223,9 +225,12 @@ def adaptive_adversary_vc(
     The algorithm under test is an ``EngineAlgorithm(algo, func)``; the
     prefix costs are read from its rows' ``cover_cost`` column and the
     driven side's potentials from its cover, and it is returned with the
-    outcome.  The reported
-    ratio is the worst prefix cover ratio over the emitted transcript,
-    which replays deterministically.
+    outcome.  It steps one event per arrival, whose neighbours are the
+    phase's shared intp array.  The transcript is built as columns (unit
+    weights, the side codes, the degrees' offsets, and one concatenation
+    of the phase's int32 copy per arrival) and validated by
+    ``InstanceStream``.  The reported ratio is the worst prefix cover ratio
+    over the emitted transcript, which replays deterministically.
     """
     # a negative beta, or one whose 2 beta^2 overflows (alpha = 0), would leave phase 1 empty
     if trial_beta is not None and not (
@@ -239,14 +244,17 @@ def adaptive_adversary_vc(
     capacity = d + k * budget.per_phase_cap
     alg = EngineAlgorithm(algo, func, capacity)
 
-    events: list[VertexEvent] = []
+    # the transcript's columns: a side code and a degree per arrival, and
+    # the int32 neighbour array of each arrival with edges
+    codes: list[int] = []
+    degrees: list[int] = []
+    parts: list[np.ndarray] = []
     lefts: list[int] = []
     rights: list[int] = []
-    # the transcript's events carry int32 neighbours; the algorithm steps
-    # copies with intp ones, which numpy indexes with no conversion
     for i in range(d):
-        events.append(VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.int32)))
         alg.process(VertexEvent(i, 1.0, Side.LEFT, np.empty(0, np.intp)))
+        codes.append(SIDE_CODES[Side.LEFT])
+        degrees.append(0)
         lefts.append(i)
 
     # proof-style sizing for the first phase(s)
@@ -268,25 +276,32 @@ def adaptive_adversary_vc(
         attach_to = lefts if presenting_right else rights  # the side forced toward 1
         limit = min(fixed_sizes.get(phase, budget.per_phase_cap), budget.per_phase_cap)
         by_convergence = phase not in fixed_sizes and phase > 1
-        # a phase's arrivals attach to the same vertices, so they share one array
-        nbrs = np.asarray(attach_to, dtype=np.int32)
-        nbrs_ip = nbrs.astype(np.intp)
+        # a phase's arrivals attach to the same vertices, so they share one
+        # array: intp, which numpy indexes with no conversion, for the steps,
+        # and int32 for the transcript
+        nbrs = np.asarray(attach_to, dtype=np.intp)
+        nbrs32 = nbrs.astype(np.int32)
+        side = Side.RIGHT if presenting_right else Side.LEFT
         count = 0
         for _ in range(limit):
-            vid = len(events)
-            side = Side.RIGHT if presenting_right else Side.LEFT
-            events.append(VertexEvent(vid, 1.0, side, nbrs))
-            alg.process(VertexEvent(vid, 1.0, side, nbrs_ip))
+            vid = len(codes)
+            alg.process(VertexEvent(vid, 1.0, side, nbrs))
+            codes.append(SIDE_CODES[side])
+            degrees.append(nbrs.size)
+            parts.append(nbrs32)
             (rights if presenting_right else lefts).append(vid)
             count += 1
-            if by_convergence and np.min(alg.cover.y[nbrs_ip]) >= budget.convergence_threshold:
+            if by_convergence and alg.cover.y[nbrs].min() >= budget.convergence_threshold:
                 break
         else:
             if by_convergence:
                 budget_exhausted = True
         phase_sizes.append(count)
 
-    transcript = InstanceStream.from_events(events, d)
+    # one copy of the neighbours, into the stream's own column
+    transcript = InstanceStream(
+        np.ones(len(codes)), codes, _offsets(degrees), np.concatenate(parts), d
+    )
     opts = oracle.prefix_optimal_values(transcript)
     ratios = oracle.prefix_ratios(alg.rows["cover_cost"], opts)
     return AdversaryOutcome(

@@ -175,11 +175,11 @@ def _adjacency(stream: InstanceStream) -> tuple[np.ndarray, np.ndarray]:
 
 def _gather(ptr: np.ndarray, idx: np.ndarray, nodes, lens) -> tuple[np.ndarray, np.ndarray]:
     """The first ``lens[i]`` entries of each ``nodes[i]``'s slice, concatenated,
-    and where each node's run ends: ``searchsorted(ends, i, "right")`` names
+    and where each node's run ends: ``ends.searchsorted(i, "right")`` names
     the node of entry i."""
-    ends = np.cumsum(lens, dtype=ptr.dtype)
+    ends = lens.cumsum(dtype=ptr.dtype)
     pos = np.arange(ends[-1], dtype=ptr.dtype)
-    pos += np.repeat(ptr[nodes] - (ends - lens), lens)
+    pos += (ptr[nodes] - (ends - lens)).repeat(lens)
     return idx[pos], ends
 
 
@@ -222,13 +222,13 @@ def maximum_bipartite_matching(ptr: np.ndarray, idx: np.ndarray) -> tuple[list[i
             free = cand[~taken[cand]]
             if not free.size:
                 continue
-            v = int(free[np.argmin(deg[free])])
+            v = int(free[deg[free].argmin()])
         rmate[u], cmate[v], taken[v] = v, u, True
 
     while True:
         mate = np.array(cmate, dtype=np.int64)
         dist = np.full(n, -1, dtype=np.int64)
-        layer = np.flatnonzero((np.array(rmate) < 0) & (deg > 0))
+        layer = ((np.array(rmate) < 0) & (deg > 0)).nonzero()[0]
         dist[layer] = 0
         depth = 0
         while layer.size:
@@ -237,14 +237,14 @@ def maximum_bipartite_matching(ptr: np.ndarray, idx: np.ndarray) -> tuple[list[i
             if (w < 0).any():
                 break
             dist[w[dist[w] < 0]] = depth + 1
-            layer = np.flatnonzero(dist == depth + 1)
+            layer = (dist == depth + 1).nonzero()[0]
             depth += 1
         else:
             return rmate, dist
         # of the last layer, keep only the rows next to a free column
         dist[layer] = -1
-        dist[np.repeat(layer, lens)[w < 0]] = depth
-        for u in np.flatnonzero(dist >= 0).tolist():
+        dist[layer.repeat(lens)[w < 0]] = depth
+        for u in (dist >= 0).nonzero()[0].tolist():
             if rows[u] is None:
                 rows[u] = idx[p[u] : p[u + 1]].tolist()
         _augment_layers(rows, rmate, cmate, dist.tolist())
@@ -842,14 +842,14 @@ class _GrowingMatching:
             base = frontier % n
             cand, ends = _gather(self.ptr, self.idx, base, self.count[base])
             cand += off
-            pos = np.flatnonzero(seen[cand] != stamp)
+            pos = (seen[cand] != stamp).nonzero()[0]
             if not pos.size:
                 return False
             tgt = cand[pos]
-            free = np.flatnonzero(mate[tgt] < 0)
+            free = (mate[tgt] < 0).nonzero()[0]
             if free.size:
                 i = free[0]
-                self._flip(int(tgt[i]), int(frontier[np.searchsorted(ends, pos[i], "right")]))
+                self._flip(int(tgt[i]), int(frontier[ends.searchsorted(pos[i], "right")]))
                 return True
             # keep one entry per target; whichever write to slot won, it
             # names a frontier node adjacent to that target
@@ -858,7 +858,7 @@ class _GrowingMatching:
             keep = slot[tgt] == order
             tgt, pos = tgt[keep], pos[keep]
             seen[tgt] = stamp
-            self.parent[tgt] = frontier[np.searchsorted(ends, pos, "right")]
+            self.parent[tgt] = frontier[ends.searchsorted(pos, "right")]
             frontier = mate[tgt]
 
     def _flip(self, b: int, a: int) -> None:

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onlinecover import engine
+from onlinecover import engine, oracle
 from onlinecover.allocation import ALPHA, AllocationFunction, QuadratureTable, beta_of, optimal_k
 from onlinecover.engine import (
     FEAS_EPS,
@@ -655,6 +657,40 @@ def test_level_solve_f_calls_per_arrival(monkeypatch):
     assert calls["array"] == 0
     assert calls["scalar"] <= 7 * len(stream)
     assert calls["F"] <= 1
+
+
+def test_hot_paths_call_no_numpy_wrappers():
+    """Dense steps and the prefix matcher's searches call array methods and
+    ufuncs, never numpy's module-level wrappers (``np.argmax``,
+    ``np.cumsum``, ``np.flatnonzero``, ...), each 1-2 us dearer than the C
+    method it forwards to."""
+    wrappers = (os.path.join("_core", "fromnumeric.py"), os.path.join("_core", "numeric.py"))
+
+    def wrapper_calls(step, events):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.endswith(wrappers):
+                calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for ev in events:
+                step(ev)
+        finally:
+            sys.setprofile(previous)
+        return calls
+
+    stream = gen_complete_bipartite(60, 40)  # 40 arrivals of degree 60 >= _LIST_DEGREE
+    alg = Algorithm("primal-dual", optimal_k().func(), len(stream))
+    assert wrapper_calls(alg.step, list(stream)) == []
+    assert alg.steps == len(stream)
+
+    stream = gen_random(300, 0.05, seed=1)
+    matcher = oracle._GrowingMatching(stream)
+    assert wrapper_calls(matcher.add, list(stream)) == []
+    assert matcher.searches > 0
 
 
 @given(

@@ -30,6 +30,7 @@ from onlinecover.instance import (
     MAX_ARRIVALS,
     RANDOM_MODES,
     SIDE_CODES,
+    InstanceStream,
     Side,
     SkiRentalSpec,
     parse_instance,
@@ -249,19 +250,36 @@ def test_adversary_transcript_replays(algo):
 
 
 def test_adversary_steps_intp_neighbours(monkeypatch):
-    """The transcript keeps the int32 neighbour arrays; the algorithm steps
-    events whose neighbours are intp, which numpy indexes unconverted."""
-    dtypes = []
+    """The algorithm steps events whose neighbours are intp, which numpy
+    indexes unconverted; the transcript built from columns is the stream
+    ``InstanceStream.from_events`` builds from those events with int32
+    neighbours, to the dtype."""
+    events = []
     process = EngineAlgorithm.process
 
     def recording(self, event):
-        dtypes.append(event.neighbors.dtype)
+        events.append(event)
         process(self, event)
 
     monkeypatch.setattr(EngineAlgorithm, "process", recording)
-    out = adaptive_adversary_vc(AdversaryBudget(phases=3, offline_d=10), "primal-dual", FK)
-    assert len(dtypes) == len(out.transcript) == out.algorithm.steps
-    assert set(dtypes) == {np.dtype(np.intp)}
+    for budget, algo, func in (
+        ((3, 10), "primal-dual", FK),
+        ((2, 12), "primal-dual", FK),
+        ((4, 10, 100), "waterfill", AllocationFunction.family(2.0)),
+        ((2, 25, 250), "greedy", None),
+    ):
+        events.clear()
+        out = adaptive_adversary_vc(AdversaryBudget(*budget), algo, func)
+        assert len(events) == len(out.transcript) == out.algorithm.steps
+        assert {ev.neighbors.dtype for ev in events} == {np.dtype(np.intp)}
+        ref = InstanceStream.from_events(
+            [ev._replace(neighbors=ev.neighbors.astype(np.int32)) for ev in events], budget[1]
+        )
+        for name in ("weights", "side_codes", "edge_offsets", "neighbors"):
+            got, want = getattr(out.transcript, name), getattr(ref, name)
+            assert got.dtype == want.dtype, (budget, name)
+            assert np.array_equal(got, want), (budget, name)
+        assert out.transcript.offline_count == ref.offline_count == budget[1]
 
 
 def test_adversary_four_phases_default_sizing():
